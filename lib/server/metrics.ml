@@ -32,6 +32,7 @@ type write_stats = {
   publish_full : int;
   areas_rebuilt : int;
   rotations : int;
+  private_masters : int;
 }
 
 type pipeline_group_stats = {
@@ -345,8 +346,10 @@ let render t =
          (w.flush_ns /. 1e6) w.rotations);
     Buffer.add_string b
       (Printf.sprintf
-         "publish_incremental=%d publish_full=%d areas_rebuilt=%d\n"
-         w.publish_incremental w.publish_full w.areas_rebuilt));
+         "publish_incremental=%d publish_full=%d areas_rebuilt=%d \
+          private_masters=%d\n"
+         w.publish_incremental w.publish_full w.areas_rebuilt
+         w.private_masters));
   (match pipeline with
   | None -> ()
   | Some groups ->

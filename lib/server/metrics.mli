@@ -65,12 +65,16 @@ type write_stats = {
   publish_full : int;  (** snapshots re-captured via the sidecar *)
   areas_rebuilt : int;  (** area renumberings across incremental publishes *)
   rotations : int;  (** WAL segment rotations (checkpoints cut) *)
+  private_masters : int;
+      (** documents holding a writer copy of their numbering (made by a
+          document's first UPDATE); every other document is resident once,
+          in the snapshot *)
 }
 
 val set_write_probe : t -> (unit -> write_stats) -> unit
 (** Gauge: group-commit pipeline counters, aggregated across every commit
-    group; rendered as [wal_*] (with a derived mean batch size) and
-    [publish_*] keys when set. *)
+    group; rendered as [wal_*] (with a derived mean batch size),
+    [publish_*] and [private_masters] keys when set. *)
 
 type pipeline_group_stats = {
   gq_depth : int;  (** records parked in this group's commit queue now *)

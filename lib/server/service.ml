@@ -110,7 +110,11 @@ type master = {
       (** set (under the group's write mutex, all commit queues quiesced)
           by DROPDOC: the slot stays — the commit queues address masters by
           index — but the document refuses updates and stops being served *)
-  r2 : R2.t;  (** the writer's private mutable state; never read by readers *)
+  mutable r2 : R2.t option;
+      (** the writer's private copy, guarded by the group's write mutex and
+          never read by readers.  [None] until the document's first UPDATE
+          clones the published numbering (copy-on-first-write): a document
+          nobody writes stays resident once, in the snapshot *)
   wal : Wal.writer;
   mutable applied_seq : int;
       (** sequence number of the last operation applied to [r2]; runs ahead
@@ -124,7 +128,8 @@ type master = {
   mutable wedged : string option;
       (** set (under the group's write mutex) when a failed commit left
           this document's journal or published snapshot out of step with
-          its master; all further updates are refused until a restart
+          its master, or an update failed part-way on a master with
+          records pending; all further updates are refused until a restart
           replays the journal *)
   xml_path : string;
   sidecar_path : string;
@@ -184,7 +189,6 @@ type group = {
 
 type t = {
   cfg : config;
-  coll : Rxpath.Collection.t;
   mutable masters : master array;
       (** grows (never shrinks, never reorders) with every group's write
           mutex held and every commit queue quiesced; the array itself is
@@ -222,7 +226,6 @@ type t = {
 let metrics t = t.metrics
 let snapshot t = Atomic.get t.current
 let config t = t.cfg
-let collection t = t.coll
 let cache_stats t = Option.map Query_cache.stats t.cache
 
 let find_master_idx t doc =
@@ -464,15 +467,19 @@ let maybe_rotate t (g : group) snap by_doc =
 let quarantine_reply why =
   Protocol.Err
     (Printf.sprintf
-       "update dropped: document quarantined after a failed commit (%s); \
+       "update dropped: document quarantined (%s); \
         restart the server to recover from the journal" why)
 
 let commit_batch t (g : group) batch =
   (* A document wedged by an earlier failed commit has a master running
      ahead of its journal: appending for it can only fail again (sequence
      break) and would drag this batch's healthy documents down with it.
-     Reject its records up front.  [wedged] on this group's documents is
-     written only by this group's pipeline, so this read needs no lock. *)
+     Reject its records up front.  [wedged] is written by this group's
+     pipeline and by phase 1 (under the group's write mutex, when an update
+     fails part-way), so this unlocked read may miss a quarantine that is
+     just being set.  That is harmless: every record taken applied cleanly,
+     so journaling and publishing it incrementally is still right, and the
+     full fallback re-reads [wedged] under the mutex. *)
   let batch, quarantined =
     List.partition (fun p -> t.masters.(p.doc_index).wedged = None) batch
   in
@@ -558,15 +565,24 @@ let commit_batch t (g : group) batch =
      The stamp floor is the max of the captured cursors, never the global
      update counter: a version assigned to some other document's queued
      update must stay strictly above this snapshot's stamp-covered
-     range. *)
+     range.  A master without a writer copy dropped it after an update
+     failed part-way with nothing pending, so its published copy already
+     holds every applied operation and stays.  A master quarantined since
+     the batch was taken may hold a half-applied operation: it is left
+     out, its published copy stays, and only its records that copy lacks
+     are refused (the document is returned as [stuck]) — they are
+     journaled, so a restart recovers them. *)
   let publish_full () =
     Mutex.lock g.g_write_mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock g.g_write_mu)
     @@ fun () ->
+    let live, stuck =
+      List.partition (fun (idx, _) -> t.masters.(idx).wedged = None) by_doc
+    in
     let floor =
       List.fold_left
         (fun acc (idx, _) -> max acc t.masters.(idx).applied_version)
-        0 by_doc
+        0 live
     in
     let rec install () =
       let prev = Atomic.get t.current in
@@ -575,9 +591,12 @@ let commit_batch t (g : group) batch =
         List.fold_left
           (fun s (idx, _) ->
             let m = t.masters.(idx) in
-            Snapshot.replace_doc s ~version
-              ~doc_version:m.applied_version ~doc_index:idx m.r2)
-          prev by_doc
+            match m.r2 with
+            | None -> s
+            | Some r2 ->
+              Snapshot.replace_doc s ~version
+                ~doc_version:m.applied_version ~doc_index:idx r2)
+          prev live
       in
       if Atomic.compare_and_set t.current prev next then begin
         Mutex.lock g.g_mu;
@@ -587,12 +606,12 @@ let commit_batch t (g : group) batch =
       end
       else install ()
     in
-    install ()
+    (install (), List.map fst stuck)
   in
   let rec publish () =
     let prev = Atomic.get t.current in
     match fresh_updates prev with
-    | [] -> prev
+    | [] -> (prev, [])
     | updates -> (
       let version = Snapshot.next_stamp prev ~floor:last_version in
       match Snapshot.advance prev ~version updates with
@@ -602,12 +621,12 @@ let commit_batch t (g : group) batch =
           g.g_writes.w_pub_inc <- g.g_writes.w_pub_inc + 1;
           g.g_writes.w_areas <- g.g_writes.w_areas + areas;
           Mutex.unlock g.g_mu;
-          next
+          (next, [])
         end
         else publish ()
       | exception _ -> publish_full ())
   in
-  let published = publish () in
+  let published, stuck = publish () in
   (* 3. Acknowledge: durable and visible. *)
   let n = List.length batch in
   Mutex.lock g.g_mu;
@@ -619,10 +638,20 @@ let commit_batch t (g : group) batch =
   List.iter
     (fun p ->
       Ivar.fill p.iv
-        (Protocol.Ok_
-           (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=%d"
-              p.version p.record.Wal.seq p.record.Wal.area
-              p.record.Wal.changed n)))
+        (if List.mem p.doc_index stuck
+            && p.version > published.Snapshot.docs.(p.doc_index).doc_version
+         then
+           Protocol.Err
+             (Printf.sprintf
+                "update journaled but not published: document quarantined \
+                 (%s); restart the server to recover from the journal"
+                (Option.value ~default:"unknown"
+                   t.masters.(p.doc_index).wedged))
+         else
+           Protocol.Ok_
+             (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=%d"
+                p.version p.record.Wal.seq p.record.Wal.area
+                p.record.Wal.changed n)))
     batch;
   (* 4. Segment rotation; [maybe_rotate] skips any document whose published
      copy is not exactly its durable prefix. *)
@@ -712,6 +741,45 @@ let rec pipeline_loop t (g : group) =
     pipeline_loop t g
   end
 
+(* Slot [idx] of the current snapshot. *)
+let published t idx = (Atomic.get t.current).Snapshot.docs.(idx)
+
+(* Phase 1 under the group's write mutex: apply to the writer copy, take a
+   sequence number and a version, park in the commit queue.  An operation
+   that fails part-way (Uid.Overflow once a grown fan-out overflows an
+   area's local identifiers — raised after the tree changed) leaves the
+   writer copy half-applied.  With none of the document's records pending
+   the published copy holds every applied operation, so the copy is
+   dropped and the next write re-clones; otherwise the document is
+   quarantined like a failed commit. *)
+let apply_and_enqueue t (g : group) idx m r2 op ~wait_ns =
+  match Wal.apply r2 op with
+  | exception Wal.Replay_error msg -> Error msg
+  | exception e ->
+    let msg = Printexc.to_string e in
+    if (published t idx).Snapshot.doc_version >= m.applied_version then
+      m.r2 <- None
+    else m.wedged <- Some ("an update failed part-way: " ^ msg);
+    Error msg
+  | area, changed ->
+    m.applied_seq <- m.applied_seq + 1;
+    let version = 1 + Atomic.fetch_and_add t.last_version 1 in
+    m.applied_version <- version;
+    let p =
+      {
+        doc_index = idx;
+        record = { Wal.seq = m.applied_seq; op; area; changed };
+        version;
+        iv = Ivar.create ();
+      }
+    in
+    Mutex.lock g.g_mu;
+    Queue.add p g.g_queue;
+    record_wait g.g_lock_wait wait_ns;
+    Condition.signal g.g_cond;
+    Mutex.unlock g.g_mu;
+    Ok p
+
 let run_update t doc op =
   match find_master_idx t doc with
   | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
@@ -719,43 +787,31 @@ let run_update t doc op =
     (* The slot's group never changes (it is a pure function of the name,
        and revival keeps the name), so it is safe to read before locking. *)
     let g = t.groups.(t.masters.(idx).group) in
-    (* Phase 1: apply + enqueue, under the group's write lock only. *)
+    (* Phase 1, under the group's write lock only.  Copy-on-first-write: a
+       document without a writer copy clones its published numbering here.
+       While the slot holds no writer copy only the membership verbs
+       replace its published copy, and they take every group's mutex. *)
     let w0 = Unix.gettimeofday () in
     Mutex.lock g.g_write_mu;
     let wait_ns = (Unix.gettimeofday () -. w0) *. 1e9 in
     let queued =
+      Fun.protect ~finally:(fun () -> Mutex.unlock g.g_write_mu)
+      @@ fun () ->
       let m = t.masters.(idx) in
-      match m.wedged with
-      | Some why ->
-        Error
-          (Printf.sprintf
-             "document %S is quarantined after a failed commit (%s); \
-              restart the server to recover from the journal" doc why)
-      | None -> (
-        match
-          let area, changed = Wal.apply m.r2 op in
-          m.applied_seq <- m.applied_seq + 1;
-          let version = 1 + Atomic.fetch_and_add t.last_version 1 in
-          m.applied_version <- version;
-          let p =
-            {
-              doc_index = idx;
-              record = { Wal.seq = m.applied_seq; op; area; changed };
-              version;
-              iv = Ivar.create ();
-            }
-          in
-          Mutex.lock g.g_mu;
-          Queue.add p g.g_queue;
-          record_wait g.g_lock_wait wait_ns;
-          Condition.signal g.g_cond;
-          Mutex.unlock g.g_mu;
-          p
-        with
-        | p -> Ok p
-        | exception Wal.Replay_error msg -> Error msg)
+      if m.retired then Error (Printf.sprintf "document %S was dropped" doc)
+      else
+        match (m.wedged, m.r2) with
+        | Some why, _ ->
+          Error
+            (Printf.sprintf
+               "document %S is quarantined (%s); \
+                restart the server to recover from the journal" doc why)
+        | None, Some r2 -> apply_and_enqueue t g idx m r2 op ~wait_ns
+        | None, None ->
+          let c = R2.clone (published t idx).Snapshot.r2 in
+          m.r2 <- Some c;
+          apply_and_enqueue t g idx m c op ~wait_ns
     in
-    Mutex.unlock g.g_write_mu;
     (* Phase 2: park on the ivar; the group's pipeline folds this record
        into its next batch and fills it after fsync + publication. *)
     match queued with
@@ -1043,22 +1099,28 @@ let master_paths t name =
   (base ^ ".xml", base ^ ".ruid", base ^ ".wal")
 
 (* Register a master + publish the document.  Caller holds the quiesced
-   write locks (all groups).  A name mapping to a retired slot is revived
-   in place — the commit queues are empty, so no pending record can
-   reference the old master being replaced.  Publication is a plain
+   write locks (all groups).  The freshly built or recovered numbering is
+   handed to the snapshot as is ({!Snapshot.host}, no copy); the master
+   starts without a writer copy.  A name mapping to a retired slot is
+   revived in place — the commit queues are empty, so no pending record
+   can reference the old master being replaced.  Publication is a plain
    [Atomic.set]: quiescence guarantees no pipeline is racing a CAS. *)
 let install_master t ~name ~r2 ~wal ~applied_seq =
   let xml_path, sidecar_path, wal_path = master_paths t name in
   let version = 1 + Atomic.fetch_and_add t.last_version 1 in
   let group = Shard_map.hash ~shards:(Array.length t.groups) name in
   let m =
-    { name; group; retired = false; r2; wal; applied_seq;
+    { name; group; retired = false; r2 = None; wal; applied_seq;
       applied_version = version; durable_version = version; wedged = None;
       xml_path; sidecar_path; wal_path; rotate_mu = Mutex.create () }
   in
   let next, idx =
-    Snapshot.add_doc (Atomic.get t.current) ?planner:t.planner_shared ~version
-      ~name r2
+    match
+      Snapshot.host (Atomic.get t.current) ?planner:t.planner_shared ~version
+        [ (name, r2) ]
+    with
+    | next, [ idx ] -> (next, idx)
+    | _ -> assert false
   in
   if idx = Array.length t.masters then
     t.masters <- Array.append t.masters [| m |]
@@ -1095,8 +1157,6 @@ let install_built t ~verb name (b : Ruid.Stream_build.built) =
     Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
     let wal = Wal.create wal_path in
     let version = install_master t ~name ~r2 ~wal ~applied_seq:0 in
-    (try ignore (Rxpath.Collection.add_numbered t.coll ~name r2)
-     with Invalid_argument _ -> () (* revived name: already registered *));
     Protocol.Ok_
       (Printf.sprintf "doc=%s nodes=%d v=%d" name
          b.Ruid.Stream_build.stats.Ruid.Stream_build.nodes version)
@@ -1255,10 +1315,6 @@ let commit_adopt t doc =
           install_master t ~name:doc ~r2:recovery.Wal.r2 ~wal
             ~applied_seq:(Wal.seq wal)
         in
-        (try
-           ignore
-             (Rxpath.Collection.add_numbered t.coll ~name:doc recovery.Wal.r2)
-         with Invalid_argument _ -> ());
         Protocol.Ok_
           (Printf.sprintf "doc=%s seq=%d gen=%d v=%d" doc (Wal.seq wal)
              (Wal.generation wal) version)
@@ -1297,6 +1353,7 @@ let run_drop_doc t doc =
   | Some idx ->
     let m = t.masters.(idx) in
     m.retired <- true;
+    m.r2 <- None;
     let version = 1 + Atomic.fetch_and_add t.last_version 1 in
     let next =
       Snapshot.retire_doc (Atomic.get t.current) ~version ~doc_index:idx
@@ -1490,18 +1547,22 @@ let start cfg docs =
   (* Persist the fencing epoch before serving: a follower's refusal rule
      depends on every node knowing which generation it speaks for. *)
   Replication.store_epoch cfg.data_dir cfg.epoch;
-  let coll = Rxpath.Collection.create ~max_area_size:cfg.max_area_size () in
   let n_groups = resolved_commit_groups cfg in
-  let masters =
-    Array.of_list
+  let seen = Hashtbl.create 16 in
+  let masters, numbered =
+    List.split
       (List.map
          (fun (name, root) ->
            if not (String.for_all (fun c -> c > ' ' && c <> '/') name)
               || name = "" || name.[0] = '.' then
              invalid_arg
                (Printf.sprintf "Service.start: bad document name %S" name);
-           let doc_id = Rxpath.Collection.add coll ~name root in
-           let r2 = Rxpath.Collection.ruid coll doc_id in
+           if Hashtbl.mem seen name then
+             invalid_arg
+               (Printf.sprintf "Service.start: duplicate document name %S"
+                  name);
+           Hashtbl.replace seen name ();
+           let r2 = R2.number ~max_area_size:cfg.max_area_size root in
            let base = Filename.concat cfg.data_dir name in
            let xml_path = base ^ ".xml" in
            let sidecar_path = base ^ ".ruid" in
@@ -1509,14 +1570,16 @@ let start cfg docs =
            Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
            let wal = Wal.create wal_path in
            (* version 1 is the startup snapshot's stamp; every cursor
-              starts there, matching [Snapshot.capture ~version:1] below *)
-           { name; group = Shard_map.hash ~shards:n_groups name;
-             retired = false; r2; wal; applied_seq = 0;
-             applied_version = 1; durable_version = 1; wedged = None;
-             xml_path; sidecar_path; wal_path;
-             rotate_mu = Mutex.create () })
+              starts there, matching the hand-off at [~version:1] below *)
+           ( { name; group = Shard_map.hash ~shards:n_groups name;
+               retired = false; r2 = None; wal; applied_seq = 0;
+               applied_version = 1; durable_version = 1; wedged = None;
+               xml_path; sidecar_path; wal_path;
+               rotate_mu = Mutex.create () },
+             (name, r2) ))
          docs)
   in
+  let masters = Array.of_list masters in
   let catalog = Hashtbl.create (2 * Array.length masters) in
   Array.iteri (fun i m -> Hashtbl.replace catalog m.name i) masters;
   let planner_shared =
@@ -1524,9 +1587,12 @@ let start cfg docs =
       Some (Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ())
     else None
   in
+  (* The numberings just built are published as is: the snapshot owns
+     them, and a master clones its own on the document's first UPDATE. *)
   let snapshot0 =
-    Snapshot.capture ?planner:planner_shared ~version:1
-      (Array.to_list (Array.map (fun m -> (m.name, m.r2)) masters))
+    fst
+      (Snapshot.host (Snapshot.capture ~version:1 []) ?planner:planner_shared
+         ~version:1 numbered)
   in
   let metrics = Metrics.create () in
   let on_exn ~label e = Metrics.record_dropped metrics ~verb:label e in
@@ -1558,7 +1624,6 @@ let start cfg docs =
   let t =
     {
       cfg;
-      coll;
       masters;
       catalog;
       catalog_mu = Mutex.create ();
@@ -1648,12 +1713,18 @@ let start cfg docs =
      while the per-group contention detail goes out via the pipeline
      probe. *)
   Metrics.set_write_probe metrics (fun () ->
+      let private_masters =
+        Array.fold_left
+          (fun n m -> if Option.is_some m.r2 then n + 1 else n)
+          0 t.masters
+      in
       Array.fold_left
         (fun acc g ->
           Mutex.lock g.g_mu;
           let w = g.g_writes in
           let acc =
             {
+              acc with
               Metrics.batches = acc.Metrics.batches + w.w_batches;
               records = acc.Metrics.records + w.w_records;
               max_batch = max acc.Metrics.max_batch w.w_max_batch;
@@ -1670,7 +1741,7 @@ let start cfg docs =
         {
           Metrics.batches = 0; records = 0; max_batch = 0; flush_ns = 0.;
           publish_incremental = 0; publish_full = 0; areas_rebuilt = 0;
-          rotations = 0;
+          rotations = 0; private_masters;
         }
         t.groups);
   Metrics.set_pipeline_probe metrics (fun () ->

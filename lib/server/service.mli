@@ -1,10 +1,11 @@
 (** The concurrent document service.
 
     One long-running process composes the repo's three pillars: numbering
-    (a hosted {!Rxpath.Collection}), durability (every structural update
-    committed through {!Rstorage.Wal} before it is visible), and query
-    evaluation (the numbering-driven engine) — behind a Unix-socket
-    protocol ({!Protocol}) served by a worker pool ({!Scheduler}).
+    (every hosted document's {!Ruid.Ruid2} numbering), durability (every
+    structural update committed through {!Rstorage.Wal} before it is
+    visible), and query evaluation (the numbering-driven engine) — behind
+    a Unix-socket protocol ({!Protocol}) served by a worker pool
+    ({!Scheduler}).
 
     Concurrency contract:
     - {e Reads are snapshot-isolated and never block.}  Workers grab the
@@ -27,7 +28,7 @@
       concurrently — the paper's area-confined-update independence turned
       into multicore write throughput.  Within a group, writes are
       serialized and committed in batches: each update is applied to the
-      master numbering, sequenced, parked in the group's queue, and the
+      document's writer copy, sequenced, parked in the group's queue, and the
       pipeline drains up to [commit_max_batch] records into {e one} WAL
       batch frame per touched document, then publishes {e one} snapshot
       for the whole batch — derived incrementally from the previous
@@ -45,6 +46,15 @@
       [wal_segment_bytes > 0] a document's journal is rotated once it
       outgrows the threshold: a checkpoint of the durable state is cut
       and replay restarts from it.
+    - {e A document is resident once until it is written.}  A numbering
+      built at startup, by ADDDOC/ADDCHUNK or recovered by ADOPT is
+      published in place ({!Snapshot.host}); the writer copy is a
+      {!Ruid.Ruid2.clone} of the published numbering, made by the
+      document's first UPDATE under the group's write mutex.  No code
+      path writes a published numbering.  An update that fails part-way
+      (an identifier overflow after the tree changed) is rejected with
+      the mutex released, and its half-applied writer copy is dropped —
+      or the document quarantined when it still has records pending.
     - {e Overload is explicit.}  The admission queue is bounded; beyond it
       clients get [BUSY] immediately, and a per-request deadline turns
       stale queued work into [BUSY] instead of late replies.
@@ -131,7 +141,9 @@ type t
 val start : config -> (string * Rxml.Dom.t) list -> t
 (** Number and host the named documents, persist their snapshots and open
     their WALs under [data_dir], publish snapshot version 1, and begin
-    accepting connections.  An empty document list is valid — a shard in
+    accepting connections.  The trees become the published snapshot's:
+    the service never writes them (updates go to writer clones), and the
+    caller must not either.  An empty document list is valid — a shard in
     the collection tier boots bare and is populated by [ADDDOC]/[ADOPT].
     @raise Invalid_argument on an invalid config or a duplicate document
     name. *)
@@ -151,9 +163,6 @@ val config : t -> config
 
 val cache_stats : t -> Query_cache.stats option
 (** Result-cache counters, when a cache is configured. *)
-
-val collection : t -> Rxpath.Collection.t
-(** The hosted collection (the master registry; the write path's state). *)
 
 val doc_files : t -> string -> (string * string * string) option
 (** [(xml, sidecar, wal)] paths of a hosted document — what to [fsck]

@@ -20,38 +20,68 @@ type t = {
   index : int SMap.t;
 }
 
+(* A snapshot document over [r2] as given: the planner (or the engine) is
+   built over it in place.  With [?planner] shared state the document gets
+   a query planner whose engine doubles as its evaluator (one Doc_index
+   serves both). *)
+let doc_over ?planner ~doc_version name r2 =
+  match planner with
+  | None ->
+    { name; root = R2.root r2; r2; engine = Rxpath.Engine_ruid.create r2;
+      planner = None; doc_version; live = true }
+  | Some shared ->
+    let p = Planner.create ~shared r2 in
+    { name; root = R2.root r2; r2; engine = Planner.engine p; planner = Some p;
+      doc_version; live = true }
+
 (* An isolated copy of a master document: clone the DOM, then re-impose the
    exact identifiers through the persistence sidecar (Ruid2 state references
-   its own tree's nodes, so sharing the numbering would share the tree).
-   With [?planner] shared state, the copy also gets a query planner whose
-   engine doubles as the doc's evaluator (one Doc_index serves both). *)
+   its own tree's nodes, so sharing the numbering would share the tree). *)
 let capture_doc ?planner ~doc_version name (master : R2.t) =
   let bytes = Ruid.Persist.sidecar_to_bytes master in
   let root = Dom.clone (R2.root master) in
-  let r2 = Ruid.Persist.sidecar_of_bytes root bytes in
-  match planner with
-  | None ->
-    { name; root; r2; engine = Rxpath.Engine_ruid.create r2; planner = None;
-      doc_version; live = true }
-  | Some shared ->
-    let p = Planner.create ~shared r2 in
-    { name; root; r2; engine = Planner.engine p; planner = Some p;
-      doc_version; live = true }
+  doc_over ?planner ~doc_version name (Ruid.Persist.sidecar_of_bytes root bytes)
 
-let index_of_docs docs =
-  let m = ref SMap.empty in
-  Array.iteri (fun i d -> m := SMap.add d.name i !m) docs;
-  !m
+let empty =
+  { version = 0; published_at = 0.; docs = [||]; index = SMap.empty }
+
+(* Slot assignment for arriving documents (startup, ADDDOC / a committed
+   ADOPT).  The name map is persistent and shared structurally across
+   snapshots, so registering the nth document costs O(log n) map work plus
+   the O(n) pointer copy of the docs array — cataloguing a large corpus
+   stays far from quadratic encode/decode work.  A name that maps to a
+   retired slot revives that slot (the rebalance A->B->A round trip);
+   indices of other documents never move, which the commit queue's
+   [doc_index] references rely on. *)
+let place t ~version make named =
+  let old = Array.length t.docs in
+  let docs = Array.copy t.docs in
+  let fresh = ref [] and n = ref old and index = ref t.index in
+  let slots =
+    List.map
+      (fun (name, x) ->
+        match SMap.find_opt name !index with
+        | Some i when i >= old || docs.(i).live ->
+          invalid_arg ("Snapshot: duplicate document " ^ name)
+        | Some i ->
+          docs.(i) <- make name x;
+          i
+        | None ->
+          let i = !n in
+          incr n;
+          fresh := make name x :: !fresh;
+          index := SMap.add name i !index;
+          i)
+      named
+  in
+  ( { version; published_at = Unix.gettimeofday ();
+      docs = Array.append docs (Array.of_list (List.rev !fresh));
+      index = !index },
+    slots )
 
 let capture ?planner ~version masters =
-  let docs =
-    Array.of_list
-      (List.map
-         (fun (name, r2) -> capture_doc ?planner ~doc_version:version name r2)
-         masters)
-  in
-  { version; published_at = Unix.gettimeofday (); docs;
-    index = index_of_docs docs }
+  fst
+    (place empty ~version (capture_doc ?planner ~doc_version:version) masters)
 
 let replace_doc t ~version ~doc_version ~doc_index master =
   let docs = Array.copy t.docs in
@@ -60,29 +90,16 @@ let replace_doc t ~version ~doc_version ~doc_index master =
   docs.(doc_index) <- capture_doc ?planner ~doc_version prev.name master;
   { version; published_at = Unix.gettimeofday (); docs; index = t.index }
 
-(* Runtime document arrival (ADDDOC / a committed ADOPT).  The name map is
-   persistent and shared structurally across snapshots, so registering the
-   nth document costs O(log n) map work plus the O(n) pointer copy of the
-   docs array — cataloguing a large corpus stays far from quadratic
-   encode/decode work.  Re-adding a name that maps to a retired slot
-   revives that slot (the rebalance A->B->A round trip); indices of other
-   documents never move, which the commit queue's [doc_index] references
-   rely on. *)
 let add_doc t ?planner ~version ~name master =
-  match SMap.find_opt name t.index with
-  | Some i when t.docs.(i).live ->
-    invalid_arg ("Snapshot.add_doc: duplicate document " ^ name)
-  | Some i ->
-    let docs = Array.copy t.docs in
-    docs.(i) <- capture_doc ?planner ~doc_version:version name master;
-    ({ version; published_at = Unix.gettimeofday (); docs; index = t.index }, i)
-  | None ->
-    let i = Array.length t.docs in
-    let d = capture_doc ?planner ~doc_version:version name master in
-    let docs = Array.append t.docs [| d |] in
-    ( { version; published_at = Unix.gettimeofday (); docs;
-        index = SMap.add name i t.index },
-      i )
+  match
+    place t ~version (capture_doc ?planner ~doc_version:version)
+      [ (name, master) ]
+  with
+  | next, [ i ] -> (next, i)
+  | _ -> assert false
+
+let host t ?planner ~version owned =
+  place t ~version (doc_over ?planner ~doc_version:version) owned
 
 (* Retire in place: the slot (and every other document's index) survives so
    in-flight readers and the write path's index-addressed bookkeeping stay

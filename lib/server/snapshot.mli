@@ -1,16 +1,31 @@
 (** Immutable read views of the hosted collection.
 
-    The service's reads never lock: each published snapshot is a
-    self-contained copy of every document — its own DOM clone, its own
-    restored numbering (bit-identical identifiers, via the {!Ruid.Persist}
-    sidecar round-trip, so the paper's update locality is preserved rather
-    than renumbered away), and a prebuilt {!Rxpath.Engine_ruid} over it.
+    The service's reads never lock: each published snapshot holds, per
+    document, a numbering that no writer will ever touch again and a
+    prebuilt {!Rxpath.Engine_ruid} (or query planner) over it.
     Publication is a single [Atomic.set]; readers holding the previous
     snapshot keep a consistent world until they drop it.
 
-    An update clones only the document it touched ({!replace_doc});
-    untouched documents are shared structurally between consecutive
-    snapshots, so publish cost is O(affected document), not O(collection).
+    A numbering reaches a snapshot in one of three ways:
+    - {e Hand-off} ({!host}).  A numbering that was just built or
+      recovered — the service's startup documents, ADDDOC/ADDCHUNK, a
+      committed ADOPT — is published as is, with no copy; the caller
+      gives it up for good.  The service's writer makes its own copy with
+      {!Ruid.Ruid2.clone} on the document's first UPDATE
+      (copy-on-first-write), so a document nobody writes is resident
+      once, not twice.
+    - {e Derivation} ({!advance}).  A published copy's successor is a
+      {!Ruid.Ruid2.clone} of it plus a replay of the batch's operations —
+      bit-identical identifiers, so the paper's update locality is
+      preserved rather than renumbered away.
+    - {e Copy} ({!capture}, {!add_doc}, {!replace_doc}).  DOM clone plus
+      the {!Ruid.Persist} sidecar round-trip, for callers that go on
+      mutating what they pass: a replica's writer copy, the service's
+      full-publication fallback, benchmark replays.
+
+    An update re-publishes only the document it touched; untouched
+    documents are shared structurally between consecutive snapshots, so
+    publish cost is O(affected document), not O(collection).
 
     Several commit pipelines may publish concurrently: each derives a
     successor from the snapshot it re-reads, stamps it with {!next_stamp},
@@ -18,17 +33,18 @@
     current on a lost race.  Pipelines own disjoint document sets, so the
     per-document copies never conflict — only the stamp is contended.
 
-    A captured snapshot is immutable and safe to read from any number of
+    A published snapshot is immutable and safe to read from any number of
     threads {e and domains} concurrently: every constituent structure
-    (DOM clone, numbering tables, document-order index, tag postings,
-    per-tag lists) is completed inside {!capture}/{!replace_doc} before
-    publication, and evaluation never writes — the invariant the parallel
-    read executor relies on. *)
+    (numbering tables, document-order index, tag postings, per-tag lists)
+    is completed before publication, and evaluation never writes — the
+    invariant the parallel read executor relies on. *)
 
 type doc = private {
   name : string;
-  root : Rxml.Dom.t;  (** this snapshot's private clone *)
-  r2 : Ruid.Ruid2.t;  (** numbering restored over the clone *)
+  root : Rxml.Dom.t;  (** the tree [r2] numbers *)
+  r2 : Ruid.Ruid2.t;
+      (** the published numbering: never written once published (a writer
+          works on its own {!Ruid.Ruid2.clone}) *)
   engine : Rxpath.Eval.engine;
   planner : Rxpath.Planner.t option;
       (** cost-based query planner over this copy, present when the service
@@ -63,10 +79,13 @@ type t = private {
 val capture :
   ?planner:Rxpath.Planner.shared -> version:int ->
   (string * Ruid.Ruid2.t) list -> t
-(** Clone + restore every master document, every cursor at [version].
-    Used once at startup.  With [?planner], every document gets a query
-    planner built over the shared plan cache and strategy counters (one
-    [shared] serves the whole collection across all publications). *)
+(** Copy every master document (DOM clone + sidecar round-trip), every
+    cursor at [version]; the masters stay the caller's to mutate.  A
+    replica publishes its bootstrap this way.  With [?planner], every
+    document gets a query planner built over the shared plan cache and
+    strategy counters (one [shared] serves the whole collection across all
+    publications).
+    @raise Invalid_argument on a duplicate name. *)
 
 val replace_doc :
   t -> version:int -> doc_version:int -> doc_index:int -> Ruid.Ruid2.t -> t
@@ -103,12 +122,23 @@ val advance :
 val add_doc :
   t -> ?planner:Rxpath.Planner.shared -> version:int -> name:string ->
   Ruid.Ruid2.t -> t * int
-(** Publish a snapshot hosting one more document, captured from [master]
-    with its cursor at [version]; returns the new snapshot and the slot
-    the document landed in.  A name mapping to a {e retired} slot revives
-    that slot in place (the rebalance round trip); every other document's
-    index is unchanged.
+(** Publish a snapshot hosting one more document, copied from [master]
+    (which stays the caller's) with its cursor at [version]; returns the
+    new snapshot and the slot the document landed in.  A name mapping to a
+    {e retired} slot revives that slot in place (the rebalance round
+    trip); every other document's index is unchanged.
     @raise Invalid_argument when the name is already live. *)
+
+val host :
+  t -> ?planner:Rxpath.Planner.shared -> version:int ->
+  (string * Ruid.Ruid2.t) list -> t * int list
+(** The ownership hand-off: publish a snapshot hosting these documents
+    {e without copying them} — each numbering becomes the published copy,
+    and the planner (or engine) is built over it in place.  The caller
+    must never write one of them again; a writer clones it
+    ({!Ruid.Ruid2.clone}) first.  Slots are assigned as by {!add_doc}
+    and returned in list order; every cursor is at [version].
+    @raise Invalid_argument when a name is already live or repeats. *)
 
 val retire_doc : t -> version:int -> doc_index:int -> t
 (** Publish a snapshot with slot [doc_index] marked dead.  The slot's

@@ -14,11 +14,14 @@ and kind =
 
 and element = { mutable tag : string; mutable attrs : (string * string) list }
 
+(* Serials are process-global and several domains build trees at once (a
+   commit pipeline cloning a snapshot while a writer clones or inserts), so
+   the counter is atomic: a lost update would hand one serial to two nodes
+   of a tree, and every serial-keyed table over that tree would conflate
+   them. *)
 let next_serial =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
+  let counter = Atomic.make 0 in
+  fun () -> 1 + Atomic.fetch_and_add counter 1
 
 let make kind = { serial = next_serial (); kind; parent = None; children = [] }
 

@@ -91,6 +91,21 @@ let prop_ancestor_antisymmetric =
       let b = Rworkload.Shape.random_node rng root in
       not (Dom.is_ancestor ~anc:a ~desc:b && Dom.is_ancestor ~anc:b ~desc:a))
 
+(* Two domains building trees at once (a commit pipeline cloning a
+   snapshot while a writer clones its master) must never draw the same
+   serial: serial-keyed tables would conflate the two nodes. *)
+let test_serials_unique_across_domains () =
+  let n = 50_000 in
+  let build () = List.init n (fun _ -> (Dom.element "x").Dom.serial) in
+  let other = Domain.spawn build in
+  let mine = build () in
+  let seen = Hashtbl.create (4 * n) in
+  List.iter
+    (fun s ->
+      if Hashtbl.mem seen s then Alcotest.failf "serial %d issued twice" s;
+      Hashtbl.replace seen s ())
+    (mine @ Domain.join other)
+
 let suite =
   [
     Alcotest.test_case "structure accessors" `Quick test_structure;
@@ -100,6 +115,8 @@ let suite =
     Alcotest.test_case "attributes" `Quick test_attrs;
     Alcotest.test_case "text_content" `Quick test_text_content;
     Alcotest.test_case "serial stability" `Quick test_serial_stability;
+    Alcotest.test_case "serials unique across domains" `Quick
+      test_serials_unique_across_domains;
     prop_preorder_size;
     prop_ancestor_antisymmetric;
   ]

@@ -73,7 +73,7 @@ let with_tier ?(docs = [| []; []; [] |]) f =
     ~finally:(fun () ->
       Router.stop router;
       Array.iteri (fun i _ -> stop_shard i) shards)
-    (fun () -> f ~cfgs ~rcfg ~stop_shard)
+    (fun () -> f ~cfgs ~rcfg ~shards ~stop_shard)
 
 let ok_body = function
   | P.Ok_ body -> body
@@ -179,7 +179,7 @@ let test_merge_docs () =
    pure merge of the shards' own answers — the merge kernels are the
    specification, the scatter is just transport. *)
 let test_scatter_equivalence () =
-  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~stop_shard:_ ->
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
   let shard_reply req =
     Array.to_list cfgs
     |> List.mapi (fun i cfg ->
@@ -230,7 +230,7 @@ let test_scatter_equivalence () =
     (get_kv count "total")
 
 let test_scatter_with_writer () =
-  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs:_ ~rcfg ~stop_shard:_ ->
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs:_ ~rcfg ~shards:_ ~stop_shard:_ ->
   let stop = Atomic.make false in
   let writer =
     Thread.create
@@ -276,7 +276,7 @@ let test_scatter_with_writer () =
   Thread.join writer
 
 let test_shard_down_degrades () =
-  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~stop_shard ->
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard ->
   (* take shard 1 (beta, gamma) down; scatters must flag partial and
      still carry the live shards' answers *)
   stop_shard 1;
@@ -321,7 +321,7 @@ let test_shard_down_degrades () =
 (* ------------------------------------------------------------------ *)
 
 let test_forward_and_probe () =
-  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~stop_shard:_ ->
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
   (* forwarded reads are byte-identical to asking the shard directly *)
   List.iter
     (fun (doc, shard) ->
@@ -353,7 +353,7 @@ let test_forward_and_probe () =
   | r -> Alcotest.failf "ghost doc: %s" (P.response_to_string r))
 
 let test_membership_via_router () =
-  with_tier @@ fun ~cfgs ~rcfg ~stop_shard:_ ->
+  with_tier @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
   (* the tier boots empty; ADDDOC through the router lands each document
      on its hash shard *)
   let names = List.init 12 (fun i -> Printf.sprintf "m%d" i) in
@@ -442,7 +442,7 @@ let strip_version body =
   |> String.concat " "
 
 let test_rebalance () =
-  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~stop_shard:_ ->
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
   C.with_connection rcfg.Router.socket_path @@ fun c ->
   (* write a little history first so the journal ships too *)
   for _ = 1 to 5 do
@@ -506,6 +506,55 @@ let test_rebalance () =
   Alcotest.(check bool) "shard points at the router" true
     (String.length msg > 0)
 
+(* An ADOPTed document is published as recovered, with no copy.  Holding
+   the target shard's snapshot across the document's first UPDATE there,
+   the held snapshot must answer exactly as before and its numbering must
+   still check: the writer clones, it never writes the published copy. *)
+let test_adopt_first_write_isolated () =
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards ~stop_shard:_ ->
+  C.with_connection rcfg.Router.socket_path @@ fun c ->
+  let insert_y =
+    P.Update
+      { doc = "beta"; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "y" } }
+  in
+  let private_masters i =
+    get_kv (ok_body (ask cfgs.(i).Service.socket_path P.Stats))
+      "private_masters"
+  in
+  ignore (ok_body (C.request c insert_y));
+  Alcotest.(check int) "the source writes on its own copy" 1
+    (private_masters 1);
+  ignore (ok_body (C.request c (P.Rebalance { doc = "beta"; target = 0 })));
+  Alcotest.(check int) "dropping the source releases its copy" 0
+    (private_masters 1);
+  Alcotest.(check int) "adopted: no writer copy yet" 0 (private_masters 0);
+  let held = Service.snapshot shards.(0) in
+  let view () =
+    let d =
+      match Rserver.Snapshot.find held "beta" with
+      | Some (_, d) -> d
+      | None -> Alcotest.fail "beta missing from the held snapshot"
+    in
+    Ruid.Ruid2.check d.Rserver.Snapshot.r2;
+    Bytes.to_string (Ruid.Persist.sidecar_to_bytes d.Rserver.Snapshot.r2)
+    :: List.map
+         (fun r -> P.response_to_string (Service.eval_read held r))
+         [ P.Count "//y"; P.Query "//*";
+           P.Query_doc { doc = "beta"; xpath = "//y" }; P.Check "beta" ]
+  in
+  let before = view () in
+  let ys () =
+    get_kv
+      (ok_body (C.request c (P.Count_doc { doc = "beta"; xpath = "//y" })))
+      "total"
+  in
+  let n = ys () in
+  ignore (ok_body (C.request c insert_y));
+  Alcotest.(check (list string)) "held snapshot unchanged by the first write"
+    before (view ());
+  Alcotest.(check int) "the write is visible" (n + 1) (ys ());
+  Alcotest.(check int) "the target made its writer copy" 1 (private_masters 0)
+
 (* ------------------------------------------------------------------ *)
 (* Shard map                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -558,4 +607,6 @@ let suite =
     Alcotest.test_case "membership through the router" `Quick
       test_membership_via_router;
     Alcotest.test_case "online rebalance" `Quick test_rebalance;
+    Alcotest.test_case "adopted document: first write isolated" `Quick
+      test_adopt_first_write_isolated;
   ]

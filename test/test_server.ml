@@ -27,6 +27,10 @@ let sock_path () = Filename.concat "/tmp" ("ruid-" ^ unique () ^ ".sock")
 
 let doc_of_string s = Dom.root_element (Rxml.Parser.parse_string s)
 
+(* Raised by a test that caught the service stuck: a wedged service cannot
+   drain, so [with_server] fails the test without stopping it. *)
+exception Wedged of string
+
 let with_server ?(workers = 2) ?(max_queue = 8) ?(deadline_ms = 0)
     ?(max_area_size = 8) ?(max_depth = 10_000) ?(domains = 0) ?(cache_mb = 0)
     ?(commit_interval_us = 0) ?(commit_max_batch = 64) ?(commit_groups = 0)
@@ -53,7 +57,14 @@ let with_server ?(workers = 2) ?(max_queue = 8) ?(deadline_ms = 0)
     }
   in
   let t = Service.start cfg docs in
-  Fun.protect ~finally:(fun () -> Service.stop t) (fun () -> f cfg t)
+  match f cfg t with
+  | v ->
+    Service.stop t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (match e with Wedged _ -> () | _ -> Service.stop t);
+    Printexc.raise_with_backtrace e bt
 
 let ok_body = function
   | P.Ok_ body -> body
@@ -1049,6 +1060,212 @@ let test_adddoc_depth_budget () =
       (String.length msg > 0)
   | r -> Alcotest.failf "over-deep document accepted: %s" (P.response_to_string r)
 
+(* ------------------------------------------------------------------ *)
+(* Copy-on-first-write                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* What a held snapshot says about [doc]: collection-wide and
+   per-document reads rendered to wire bytes, plus the published
+   numbering's persisted form. *)
+let held_view s doc =
+  let d =
+    match Rserver.Snapshot.find s doc with
+    | Some (_, d) -> d
+    | None -> Alcotest.failf "%s is not in the held snapshot" doc
+  in
+  List.map
+    (fun r -> P.response_to_string (Service.eval_read s r))
+    [ P.Count "//*"; P.Query "//*"; P.Count_doc { doc; xpath = "//*" };
+      P.Query_doc { doc; xpath = "//*" }; P.Check doc ]
+  @ List.map Bytes.to_string
+      [ Ruid.Persist.xml_to_bytes d.Rserver.Snapshot.r2;
+        Ruid.Persist.sidecar_to_bytes d.Rserver.Snapshot.r2 ]
+
+let private_masters c =
+  get_kv (ok_body (C.request c P.Stats)) "private_masters"
+
+(* Hold the current snapshot across [doc]'s first UPDATE: the held
+   snapshot must answer exactly as before and its numbering must still
+   check — the writer works on its own clone, never on the published
+   numbering it was handed — while the live snapshot shows the write. *)
+let first_write_isolated c t doc =
+  let held = Service.snapshot t in
+  let before = held_view held doc in
+  let writers = private_masters c in
+  ignore
+    (ok_body
+       (C.request c
+          (P.Update
+             { doc; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "cow" } })));
+  Alcotest.(check (list string))
+    (doc ^ ": held snapshot unchanged by the first write")
+    before (held_view held doc);
+  (match Rserver.Snapshot.find held doc with
+  | Some (_, d) -> R2.check d.Rserver.Snapshot.r2
+  | None -> assert false);
+  Alcotest.(check int) (doc ^ ": the write is visible") 1
+    (get_kv
+       (ok_body (C.request c (P.Count_doc { doc; xpath = "//cow" })))
+       "total");
+  Alcotest.(check int) (doc ^ ": one more writer copy") (writers + 1)
+    (private_masters c)
+
+let test_first_write_isolation () =
+  with_server [ ("boot", doc_of_string library) ] @@ fun cfg t ->
+  C.with_connection cfg.Service.socket_path @@ fun c ->
+  ignore (ok_body (C.request c (P.Add_doc { doc = "added"; xml = library })));
+  ignore
+    (ok_body
+       (C.request c
+          (P.Add_chunk { doc = "chunked"; off = 0; last = false;
+                         bytes = String.sub library 0 20 })));
+  ignore
+    (ok_body
+       (C.request c
+          (P.Add_chunk { doc = "chunked"; off = 20; last = true;
+                         bytes = String.sub library 20
+                                   (String.length library - 20) })));
+  Alcotest.(check int) "nothing written: no writer copies" 0
+    (private_masters c);
+  List.iter (first_write_isolated c t) [ "boot"; "added"; "chunked" ]
+
+(* A chain [depth] elements deep: at max_area_size 64 it is one area, so
+   every child inserted under its root raises the fan-out the area's
+   62-bit local identifiers are enumerated with, until they overflow. *)
+let chain depth =
+  String.concat "" (List.init depth (Printf.sprintf "<c%d>"))
+  ^ String.concat ""
+      (List.init depth (fun i -> Printf.sprintf "</c%d>" (depth - 1 - i)))
+
+let test_overflow_releases_group () =
+  (* One commit group: the chain and the library share a write mutex. *)
+  with_server ~commit_groups:1 ~max_area_size:64
+    [ ("deep", doc_of_string (chain 16)); ("lib", doc_of_string library) ]
+  @@ fun cfg _t ->
+  C.with_connection cfg.Service.socket_path @@ fun c ->
+  let insert doc =
+    P.Update { doc; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "x" } }
+  in
+  (* Uid.Overflow is raised after the tree changed *)
+  let rec drive acked =
+    if acked > 200 then Alcotest.fail "no overflow after 200 inserts"
+    else
+      match C.request c (insert "deep") with
+      | P.Ok_ _ -> drive (acked + 1)
+      | P.Err msg -> (acked, msg)
+      | P.Busy msg -> Alcotest.failf "unexpected BUSY %s" msg
+  in
+  let acked, msg = drive 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "overflow answered as a rejected update (%s)" msg)
+    true
+    (String.starts_with ~prefix:"update rejected: " msg
+    && contains msg "Overflow");
+  (* the group's write mutex was released: another document of the group
+     still commits, on a fresh connection (so possibly another worker) *)
+  C.with_connection cfg.Service.socket_path (fun c2 ->
+      match C.request_timeout c2 ~timeout_ms:10_000 (insert "lib") with
+      | P.Ok_ _ -> ()
+      | r ->
+        Alcotest.failf "update to lib after the overflow: %s"
+          (P.response_to_string r)
+      | exception C.Timeout ->
+        raise (Wedged "no reply to an update of lib within 10 s"));
+  (* the half-applied writer copy was dropped, not published *)
+  ignore (ok_body (C.request c (P.Check "deep")));
+  let xs () =
+    get_kv
+      (ok_body (C.request c (P.Count_doc { doc = "deep"; xpath = "//x" })))
+      "total"
+  in
+  Alcotest.(check int) "only acknowledged inserts visible" acked (xs ());
+  Alcotest.(check int) "deep holds no writer copy, lib one" 1
+    (private_masters c);
+  (* the next write re-clones the published copy *)
+  ignore
+    (ok_body
+       (C.request c (P.Update { doc = "deep"; op = Wal.Delete { rank = 1 } })));
+  Alcotest.(check int) "writes resume" (acked - 1) (xs ());
+  ignore (ok_body (C.request c (P.Check "deep")));
+  Alcotest.(check int) "both hold writer copies" 2 (private_masters c)
+
+(* The overflow with records of the same document still pending: the
+   published copy lacks them, so the half-applied writer copy cannot just
+   be dropped — the document is quarantined instead.  A 24-deep chain is
+   one area that overflows after a few root inserts.  Those inserts are
+   fired at once and a long commit interval keeps them parked in the
+   queue while the overflowing insert arrives. *)
+let test_overflow_with_records_pending () =
+  let root_insert = Wal.Insert { parent_rank = 0; pos = 0; tag = "x" } in
+  let edge =
+    let r2 = R2.number ~max_area_size:64 (doc_of_string (chain 24)) in
+    let rec fill n =
+      match Wal.apply r2 root_insert with
+      | _ -> fill (n + 1)
+      | exception Ruid.Uid.Overflow -> n
+    in
+    fill 0
+  in
+  if edge < 1 || edge > 8 then
+    Alcotest.failf "precondition: %d root inserts before the overflow" edge;
+  with_server ~workers:(edge + 3) ~max_queue:32 ~commit_groups:1
+    ~max_area_size:64 ~commit_interval_us:2_000_000
+    [ ("deep", doc_of_string (chain 24)); ("lib", doc_of_string library) ]
+  @@ fun cfg _t ->
+  let update doc = P.Update { doc; op = root_insert } in
+  let replies = Array.make edge None in
+  let parked =
+    Array.init edge (fun i ->
+        Thread.create
+          (fun () ->
+            C.with_connection cfg.Service.socket_path @@ fun c ->
+            replies.(i) <-
+              Some
+                (try C.request_timeout c ~timeout_ms:10_000 (update "deep")
+                 with C.Timeout -> P.Err "no reply within 10 s"))
+          ())
+  in
+  C.with_connection cfg.Service.socket_path @@ fun c ->
+  let queued = Printf.sprintf "group=0 queue_depth=%d " edge in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while not (contains (ok_body (C.request c P.Stats)) queued) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "the first %d updates never sat in the commit queue" edge;
+    Thread.delay 0.005
+  done;
+  (match C.request c (update "deep") with
+  | P.Err msg
+    when String.starts_with ~prefix:"update rejected: " msg
+         && contains msg "Overflow" -> ()
+  | r -> Alcotest.failf "overflow: %s" (P.response_to_string r));
+  Array.iter Thread.join parked;
+  Array.iter
+    (function
+      | Some (P.Err msg) when contains msg "quarantined" -> ()
+      | Some r ->
+        Alcotest.failf "parked update of the quarantined document: %s"
+          (P.response_to_string r)
+      | None -> Alcotest.fail "parked update got no reply")
+    replies;
+  (match C.request c (update "deep") with
+  | P.Err msg when contains msg "quarantined" -> ()
+  | r -> Alcotest.failf "update after quarantine: %s" (P.response_to_string r));
+  (* the group's write mutex was released *)
+  C.with_connection cfg.Service.socket_path (fun c2 ->
+      match C.request_timeout c2 ~timeout_ms:10_000 (update "lib") with
+      | P.Ok_ _ -> ()
+      | r ->
+        Alcotest.failf "update to lib after the quarantine: %s"
+          (P.response_to_string r)
+      | exception C.Timeout ->
+        raise (Wedged "no reply to an update of lib within 10 s"));
+  (* readers keep the last published copy, which never saw the inserts *)
+  ignore (ok_body (C.request c (P.Check "deep")));
+  Alcotest.(check int) "published copy untouched" 0
+    (get_kv
+       (ok_body (C.request c (P.Count_doc { doc = "deep"; xpath = "//x" })))
+       "total")
+
 let test_metrics_registry () =
   let m = Rserver.Metrics.create () in
   for i = 1 to 100 do
@@ -1108,4 +1325,10 @@ let suite =
     Alcotest.test_case "ADDDOC honors the nesting depth budget" `Quick
       test_adddoc_depth_budget;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+    Alcotest.test_case "first write never touches a published numbering"
+      `Quick test_first_write_isolation;
+    Alcotest.test_case "overflow rejects the update, releases the group"
+      `Quick test_overflow_releases_group;
+    Alcotest.test_case "overflow with records pending quarantines" `Quick
+      test_overflow_with_records_pending;
   ]
