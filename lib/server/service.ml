@@ -284,18 +284,29 @@ let capped_tokens render per_doc =
   String.concat " " (List.map render listed)
   ^ if List.length per_doc > doc_cap then " ..." else ""
 
-let count_one cache s d ~normq parsed =
+(* A read's keys, computed once per request: the result cache's spelling
+   of the query, and the plan cache's key — the canonical text when there
+   is one ([Query_cache.normalize] falls back to a whitespace collapse,
+   which plans are never cached under). *)
+let read_keys src =
+  match Rxpath.Xparser.canonical src with
+  | Some c -> (c, Some c)
+  | None -> (Query_cache.normalize src, None)
+
+let count_one cache s d ~normq ~key parsed =
   let v =
     with_cache cache s d ~kind:"C\x00" ~normq (fun () ->
-        string_of_int (Snapshot.count_doc d (Lazy.force parsed)))
+        string_of_int (Snapshot.count_doc ~key d (Lazy.force parsed)))
   in
   (d.Snapshot.name, int_of_string v)
 
 let eval_count ?cache s src =
-  let normq = Query_cache.normalize src in
+  let normq, key = read_keys src in
   let parsed = lazy (Snapshot.parse src) in
   let per_doc =
-    List.map (fun d -> count_one cache s d ~normq parsed) (Snapshot.live_docs s)
+    List.map
+      (fun d -> count_one cache s d ~normq ~key parsed)
+      (Snapshot.live_docs s)
   in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 per_doc in
   Protocol.Ok_
@@ -304,15 +315,16 @@ let eval_count ?cache s src =
 
 (* Cached value: the count followed by the first [id_cap] identifiers,
    space-separated (identifiers contain no spaces). *)
-let query_one cache s d ~normq parsed =
+let query_one cache s d ~normq ~key parsed =
   let v =
     with_cache cache s d ~kind:"Q\x00" ~normq (fun () ->
-        let nodes = Snapshot.query_doc d (Lazy.force parsed) in
-        let ids =
-          List.filteri (fun i _ -> i < id_cap) nodes
-          |> List.map (fun n -> pp_id_compact (R2.id_of_node d.Snapshot.r2 n))
+        let total, nodes =
+          Snapshot.query_doc_first ~key d ~k:id_cap (Lazy.force parsed)
         in
-        String.concat " " (string_of_int (List.length nodes) :: ids))
+        let ids =
+          List.map (fun n -> pp_id_compact (R2.id_of_node d.Snapshot.r2 n)) nodes
+        in
+        String.concat " " (string_of_int total :: ids))
   in
   match String.split_on_char ' ' v with
   | n :: ids -> (d.Snapshot.name, int_of_string n, ids)
@@ -335,10 +347,12 @@ let query_reply version per_doc =
              ^ if total > id_cap then " ..." else ""))
 
 let eval_query ?cache s src =
-  let normq = Query_cache.normalize src in
+  let normq, key = read_keys src in
   let parsed = lazy (Snapshot.parse src) in
   let per_doc =
-    List.map (fun d -> query_one cache s d ~normq parsed) (Snapshot.live_docs s)
+    List.map
+      (fun d -> query_one cache s d ~normq ~key parsed)
+      (Snapshot.live_docs s)
     |> List.filter (fun (_, n, _) -> n > 0)
   in
   query_reply s.Snapshot.version per_doc
@@ -350,9 +364,9 @@ let eval_count_doc ?cache s doc src =
   match Snapshot.find s doc with
   | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
   | Some (_, d) ->
-    let normq = Query_cache.normalize src in
+    let normq, key = read_keys src in
     let parsed = lazy (Snapshot.parse src) in
-    let name, n = count_one cache s d ~normq parsed in
+    let name, n = count_one cache s d ~normq ~key parsed in
     Protocol.Ok_
       (Printf.sprintf "v=%d total=%d %s=%d" s.Snapshot.version n name n)
 
@@ -360,9 +374,9 @@ let eval_query_doc ?cache s doc src =
   match Snapshot.find s doc with
   | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
   | Some (_, d) ->
-    let normq = Query_cache.normalize src in
+    let normq, key = read_keys src in
     let parsed = lazy (Snapshot.parse src) in
-    let (_, n, _) as one = query_one cache s d ~normq parsed in
+    let (_, n, _) as one = query_one cache s d ~normq ~key parsed in
     query_reply s.Snapshot.version (if n > 0 then [ one ] else [])
 
 (* EXPLAIN renders the plan per document.  Always uncached and never in

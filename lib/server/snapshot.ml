@@ -216,7 +216,17 @@ let query_doc d u =
   | Some p -> Planner.select_union p u
   | None -> Rxpath.Eval.select_union d.engine u
 
-let count_doc d u = List.length (query_doc d u)
+let count_doc ?key d u =
+  match d.planner with
+  | Some p -> Planner.count_union p ?key u
+  | None -> List.length (Rxpath.Eval.select_union d.engine u)
+
+let query_doc_first ?key d ~k u =
+  match d.planner with
+  | Some p -> Planner.select_first p ?key ~k u
+  | None ->
+    let nodes = Rxpath.Eval.select_union d.engine u in
+    (List.length nodes, List.filteri (fun i _ -> i < k) nodes)
 
 let explain_doc d src =
   match d.planner with

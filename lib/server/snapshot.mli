@@ -165,7 +165,18 @@ val query_doc : doc -> Rxpath.Ast.union_path -> Rxml.Dom.t list
     Routes through the planner when the document carries one (identical
     node sets either way — property-tested); the engine otherwise. *)
 
-val count_doc : doc -> Rxpath.Ast.union_path -> int
+val count_doc : ?key:string option -> doc -> Rxpath.Ast.union_path -> int
+(** [List.length (query_doc d u)]; a planned document counts its answer
+    without building the node list.  [key] is the plan-cache key when the
+    caller computed it once for the request
+    ({!Rxpath.Planner.plan_for}). *)
+
+val query_doc_first :
+  ?key:string option -> doc -> k:int -> Rxpath.Ast.union_path ->
+  int * Rxml.Dom.t list
+(** The answer's size and its first [k] nodes in document order — what a
+    QUERY reply lists; a planned document turns only those [k] into
+    nodes.  [key] as for {!count_doc}. *)
 
 val explain_doc : doc -> string -> (string, string) result
 (** Rendered query plan with per-operator estimated vs. actual

@@ -46,10 +46,11 @@ let reserve t filler =
     t.docs <- grown
   end
 
-let register t ~name r2 =
+let add t ~name root =
   (match find t name with
   | Some _ -> invalid_arg ("Collection.add: duplicate name " ^ name)
   | None -> ());
+  let r2 = Ruid.Ruid2.number ~max_area_size:t.max_area_size root in
   let e = { name; r2 } in
   reserve t e;
   let id = t.len in
@@ -57,12 +58,6 @@ let register t ~name r2 =
   t.len <- id + 1;
   Hashtbl.replace t.index name id;
   id
-
-let add t ~name root =
-  let r2 = Ruid.Ruid2.number ~max_area_size:t.max_area_size root in
-  register t ~name r2
-
-let add_numbered t ~name r2 = register t ~name r2
 
 let gid_of_node t doc n = { doc; id = Ruid.Ruid2.id_of_node (ruid t doc) n }
 

@@ -23,11 +23,6 @@ val add : t -> name:string -> Rxml.Dom.t -> doc_id
     is a hash probe, so cataloguing a 100k-document corpus stays linear.
     @raise Invalid_argument on a duplicate name. *)
 
-val add_numbered : t -> name:string -> Ruid.Ruid2.t -> doc_id
-(** Register an already-numbered document (streaming ingest paths number
-    as they parse and must not re-number).
-    @raise Invalid_argument on a duplicate name. *)
-
 val doc_count : t -> int
 val names : t -> string list
 val find : t -> string -> doc_id option

@@ -6,7 +6,7 @@ type t = {
   rank_of_serial : int array;  (* serial - base -> rank; -1 = not indexed *)
   nodes : Dom.t array;  (* rank -> node *)
   subtree_end : int array;  (* rank -> rank of the subtree's last node *)
-  posts : (string, Dom.t array) Hashtbl.t;  (* tag -> rank-sorted elements *)
+  posts : (string, int array) Hashtbl.t;  (* tag -> ascending element ranks *)
 }
 
 let size t = Array.length t.nodes
@@ -35,15 +35,15 @@ let build r2 =
   assign root;
   assert (!next = n);
   (* Postings accumulate reversed per tag, then flip into arrays; the rank
-     sweep makes every array rank-sorted by construction. *)
+     sweep makes every array ascending by construction. *)
   let rev = Hashtbl.create 64 in
-  Array.iter
-    (fun node ->
+  Array.iteri
+    (fun r node ->
       if Dom.is_element node then begin
         let tag = Dom.tag node in
         match Hashtbl.find_opt rev tag with
-        | Some l -> l := node :: !l
-        | None -> Hashtbl.replace rev tag (ref [ node ])
+        | Some l -> l := r :: !l
+        | None -> Hashtbl.replace rev tag (ref [ r ])
       end)
     nodes;
   let posts = Hashtbl.create (Hashtbl.length rev) in
@@ -72,6 +72,16 @@ let node_at t r =
   if r < 0 || r >= Array.length t.nodes then
     invalid_arg "Doc_index.node_at: rank out of range";
   t.nodes.(r)
+
+let subtree_end t r = t.subtree_end.(r)
+
+let parent_rank t r =
+  match t.nodes.(r).Dom.parent with
+  | None -> -1
+  | Some p -> (
+    let i = p.Dom.serial - t.serial_base in
+    if i < 0 || i >= Array.length t.rank_of_serial then -1
+    else t.rank_of_serial.(i))
 
 let compare_order t a b = Stdlib.compare (rank t a) (rank t b)
 
@@ -103,35 +113,34 @@ let postings t tag =
 let cardinality t tag = Array.length (postings t tag)
 let tags t = Hashtbl.fold (fun tag _ acc -> tag :: acc) t.posts []
 
-(* First posting index whose rank is >= [target]. *)
-let lower_bound t arr target =
-  let lo = ref 0 and hi = ref (Array.length arr) in
+let lower_bound (arr : int array) ~lo target =
+  let lo = ref lo and hi = ref (Array.length arr) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if rank t arr.(mid) < target then lo := mid + 1 else hi := mid
+    if arr.(mid) < target then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let descendants_by_tag t node tag =
   let r, e = extent t node in
   let arr = postings t tag in
-  let i0 = lower_bound t arr (r + 1) in
-  let i1 = lower_bound t arr (e + 1) in
-  List.init (i1 - i0) (fun j -> arr.(i0 + j))
+  let i0 = lower_bound arr ~lo:0 (r + 1) in
+  let i1 = lower_bound arr ~lo:i0 (e + 1) in
+  List.init (i1 - i0) (fun j -> t.nodes.(arr.(i0 + j)))
 
 let following_by_tag t node tag =
   let _, e = extent t node in
   let arr = postings t tag in
-  let i0 = lower_bound t arr (e + 1) in
-  List.init (Array.length arr - i0) (fun j -> arr.(i0 + j))
+  let i0 = lower_bound arr ~lo:0 (e + 1) in
+  List.init (Array.length arr - i0) (fun j -> t.nodes.(arr.(i0 + j)))
 
 let preceding_by_tag t node tag =
   let r = rank t node in
   let arr = postings t tag in
-  let i1 = lower_bound t arr r in
+  let i1 = lower_bound arr ~lo:0 r in
   let acc = ref [] in
   for i = 0 to i1 - 1 do
     let p = arr.(i) in
-    if t.subtree_end.(rank t p) < r then acc := p :: !acc
+    if t.subtree_end.(p) < r then acc := t.nodes.(p) :: !acc
   done;
   !acc

@@ -41,6 +41,14 @@ val extent : t -> Rxml.Dom.t -> int * int
 val node_at : t -> int -> Rxml.Dom.t
 (** Inverse of {!rank}. @raise Invalid_argument if out of range. *)
 
+val subtree_end : t -> int -> int
+(** [subtree_end t r]: the rank of the last node in the subtree of the node
+    at rank [r] — the second half of {!extent}, read by rank. *)
+
+val parent_rank : t -> int -> int
+(** Rank of the parent of the node at rank [r]; [-1] for the indexed root,
+    whose parent (if any) lies outside the index. *)
+
 val compare_order : t -> Rxml.Dom.t -> Rxml.Dom.t -> int
 (** Document order by rank; no fallback.
     @raise Invalid_argument for nodes outside the snapshot. *)
@@ -63,14 +71,20 @@ val preceding : t -> Rxml.Dom.t -> Rxml.Dom.t list
 
 (** {1 Tag postings} *)
 
-val postings : t -> string -> Rxml.Dom.t array
-(** Elements with the tag, sorted by rank.  The array is shared — callers
-    must not mutate it.  Empty for unknown tags. *)
+val postings : t -> string -> int array
+(** Ranks of the elements with the tag, ascending ({!node_at} maps them
+    back to nodes).  The array is shared — callers must not mutate it.
+    Empty for unknown tags. *)
 
 val cardinality : t -> string -> int
 (** O(1): cached posting length. *)
 
 val tags : t -> string list
+
+val lower_bound : int array -> lo:int -> int -> int
+(** [lower_bound a ~lo target]: the first index [i >= lo] of the ascending
+    array [a] with [a.(i) >= target] ([Array.length a] if none) — binary
+    search. *)
 
 (** {1 Range-based name tests (binary search over postings)} *)
 

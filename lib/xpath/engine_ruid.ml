@@ -47,7 +47,10 @@ let create ?(strategy = Auto) ?index r2 =
   let post_lists = Hashtbl.create 16 in
   List.iter
     (fun tag ->
-      Hashtbl.replace post_lists tag (Array.to_list (Doc_index.postings idx tag)))
+      Hashtbl.replace post_lists tag
+        (Array.fold_right
+           (fun r acc -> Doc_index.node_at idx r :: acc)
+           (Doc_index.postings idx tag) []))
     (Doc_index.tags idx);
   let by_tag tag =
     match Hashtbl.find_opt post_lists tag with Some l -> l | None -> []

@@ -10,14 +10,15 @@ type edge = Child | Descendant
 
 let edge_name = function Child -> "child" | Descendant -> "descendant"
 
-(* Physical operator joining one chain position to the next:
-   - Probe: per-node parent/ancestor pointer work (hash-deduplicated);
-   - Merge: linear sweep of both rank-ordered sides (stack-tree up,
+(* Physical operator joining one chain position to the next (the rank
+   kernels under "Execution" below):
+   - Probe: per-node parent/ancestor pointer work;
+   - Merge: linear sweep of both rank-ordered sides (forward pointer up,
      max-extent-end down);
    - Range: binary-search the posting array per upper extent (down only,
      lower side must be a whole posting list);
-   - Walk: generate children of each upper and test the tag (down/child
-     only). *)
+   - Walk: step through the children of each upper and test the tag
+     (down/child only). *)
 type jmethod = Probe | Merge | Range | Walk
 
 let jmethod_name = function
@@ -282,11 +283,11 @@ let chain_of_steps steps =
   in
   go [] true steps
 
+let twig_edge (p : Twig.pattern) =
+  match p.Twig.edge with Twig.Child -> Child | Twig.Descendant -> Descendant
+
 let rec spine_steps (p : Twig.pattern) =
-  {
-    cedge = (match p.Twig.edge with Twig.Child -> Child | Twig.Descendant -> Descendant);
-    ctag = p.Twig.tag;
-  }
+  { cedge = twig_edge p; ctag = p.Twig.tag }
   :: (match p.Twig.spine with None -> [] | Some sp -> spine_steps sp)
 
 (* ------------------------------------------------------------------ *)
@@ -580,14 +581,17 @@ let cache_outcome_name = function
    plans live and any structural change orphans them.  Non-root contexts
    plan fresh (cheap — the documents behind ad-hoc contexts are planned
    without the guide anyway). *)
-let plan_for t ?context (u : Ast.union_path) =
+let plan_for t ?context ?key (u : Ast.union_path) =
   let use_guide = rooted t context in
   if not use_guide then (plan_union t ~use_guide u, Bypass)
   else
     match t.shared.cache with
     | None -> (plan_union t ~use_guide u, Bypass)
     | Some cache -> (
-      match Xparser.canonical_opt u with
+      let key =
+        match key with Some k -> k | None -> Xparser.canonical_opt u
+      in
+      match key with
       | None -> (plan_union t ~use_guide u, Bypass)
       | Some key -> (
         let fingerprint = G.fingerprint t.guide in
@@ -609,295 +613,393 @@ type trace_row = {
   row_ms : float;
 }
 
-let rank t n = Doc_index.rank t.index n
-let by_rank t = fun a b -> compare (rank t a) (rank t b)
+(* Join kernels pass node sets as ascending preorder ranks of the
+   [Doc_index]: [len] ranks, held in the first cells of [r].  A posting
+   array is one without a copy.  Every kernel reads its inputs in rank
+   order and writes a fresh set sized by its inputs or its output, never
+   by the document; ranks turn back into nodes only when the answer is
+   handed out.  A plan's last set may hold fewer cells than [len] (see
+   [buf]). *)
+type ranks = { r : int array; len : int }
 
-(* S_i survivors going up: candidates at position i with a qualifying
-   child in [lows]. *)
-let up_child t ~tag lows =
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  List.iter
-    (fun low ->
-      match low.Dom.parent with
-      | Some p when Dom.is_element p && Dom.tag p = tag ->
-        let r = rank t p in
-        if not (Hashtbl.mem seen r) then begin
-          Hashtbl.replace seen r ();
-          acc := p :: !acc
-        end
-      | _ -> ())
-    lows;
-  List.sort (by_rank t) !acc
+let of_array a = { r = a; len = Array.length a }
+let no_ranks = of_array [||]
 
-let up_desc_probe t ~tag lows =
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  List.iter
-    (fun low ->
-      List.iter
-        (fun a ->
-          if Dom.is_element a && Dom.tag a = tag then begin
-            let r = rank t a in
-            if not (Hashtbl.mem seen r) then begin
-              Hashtbl.replace seen r ();
-              acc := a :: !acc
-            end
-          end)
-        (Dom.ancestors low))
-    lows;
-  List.sort (by_rank t) !acc
+(* A kernel's output buffer.  Sized at the kernel's output bound it never
+   grows; sized below it, it doubles as needed.  Past [keep] entries it
+   only counts: a plan's last operator stores no more ranks than its
+   caller turns into nodes — none for a count. *)
+type buf = { mutable a : int array; mutable n : int; keep : int }
 
-(* Stack-tree semijoin: keep the uppers (rank order) that contain at
-   least one node of [lows] (rank order).  The stack holds the
-   currently-open nested uppers; when a lower lands, every open upper
-   contains it — mark top-down, stopping at the first already-marked
-   entry (its ancestors were marked with it).  Amortized
-   O(|uppers| + |lows|). *)
-let keep_desc t ~uppers lows =
-  let arr = Array.of_list uppers in
-  let m = Array.length arr in
-  let kept = Hashtbl.create 64 in
-  let stack = ref [] in  (* (rank, extent end, marked ref), innermost first *)
-  let i = ref 0 in
-  List.iter
-    (fun low ->
-      let dr = rank t low in
-      while !i < m && rank t arr.(!i) < dr do
-        let r, e = Doc_index.extent t.index arr.(!i) in
-        (* entries that ended before this upper starts are dead *)
-        stack := List.filter (fun (_, e', _) -> e' >= r) !stack;
-        stack := (r, e, ref false) :: !stack;
-        incr i
-      done;
-      stack := List.filter (fun (_, e, _) -> e >= dr) !stack;
-      (let rec mark = function
-         | (r, _, m) :: rest when not !m ->
-           m := true;
-           Hashtbl.replace kept r ();
-           mark rest
-         | _ -> ()
-       in
-       mark !stack))
-    lows;
-  List.filter (fun u -> Hashtbl.mem kept (rank t u)) uppers
+let buf ?(keep = max_int) cap =
+  { a = Array.make (max (min cap keep) 4) 0; n = 0; keep }
 
-let up_desc_merge t ~tag lows =
-  keep_desc t ~uppers:(Array.to_list (Doc_index.postings t.index tag)) lows
+let push b x =
+  if b.n < b.keep then begin
+    if b.n = Array.length b.a then begin
+      let a = Array.make (2 * b.n) 0 in
+      Array.blit b.a 0 a 0 b.n;
+      b.a <- a
+    end;
+    b.a.(b.n) <- x
+  end;
+  b.n <- b.n + 1
 
-(* Keep the uppers with at least one child in [lows]: hash the lows'
-   parent ranks, one membership test per upper. *)
-let keep_child t ~uppers lows =
-  let parents = Hashtbl.create 64 in
-  List.iter
-    (fun low ->
-      match low.Dom.parent with
-      | Some p -> (
-        match Doc_index.rank_opt t.index p with
-        | Some r -> Hashtbl.replace parents r ()
-        | None -> ())
-      | None -> ())
-    lows;
-  List.filter (fun u -> Hashtbl.mem parents (rank t u)) uppers
+let contents b = { r = b.a; len = b.n }
 
-(* D_i going down: lowers with a qualifying upper above them. *)
-let down_child_probe t ~uppers lows =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun u -> Hashtbl.replace tbl (rank t u) ()) uppers;
-  List.filter
-    (fun low ->
-      match low.Dom.parent with
-      | Some p -> (
-        match Doc_index.rank_opt t.index p with
-        | Some r -> Hashtbl.mem tbl r
-        | None -> false)
-      | None -> false)
-    lows
+(* Ranks that arrive mostly ascending: one above the last kept extends the
+   run, a repeat of it is dropped, and anything lower waits in [late] to
+   be sorted and merged in at the end.  Only matches nested inside earlier
+   ones arrive late, so the sort covers those alone. *)
+type collector = { run : buf; late : buf }
 
-let down_child_walk t ~uppers ~tag =
-  List.concat_map
-    (fun u ->
-      List.filter (fun c -> Dom.is_element c && Dom.tag c = tag) u.Dom.children)
-    uppers
-  |> List.sort (by_rank t)
+let collector cap = { run = buf cap; late = buf 0 }
 
-let down_desc_merge t ~uppers lows =
-  let rec go maxend ups lows acc =
-    match lows with
-    | [] -> List.rev acc
-    | d :: drest ->
-      let dr = rank t d in
-      let rec adv maxend ups =
-        match ups with
-        | u :: urest when rank t u < dr ->
-          let _, e = Doc_index.extent t.index u in
-          adv (max maxend e) urest
-        | _ -> (maxend, ups)
-      in
-      let maxend, ups = adv maxend ups in
-      go maxend ups drest (if dr <= maxend then d :: acc else acc)
-  in
-  go (-1) uppers lows []
+let collect c x =
+  let n = c.run.n in
+  if n = 0 || x > c.run.a.(n - 1) then push c.run x
+  else if x < c.run.a.(n - 1) then push c.late x
 
-let down_desc_range t ~uppers ~tag =
-  let arr = Doc_index.postings t.index tag in
-  let m = Array.length arr in
-  if m = 0 then []
+let collected c =
+  if c.late.n = 0 then contents c.run
   else begin
-    let rank_at i = rank t arr.(i) in
-    let lower_bound target =
-      let lo = ref 0 and hi = ref m in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if rank_at mid < target then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
-    let marked = Bytes.make m '\000' in
-    let minlo = ref m and maxhi = ref (-1) in
-    List.iter
-      (fun u ->
-        let r, e = Doc_index.extent t.index u in
-        let lo = lower_bound (r + 1) in
-        let hi = lower_bound (e + 1) - 1 in
-        if lo <= hi then begin
-          if lo < !minlo then minlo := lo;
-          if hi > !maxhi then maxhi := hi;
-          Bytes.fill marked lo (hi - lo + 1) '\001'
-        end)
-      uppers;
-    let acc = ref [] in
-    for i = !maxhi downto !minlo do
-      if Bytes.get marked i = '\001' then acc := arr.(i) :: !acc
+    let late = Array.sub c.late.a 0 c.late.n in
+    Array.sort Int.compare late;
+    let run = c.run.a and rn = c.run.n and ln = Array.length late in
+    let out = buf (rn + ln) in
+    let i = ref 0 and j = ref 0 in
+    while !i < rn || !j < ln do
+      let x =
+        if !j >= ln || (!i < rn && run.(!i) <= late.(!j)) then begin
+          incr i;
+          run.(!i - 1)
+        end
+        else begin
+          incr j;
+          late.(!j - 1)
+        end
+      in
+      if out.n = 0 || out.a.(out.n - 1) <> x then push out x
     done;
-    !acc
+    contents out
+  end
+
+let has_tag idx r tag =
+  match (Doc_index.node_at idx r).Dom.kind with
+  | Dom.Element e -> String.equal e.Dom.tag tag
+  | _ -> false
+
+(* S_i going up, child edge: the [tag] parents of [lows]. *)
+let up_child idx ~tag lows =
+  let c = collector lows.len in
+  for i = 0 to lows.len - 1 do
+    let p = Doc_index.parent_rank idx lows.r.(i) in
+    if p >= 0 && has_tag idx p tag then collect c p
+  done;
+  collected c
+
+let reverse a i j =
+  let i = ref i and j = ref j in
+  while !i < !j do
+    let x = a.(!i) in
+    a.(!i) <- a.(!j);
+    a.(!j) <- x;
+    incr i;
+    decr j
+  done
+
+(* S_i going up, descendant edge by probing: the [tag] ancestors of
+   [lows].  An ancestor ranked below the previous low is that low's
+   ancestor too, so an earlier walk already met it: each walk stops there,
+   no node is visited twice, and each walk's finds, reversed out of their
+   deepest-first order, extend the output in rank order. *)
+let up_desc_probe idx ~tag lows =
+  let b = buf lows.len in
+  let prev = ref (-1) in
+  for i = 0 to lows.len - 1 do
+    let l = lows.r.(i) in
+    let first = b.n in
+    let a = ref (Doc_index.parent_rank idx l) in
+    while !a > !prev do
+      if has_tag idx !a tag then push b !a;
+      a := Doc_index.parent_rank idx !a
+    done;
+    if !a >= 0 && !a = !prev && has_tag idx !a tag then push b !a;
+    reverse b.a first (b.n - 1);
+    prev := l
+  done;
+  contents b
+
+(* Semijoin, descendant edge: the uppers with a strict descendant in
+   [lows].  The first low past an upper is the only witness worth testing,
+   and that pointer only moves forward: one linear sweep, no stack. *)
+let keep_desc idx ~uppers lows =
+  let b = buf uppers.len in
+  let i = ref 0 and j = ref 0 in
+  while !i < uppers.len && !j < lows.len do
+    let u = uppers.r.(!i) in
+    while !j < lows.len && lows.r.(!j) <= u do
+      incr j
+    done;
+    if !j < lows.len && lows.r.(!j) <= Doc_index.subtree_end idx u then
+      push b u;
+    incr i
+  done;
+  contents b
+
+(* The child-edge sweep (stack-tree): lows in rank order against an array
+   stack of the uppers whose subtrees hold the current low, innermost on
+   top.  A low's parent is its innermost ancestor, so it is an upper
+   exactly when it tops the stack; [hit i l] then reports upper [i] and low
+   [l]. *)
+let child_sweep idx ~uppers lows hit =
+  let stack = buf 8 in
+  let top_end () = Doc_index.subtree_end idx uppers.r.(stack.a.(stack.n - 1)) in
+  let i = ref 0 in
+  for j = 0 to lows.len - 1 do
+    let l = lows.r.(j) in
+    while !i < uppers.len && uppers.r.(!i) < l do
+      let u = uppers.r.(!i) in
+      while stack.n > 0 && top_end () < u do
+        stack.n <- stack.n - 1
+      done;
+      push stack !i;
+      incr i
+    done;
+    while stack.n > 0 && top_end () < l do
+      stack.n <- stack.n - 1
+    done;
+    if stack.n > 0 then begin
+      let top = stack.a.(stack.n - 1) in
+      if uppers.r.(top) = Doc_index.parent_rank idx l then hit top l
+    end
+  done
+
+(* Semijoin, child edge: the uppers with a child in [lows]. *)
+let keep_child idx ~uppers lows =
+  let hit = Bytes.make uppers.len '\000' in
+  let kept = ref 0 in
+  child_sweep idx ~uppers lows (fun i _ ->
+      if Bytes.get hit i = '\000' then begin
+        Bytes.set hit i '\001';
+        incr kept
+      end);
+  let b = buf !kept in
+  for i = 0 to uppers.len - 1 do
+    if Bytes.get hit i <> '\000' then push b uppers.r.(i)
+  done;
+  contents b
+
+(* D_i going down, child edge by probing: the lows whose parent is an
+   upper. *)
+let down_child_probe ?keep idx ~uppers lows =
+  let b = buf ?keep lows.len in
+  child_sweep idx ~uppers lows (fun _ l -> push b l);
+  contents b
+
+(* D_i going down, child edge by walking: each upper's [tag] children.  A
+   first child's rank is its parent's plus one and each next sibling's
+   follows the previous subtree, so the walk reads ranks straight from the
+   index.  Children of an upper nested in an earlier one arrive late. *)
+let down_child_walk idx ~uppers ~tag =
+  let c = collector uppers.len in
+  for i = 0 to uppers.len - 1 do
+    let u = uppers.r.(i) in
+    let last = Doc_index.subtree_end idx u in
+    let k = ref (u + 1) in
+    while !k <= last do
+      if has_tag idx !k tag then collect c !k;
+      k := Doc_index.subtree_end idx !k + 1
+    done
+  done;
+  collected c
+
+(* D_i going down, descendant edge by merging: the lows below some upper —
+   one sweep carrying the furthest subtree end of the uppers passed. *)
+let down_desc_merge ?keep idx ~uppers lows =
+  let b = buf ?keep lows.len in
+  let i = ref 0 and maxend = ref (-1) in
+  for j = 0 to lows.len - 1 do
+    let l = lows.r.(j) in
+    while !i < uppers.len && uppers.r.(!i) < l do
+      let e = Doc_index.subtree_end idx uppers.r.(!i) in
+      if e > !maxend then maxend := e;
+      incr i
+    done;
+    if l <= !maxend then push b l
+  done;
+  contents b
+
+(* D_i going down, descendant edge by range: each upper's span of the
+   [tag] postings, found by binary search.  Uppers ascend, and a nested
+   upper's span lies inside its ancestor's, so clipping each span at the
+   previous one's end yields the answer in rank order without duplicates;
+   the spans (up to [keep] ranks of them) are then copied out in one
+   exact-size array. *)
+let down_desc_range ?(keep = max_int) idx ~uppers ~tag =
+  let post = Doc_index.postings idx tag in
+  let spans = buf (2 * uppers.len) in
+  let covered = ref 0 and total = ref 0 in
+  for i = 0 to uppers.len - 1 do
+    let u = uppers.r.(i) in
+    let lo = Doc_index.lower_bound post ~lo:!covered (u + 1) in
+    let hi = Doc_index.lower_bound post ~lo (Doc_index.subtree_end idx u + 1) in
+    if lo < hi then begin
+      push spans lo;
+      push spans hi;
+      total := !total + (hi - lo);
+      covered := hi
+    end
+  done;
+  if !total = Array.length post then of_array post
+  else begin
+    let out = Array.make (min !total keep) 0 in
+    let k = ref 0 and s = ref 0 in
+    while !k < Array.length out do
+      let lo = spans.a.(2 * !s) and hi = spans.a.((2 * !s) + 1) in
+      let m = min (hi - lo) (Array.length out - !k) in
+      Array.blit post lo out !k m;
+      k := !k + m;
+      incr s
+    done;
+    { r = out; len = !total }
   end
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
-let run_chain t ?context ch ~trace =
+(* One operator of a plan.  Under EXPLAIN ([trace] given) it is timed and
+   leaves a row — label, estimate, actual count; otherwise it just runs,
+   and neither the label nor the count is computed. *)
+let timed trace label est size f =
+  match trace with
+  | None -> f ()
+  | Some rows ->
+    let t0 = now_ms () in
+    let out = f () in
+    let ms = now_ms () -. t0 in
+    rows :=
+      { row_op = label (); row_est = est; row_actual = size out; row_ms = ms }
+      :: !rows;
+    out
+
+let op trace label est f = timed trace label est (fun rs -> rs.len) f
+
+(* D_0: the first position's candidates that stand in [edge] to the start
+   node.  Every element strictly descends from the document node. *)
+let anchor ?keep t start edge s0 =
+  if edge = Descendant && start == R2.root t.r2 && t.doc_rooted then s0
+  else
+    let uppers = of_array [| Doc_index.rank t.index start |] in
+    match edge with
+    | Child -> down_child_probe ?keep t.index ~uppers s0
+    | Descendant -> down_desc_merge ?keep t.index ~uppers s0
+
+(* [keep] bounds the ranks the last operator stores ([buf]). *)
+let run_chain t ?context ch ~trace ~keep =
+  let idx = t.index in
   let n = Array.length ch.csteps in
-  let record op est actual t0 =
-    match trace with
-    | None -> ()
-    | Some rows ->
-      rows :=
-        { row_op = op; row_est = est; row_actual = actual;
-          row_ms = now_ms () -. t0 }
-        :: !rows
-  in
-  let postings i = Array.to_list (Doc_index.postings t.index ch.csteps.(i).ctag) in
+  let keep_at i = if i = n - 1 then keep else max_int in
+  let postings i = of_array (Doc_index.postings idx ch.csteps.(i).ctag) in
   let start =
     match context with
     | Some c when not ch.cabs -> c
     | _ -> R2.root t.r2
   in
   (* up phase *)
-  let s = Array.make n [] in
-  let t0 = now_ms () in
-  s.(ch.pivot) <- postings ch.pivot;
-  record
-    (Printf.sprintf "scan postings(%s)" ch.csteps.(ch.pivot).ctag)
-    ch.card.(ch.pivot)
-    (List.length s.(ch.pivot))
-    t0;
+  let s = Array.make n no_ranks in
+  s.(ch.pivot) <-
+    op trace
+      (fun () -> Printf.sprintf "scan postings(%s)" ch.csteps.(ch.pivot).ctag)
+      ch.card.(ch.pivot)
+      (fun () -> postings ch.pivot);
   for i = ch.pivot - 1 downto 0 do
-    let t0 = now_ms () in
     let edge = ch.csteps.(i + 1).cedge in
     let tag = ch.csteps.(i).ctag in
     let meth = ch.up_meth.(i) in
     s.(i) <-
-      (match (edge, meth) with
-      | Child, _ -> up_child t ~tag s.(i + 1)
-      | Descendant, Merge -> up_desc_merge t ~tag s.(i + 1)
-      | Descendant, _ -> up_desc_probe t ~tag s.(i + 1));
-    record
-      (Printf.sprintf "up-join %s::%s (%s)" (edge_name edge) tag
-         (jmethod_name (match edge with Child -> Probe | Descendant -> meth)))
-      (-1)
-      (List.length s.(i))
-      t0
+      op trace
+        (fun () ->
+          Printf.sprintf "up-join %s::%s (%s)" (edge_name edge) tag
+            (jmethod_name (match edge with Child -> Probe | Descendant -> meth)))
+        (-1)
+        (fun () ->
+          match (edge, meth) with
+          | Child, _ -> up_child idx ~tag s.(i + 1)
+          | Descendant, Merge -> keep_desc idx ~uppers:(postings i) s.(i + 1)
+          | Descendant, _ -> up_desc_probe idx ~tag s.(i + 1))
   done;
   (* anchor D_0 at the start node *)
-  let t0 = now_ms () in
+  let e0 = ch.csteps.(0).cedge in
   let d0 =
-    let e0 = ch.csteps.(0).cedge in
-    if e0 = Descendant && start == R2.root t.r2 && t.doc_rooted then
-      (* every element strictly descends from the document node *)
-      s.(0)
-    else
-      match e0 with
-      | Child -> down_child_probe t ~uppers:[ start ] s.(0)
-      | Descendant -> down_desc_merge t ~uppers:[ start ] s.(0)
+    op trace
+      (fun () ->
+        Printf.sprintf "anchor %s::%s" (edge_name e0) ch.csteps.(0).ctag)
+      ch.est.(0)
+      (fun () -> anchor ~keep:(keep_at 0) t start e0 s.(0))
   in
-  record
-    (Printf.sprintf "anchor %s::%s" (edge_name ch.csteps.(0).cedge)
-       ch.csteps.(0).ctag)
-    ch.est.(0) (List.length d0) t0;
   (* down phase *)
   let d = ref d0 in
   for i = 1 to n - 1 do
-    let t0 = now_ms () in
     let edge = ch.csteps.(i).cedge and tag = ch.csteps.(i).ctag in
     let lows () = if i <= ch.pivot then s.(i) else postings i in
     let meth = ch.down_meth.(i) in
-    (d :=
-       match (edge, meth) with
-       | Child, Walk -> down_child_walk t ~uppers:!d ~tag
-       | Child, _ -> down_child_probe t ~uppers:!d (lows ())
-       | Descendant, Range -> down_desc_range t ~uppers:!d ~tag
-       | Descendant, _ -> down_desc_merge t ~uppers:!d (lows ()));
-    record
-      (Printf.sprintf "down-join %s::%s (%s)" (edge_name edge) tag
-         (jmethod_name meth))
-      ch.est.(i) (List.length !d) t0
+    let uppers = !d in
+    d :=
+      op trace
+        (fun () ->
+          Printf.sprintf "down-join %s::%s (%s)" (edge_name edge) tag
+            (jmethod_name meth))
+        ch.est.(i)
+        (fun () ->
+          match (edge, meth) with
+          | Child, Walk -> down_child_walk idx ~uppers ~tag
+          | Child, _ -> down_child_probe ~keep:(keep_at i) idx ~uppers (lows ())
+          | Descendant, Range ->
+            down_desc_range ~keep:(keep_at i) idx ~uppers ~tag
+          | Descendant, _ ->
+            down_desc_merge ~keep:(keep_at i) idx ~uppers (lows ()))
   done;
   !d
 
-(* Native twig execution: the same posting-array joins as chains,
-   arranged over the pattern tree.  Bottom-up, [solve] restricts each
-   pattern node's postings to candidates that can embed everything below
-   them — each branch and the spine continuation are one semijoin
-   (parent-hash for child edges, stack-tree for descendant edges).
+(* Native twig execution: the same rank-array joins as chains, arranged
+   over the pattern tree.  Bottom-up, [solve] restricts each pattern node's
+   postings to candidates that can embed everything below them — each
+   branch and the spine continuation are one semijoin (the child sweep
+   for child edges, the forward-pointer sweep for descendant edges).
    Top-down, matches propagate from the anchor along the spine only;
    branches are existential and were fully discharged going up.  Both
    phases preserve rank order, so the output is in document order. *)
 type solved = {
-  s_nodes : Dom.t list;
+  s_ranks : ranks;
   s_spine : (Twig.pattern * solved) option;
 }
 
-let run_twig t ?context ~trace ~tabs ~t_est tw =
-  let record op est actual t0 =
-    match trace with
-    | None -> ()
-    | Some rows ->
-      rows :=
-        { row_op = op; row_est = est; row_actual = actual;
-          row_ms = now_ms () -. t0 }
-        :: !rows
-  in
+let twig_edge_name (p : Twig.pattern) =
+  match p.Twig.edge with Twig.Child -> "child" | Twig.Descendant -> "desc"
+
+let run_twig t ?context ~trace ~keep ~tabs ~t_est tw =
+  let idx = t.index in
   let rec solve (p : Twig.pattern) =
     let below =
       List.map (fun b -> (b, solve b)) p.Twig.branches
       @ (match p.Twig.spine with Some sp -> [ (sp, solve sp) ] | None -> [])
     in
-    let t0 = now_ms () in
     let cands =
-      List.fold_left
-        (fun uppers ((c : Twig.pattern), s) ->
-          match c.Twig.edge with
-          | Twig.Child -> keep_child t ~uppers s.s_nodes
-          | Twig.Descendant -> keep_desc t ~uppers s.s_nodes)
-        (Array.to_list (Doc_index.postings t.index p.Twig.tag))
-        below
+      op trace
+        (fun () ->
+          Printf.sprintf "twig-up %s [%d joins]" p.Twig.tag (List.length below))
+        (Doc_index.cardinality idx p.Twig.tag)
+        (fun () ->
+          List.fold_left
+            (fun uppers ((c : Twig.pattern), s) ->
+              match c.Twig.edge with
+              | Twig.Child -> keep_child idx ~uppers s.s_ranks
+              | Twig.Descendant -> keep_desc idx ~uppers s.s_ranks)
+            (of_array (Doc_index.postings idx p.Twig.tag))
+            below)
     in
-    record
-      (Printf.sprintf "twig-up %s [%d joins]" p.Twig.tag (List.length below))
-      (Doc_index.cardinality t.index p.Twig.tag)
-      (List.length cands) t0;
     {
-      s_nodes = cands;
+      s_ranks = cands;
       s_spine =
         (match p.Twig.spine with
         | Some sp -> Some (sp, List.assq sp below)
@@ -911,39 +1013,31 @@ let run_twig t ?context ~trace ~tabs ~t_est tw =
     | Some c when not tabs -> c
     | _ -> R2.root t.r2
   in
-  let t0 = now_ms () in
   let d0 =
-    if pat.Twig.edge = Twig.Descendant && start == R2.root t.r2 && t.doc_rooted
-    then s0.s_nodes
-    else
-      match pat.Twig.edge with
-      | Twig.Child -> down_child_probe t ~uppers:[ start ] s0.s_nodes
-      | Twig.Descendant -> down_desc_merge t ~uppers:[ start ] s0.s_nodes
+    op trace
+      (fun () ->
+        Printf.sprintf "twig-anchor %s::%s" (twig_edge_name pat) pat.Twig.tag)
+      (if s0.s_spine = None then t_est else -1)
+      (fun () ->
+        let keep = if s0.s_spine = None then keep else max_int in
+        anchor ~keep t start (twig_edge pat) s0.s_ranks)
   in
-  record
-    (Printf.sprintf "twig-anchor %s::%s"
-       (match pat.Twig.edge with Twig.Child -> "child" | Twig.Descendant -> "desc")
-       pat.Twig.tag)
-    (if s0.s_spine = None then t_est else -1)
-    (List.length d0) t0;
   let rec down d s =
     match s.s_spine with
     | None -> d
     | Some ((sp : Twig.pattern), ssub) ->
-      let t0 = now_ms () in
       let d' =
-        match sp.Twig.edge with
-        | Twig.Child -> down_child_probe t ~uppers:d ssub.s_nodes
-        | Twig.Descendant -> down_desc_merge t ~uppers:d ssub.s_nodes
+        op trace
+          (fun () ->
+            Printf.sprintf "twig-down %s::%s" (twig_edge_name sp) sp.Twig.tag)
+          (if ssub.s_spine = None then t_est else -1)
+          (fun () ->
+            let keep = if ssub.s_spine = None then keep else max_int in
+            match sp.Twig.edge with
+            | Twig.Child -> down_child_probe ~keep idx ~uppers:d ssub.s_ranks
+            | Twig.Descendant ->
+              down_desc_merge ~keep idx ~uppers:d ssub.s_ranks)
       in
-      record
-        (Printf.sprintf "twig-down %s::%s"
-           (match sp.Twig.edge with
-           | Twig.Child -> "child"
-           | Twig.Descendant -> "desc")
-           sp.Twig.tag)
-        (if ssub.s_spine = None then t_est else -1)
-        (List.length d') t0;
       down d' ssub
   in
   down d0 s0
@@ -954,28 +1048,40 @@ let bump t = function
   | TwigJoin _ -> Atomic.incr t.shared.counters.twig_runs
   | Fallback _ -> Atomic.incr t.shared.counters.engine_runs
 
-let run_plan t ?context ~trace p =
+(* A plan's answer: join plans end in ranks, the evaluator in nodes. *)
+type answer = Ranks of ranks | Nodes of Dom.t list
+
+let run_plan t ?context ?(keep = max_int) ~trace p =
   bump t p;
-  let record op est actual t0 =
-    match trace with
-    | None -> ()
-    | Some rows ->
-      rows :=
-        { row_op = op; row_est = est; row_actual = actual;
-          row_ms = now_ms () -. t0 }
-        :: !rows
-  in
   match p with
   | Empty reason ->
-    record (Printf.sprintf "guide-refute (%s)" reason) 0 0 (now_ms ());
-    []
-  | Chain ch -> run_chain t ?context ch ~trace
-  | TwigJoin { twig; tabs; t_est; _ } -> run_twig t ?context ~trace ~tabs ~t_est twig
+    Ranks
+      (op trace
+         (fun () -> Printf.sprintf "guide-refute (%s)" reason)
+         0
+         (fun () -> no_ranks))
+  | Chain ch -> Ranks (run_chain t ?context ch ~trace ~keep)
+  | TwigJoin { twig; tabs; t_est; _ } ->
+    Ranks (run_twig t ?context ~trace ~keep ~tabs ~t_est twig)
   | Fallback u ->
-    let t0 = now_ms () in
-    let out = Eval.select_union t.engine ?context u in
-    record "engine (full evaluator)" (-1) (List.length out) t0;
-    out
+    Nodes
+      (timed trace
+         (fun () -> "engine (full evaluator)")
+         (-1) List.length
+         (fun () -> Eval.select_union t.engine ?context u))
+
+let answer_count = function Ranks rs -> rs.len | Nodes l -> List.length l
+
+(* The first [k] answers as nodes: only those ranks are converted (and
+   only those were kept, when the plan ran with [keep = k]). *)
+let answer_nodes t ?(k = max_int) = function
+  | Nodes l -> if k = max_int then l else List.filteri (fun i _ -> i < k) l
+  | Ranks rs ->
+    let acc = ref [] in
+    for i = min k rs.len - 1 downto 0 do
+      acc := Doc_index.node_at t.index rs.r.(i) :: !acc
+    done;
+    !acc
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                 *)
@@ -983,9 +1089,17 @@ let run_plan t ?context ~trace p =
 
 let plan t ?context src = fst (plan_for t ?context (Xparser.parse_union src))
 
-let select_union t ?context u =
-  let p, _ = plan_for t ?context u in
-  run_plan t ?context ~trace:None p
+let execute t ?context ?key ?keep u =
+  run_plan t ?context ?keep ~trace:None (fst (plan_for t ?context ?key u))
+
+let select_union t ?context u = answer_nodes t (execute t ?context u)
+
+let count_union t ?context ?key u =
+  answer_count (execute t ?context ?key ~keep:0 u)
+
+let select_first t ?context ?key ~k u =
+  let a = execute t ?context ?key ~keep:k u in
+  (answer_count a, answer_nodes t ~k a)
 
 let query t ?context src = select_union t ?context (Xparser.parse_union src)
 
@@ -1050,5 +1164,5 @@ let explain t ?context src =
         (if r.row_est < 0 then "-" else string_of_int r.row_est)
         r.row_actual r.row_ms)
     (List.rev !trace);
-  pf "result: %d node(s) in %.3f ms\n" (List.length out) total_ms;
+  pf "result: %d node(s) in %.3f ms\n" (answer_count out) total_ms;
   Buffer.contents b

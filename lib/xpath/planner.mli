@@ -18,8 +18,8 @@
       ranges, child walk) from posting cardinalities and DataGuide
       occurrence counts, and keeps the cheapest pipeline.
     - {b twig-join} ([TwigJoin]): branching patterns in the twig fragment
-      go to {!Twig}'s two-pass semijoin when its cost estimate beats the
-      evaluator's.
+      ({!Twig.of_xpath}) run as the same rank-array semijoins arranged over
+      the pattern tree, when their cost estimate beats the evaluator's.
     - {b engine-fallback} ([Fallback]): everything else — rare axes,
       positional or value predicates — runs on the shared {!Engine_ruid}
       evaluator.  Unions plan per branch: provably-empty branches are
@@ -33,12 +33,22 @@ type edge = Child | Descendant
 
 val edge_name : edge -> string
 
-(** Physical method for one structural join of a chain pipeline. *)
+(** Physical method for one structural join of a chain pipeline.  Every
+    method reads and writes ascending rank arrays of {!Doc_index}. *)
 type jmethod =
-  | Probe  (** per-node parent/ancestor pointer chase, hash-deduplicated *)
-  | Merge  (** linear rank sweep (stack-tree up, max-extent-end down) *)
+  | Probe
+      (** parent/ancestor pointer chase per node: up a child edge, parents
+          collected in rank order (the nested few sorted in); up a
+          descendant edge, ancestor walks that stop where the previous
+          node's walk began; down a child edge, each node's parent tested
+          against the top of an array stack of the open uppers *)
+  | Merge
+      (** one linear rank sweep: up, a forward pointer to each upper's
+          first following node; down, the furthest subtree end so far *)
   | Range  (** binary-searched posting spans per upper extent (down only) *)
-  | Walk  (** generate children and test the tag (down/child only) *)
+  | Walk
+      (** step through each upper's children by subtree ends and test the
+          tag (down/child only) *)
 
 val jmethod_name : jmethod -> string
 
@@ -125,10 +135,13 @@ type cache_outcome = Hit | Miss | Bypass
 val cache_outcome_name : cache_outcome -> string
 
 val plan_for :
-  t -> ?context:Rxml.Dom.t -> Ast.union_path -> plan * cache_outcome
+  t -> ?context:Rxml.Dom.t -> ?key:string option -> Ast.union_path ->
+  plan * cache_outcome
 (** Plan a union.  Cached only for rooted evaluations (no context, or the
     context {e is} the root) with a canonically printable query; everything
-    else plans fresh ([Bypass]). *)
+    else plans fresh ([Bypass]).  [key] is the cache key when the caller
+    already has it — {!Xparser.canonical_opt} of the union, so a request
+    over many documents renders it once; by default it is computed here. *)
 
 val plan : t -> ?context:Rxml.Dom.t -> string -> plan
 (** Parse and plan. @raise Xparser.Syntax_error on malformed input. *)
@@ -137,6 +150,17 @@ val select_union :
   t -> ?context:Rxml.Dom.t -> Ast.union_path -> Rxml.Dom.t list
 (** Plan and execute; results in document order, equal to
     {!Eval.select_union} on the fallback engine (property-tested). *)
+
+val count_union :
+  t -> ?context:Rxml.Dom.t -> ?key:string option -> Ast.union_path -> int
+(** [List.length (select_union ...)], without building the node list: a
+    join plan's answer is counted as ranks.  [key] as for {!plan_for}. *)
+
+val select_first :
+  t -> ?context:Rxml.Dom.t -> ?key:string option -> k:int ->
+  Ast.union_path -> int * Rxml.Dom.t list
+(** The answer's size and its first [k] nodes in document order; a join
+    plan turns only those [k] ranks into nodes. *)
 
 val query : t -> ?context:Rxml.Dom.t -> string -> Rxml.Dom.t list
 (** Parse, plan, execute. @raise Xparser.Syntax_error on malformed input. *)

@@ -437,8 +437,10 @@ let ws_collapse q =
     q;
   Buffer.contents b
 
-let normalize src =
+let canonical src =
   match parse_union src with
-  | exception Syntax_error _ -> ws_collapse src
-  | u -> (
-    match canonical_opt u with Some c -> c | None -> ws_collapse src)
+  | exception Syntax_error _ -> None
+  | u -> canonical_opt u
+
+let normalize src =
+  match canonical src with Some c -> c | None -> ws_collapse src

@@ -25,6 +25,9 @@ val canonical_opt : Ast.union_path -> string option
     by a parse round-trip; [None] when the AST holds something the lexer
     cannot re-read (e.g. a string literal containing both quote kinds). *)
 
+val canonical : string -> string option
+(** [canonical_opt] of the parsed text; [None] when it does not parse. *)
+
 val normalize : string -> string
 (** Canonicalize query text for cache keying: parse, render canonically,
     verify the round-trip.  Inputs that do not parse (or do not round-trip)

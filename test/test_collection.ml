@@ -92,20 +92,6 @@ let test_amortized_growth () =
     ids;
   Alcotest.(check bool) "misses still miss" true (C.find c "doc999" = None)
 
-let test_add_numbered () =
-  let c = C.create ~max_area_size:8 () in
-  let root =
-    Rxml.Dom.root_element (Rxml.Parser.parse_string "<a><b/><c/></a>")
-  in
-  let r2 = Ruid.Ruid2.number ~max_area_size:8 root in
-  let id = C.add_numbered c ~name:"pre" r2 in
-  (* registered without re-numbering: the very same numbering comes back *)
-  Alcotest.(check bool) "numbering preserved" true (C.ruid c id == r2);
-  Alcotest.(check bool) "findable" true (C.find c "pre" = Some id);
-  Alcotest.check_raises "duplicate name rejected"
-    (Invalid_argument "Collection.add: duplicate name pre") (fun () ->
-      ignore (C.add_numbered c ~name:"pre" r2))
-
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -115,5 +101,4 @@ let suite =
     Alcotest.test_case "memory accounting" `Quick test_memory_accounting;
     Alcotest.test_case "amortized growth and name index" `Quick
       test_amortized_growth;
-    Alcotest.test_case "add_numbered" `Quick test_add_numbered;
   ]
