@@ -26,9 +26,8 @@ let validate_config c =
   else if c.max_queue < 0 then Error "max-queue must be >= 0 (0 = 4 x workers)"
   else if c.poll_ms < 1 then Error "poll-ms must be >= 1"
   else if c.plan_cache < 0 then Error "plan-cache must be >= 0"
-  else if c.socket_path = "" then Error "socket path must not be empty"
   else if c.primary = "" then Error "primary socket path must not be empty"
-  else Ok ()
+  else Listener.check_socket_path c.socket_path
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -69,18 +68,11 @@ type t = {
   repl_bytes : int Atomic.t;
   lag_versions : int Atomic.t;
   lag_bytes : int Atomic.t;
-  sched : Scheduler.t;
+  sched : Pool.t;
   metrics : Metrics.t;
-  listen_fd : Unix.file_descr;
-  mutable accept_thread : Thread.t option;
+  listener : Listener.t;
   mutable pull_thread : Thread.t option;
-  sessions : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  sessions_mu : Mutex.t;
-  mutable next_session : int;
-  state_mu : Mutex.t;
-  state_cond : Condition.t;
-  mutable state : [ `Running | `Stopping | `Stopped ];
-  mutable pull_stop : bool;  (** guarded by [state_mu]; set by promotion *)
+  pull_stop : bool Atomic.t;  (** set by promotion *)
 }
 
 let metrics t = t.metrics
@@ -108,17 +100,8 @@ let find_doc t name =
 let local_version t =
   1 + Array.fold_left (fun acc d -> acc + d.applied_seq) 0 t.docs
 
-let running t =
-  Mutex.lock t.state_mu;
-  let r = t.state = `Running in
-  Mutex.unlock t.state_mu;
-  r
-
 let pull_stopped t =
-  Mutex.lock t.state_mu;
-  let s = t.pull_stop || t.state <> `Running in
-  Mutex.unlock t.state_mu;
-  s
+  Atomic.get t.pull_stop || not (Listener.running t.listener)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch fencing                                                       *)
@@ -422,17 +405,24 @@ let pull_round t conn =
   Atomic.set t.lag_bytes lag_bytes;
   Array.iteri
     (fun idx d ->
-      if not (pull_stopped t) then begin
-        (match
-           List.find_opt
-             (fun (u : Replication.doc_state) -> u.name = d.name)
-             st.Replication.s_docs
-         with
-        | Some u when u.gen > d.gen ->
+      match
+        List.find_opt
+          (fun (u : Replication.doc_state) -> u.name = d.name)
+          st.Replication.s_docs
+      with
+      | None ->
+        (* Dropped upstream.  Replicas mirror the document set fixed at
+           bootstrap and do not follow membership changes: the last
+           mirrored copy stays served, and the rest of the array is still
+           polled. *)
+        ()
+      | Some _ when pull_stopped t -> ()
+      | Some u ->
+        if u.gen > d.gen then begin
           Mutex.lock t.write_mu;
           Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu)
           @@ fun () -> catch_up t conn d ~target_gen:u.gen
-        | _ -> ());
+        end;
         (* live tail: long-poll for growth of the active segment *)
         let offset = d.local_size + String.length d.tail in
         let req =
@@ -450,8 +440,7 @@ let pull_round t conn =
           d.tail <- d.tail ^ data;
           drain t idx d
         end
-        (* a different gen: the next round's STATE sees it and catches up *)
-      end)
+        (* a different gen: the next round's STATE sees it and catches up *))
     t.docs
 
 (* Bounded exponential backoff between reconnect attempts: 50 ms doubling
@@ -592,27 +581,6 @@ let bootstrap_doc t conn name =
 (* Serving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Ivar = struct
-  type 'a t = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  let fill t x =
-    Mutex.lock t.m;
-    t.v <- Some x;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let read t =
-    Mutex.lock t.m;
-    while t.v = None do
-      Condition.wait t.c t.m
-    done;
-    let x = Option.get t.v in
-    Mutex.unlock t.m;
-    x
-end
-
 let repl_reply t chunk =
   Atomic.incr t.repl_requests;
   ignore
@@ -680,7 +648,8 @@ let run_repl_wait t doc want_gen offset timeout_ms =
           { Replication.epoch = Atomic.get t.epoch; gen = d.gen;
             size = d.local_size; data }
       end
-      else if (not (running t)) || Unix.gettimeofday () > deadline then
+      else if (not (Listener.running t.listener))
+              || Unix.gettimeofday () > deadline then
         repl_reply t
           { Replication.epoch = Atomic.get t.epoch; gen = d.gen;
             size = d.local_size; data = "" }
@@ -708,9 +677,7 @@ let promote t =
     Protocol.Ok_
       (Printf.sprintf "epoch=%d role=promoted already=1" (Atomic.get t.epoch))
   | `Following ->
-    Mutex.lock t.state_mu;
-    t.pull_stop <- true;
-    Mutex.unlock t.state_mu;
+    Atomic.set t.pull_stop true;
     (* the puller may hold write_mu transitively? no: it takes write_mu
        only inside pull_round, and we hold it — but the puller blocks on
        it at most one drain long, then observes pull_stop. *)
@@ -747,6 +714,14 @@ let run_update t doc op =
       match Wal.apply d.r2 op with
       | exception Wal.Replay_error msg ->
         Protocol.Err ("update rejected: " ^ msg)
+      | exception e ->
+        (* An operation that fails part-way (Uid.Overflow once a grown
+           fan-out overflows an area's local identifiers — raised after
+           the tree changed) leaves the writer copy half-applied.  Under
+           [write_mu] the published copy holds every applied operation, so
+           the writer copy is re-cloned from it, as the primary does. *)
+        d.r2 <- R2.clone (Atomic.get t.current).Snapshot.docs.(idx).Snapshot.r2;
+        Protocol.Err ("update rejected: " ^ Printexc.to_string e)
       | area, changed ->
         d.applied_seq <- d.applied_seq + 1;
         let record = { Wal.seq = d.applied_seq; op; area; changed } in
@@ -767,183 +742,55 @@ let run_update t doc op =
           (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=1" version
              record.Wal.seq area changed)))
 
-(* identical read semantics — and reply bytes — to the primary, over the
-   local snapshot (no result cache on replicas: staleness is governed by
-   the snapshot alone) *)
-let run_read t (req : Protocol.request) =
-  Service.eval_read (Atomic.get t.current) req
+(* The replica's part of a graceful stop, run by the listener once every
+   session is joined; the puller sees the listener stopping and exits. *)
+let teardown t () =
+  (match t.pull_thread with Some th -> Thread.join th | None -> ());
+  Pool.shutdown t.sched
 
-let stop t =
-  let proceed =
-    Mutex.lock t.state_mu;
-    let p = t.state = `Running in
-    if p then begin
-      t.state <- `Stopping;
-      t.pull_stop <- true
-    end;
-    Mutex.unlock t.state_mu;
-    p
-  in
-  if not proceed then begin
-    Mutex.lock t.state_mu;
-    while t.state <> `Stopped do
-      Condition.wait t.state_cond t.state_mu
-    done;
-    Mutex.unlock t.state_mu
-  end
-  else begin
-    (match t.pull_thread with Some th -> Thread.join th | None -> ());
-    t.pull_thread <- None;
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_RECEIVE
-     with Unix.Unix_error _ -> ());
-    (try
-       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       (try Unix.connect fd (Unix.ADDR_UNIX t.cfg.socket_path)
-        with Unix.Unix_error _ -> ());
-       Unix.close fd
-     with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.sessions_mu;
-    let sess = Hashtbl.fold (fun _ v acc -> v :: acc) t.sessions [] in
-    Mutex.unlock t.sessions_mu;
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      sess;
-    List.iter (fun (_, th) -> Thread.join th) sess;
-    Scheduler.shutdown t.sched;
-    (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
-    Mutex.lock t.state_mu;
-    t.state <- `Stopped;
-    Condition.broadcast t.state_cond;
-    Mutex.unlock t.state_mu
-  end
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener
 
-let wait t =
-  Mutex.lock t.state_mu;
-  while t.state <> `Stopped do
-    Condition.wait t.state_cond t.state_mu
-  done;
-  Mutex.unlock t.state_mu
-
-let request_stop_async t =
-  ignore (Thread.create (fun () -> try stop t with _ -> ()) ())
-
-let handle_frame t oc payload =
-  let t0 = Unix.gettimeofday () in
-  let reply verb response =
-    Protocol.write_frame oc (Protocol.response_to_string response);
-    let outcome =
-      match response with
-      | Protocol.Ok_ _ -> `Ok
-      | Protocol.Err _ -> `Err
-      | Protocol.Busy _ -> `Busy
-    in
-    Metrics.record t.metrics ~verb ~outcome
-      ~latency_ns:((Unix.gettimeofday () -. t0) *. 1e9)
-  in
-  match Protocol.parse_request payload with
-  | Error msg -> reply "INVALID" (Protocol.Err msg)
-  | Ok req -> (
-    let verb = Protocol.verb req in
-    match req with
-    | Protocol.Ping -> reply verb (Protocol.Ok_ "pong")
-    | Protocol.Stats -> reply verb (Protocol.Ok_ (Metrics.render t.metrics))
-    | Protocol.Docs ->
-      let s = Atomic.get t.current in
-      reply verb
-        (Protocol.Ok_
-           (Printf.sprintf "v=%d docs=%d %s" s.Snapshot.version
-              (List.length (Snapshot.doc_names s))
-              (String.concat " " (Snapshot.doc_names s))))
-    | Protocol.Shutdown ->
-      reply verb (Protocol.Ok_ "stopping");
-      request_stop_async t
-    | Protocol.Repl_state -> reply verb (run_repl_state t)
-    | Protocol.Repl_file { doc; file; offset; limit } ->
-      reply verb (run_repl_file t doc file offset limit)
-    | Protocol.Repl_wait { doc; gen; offset; timeout_ms } ->
-      reply verb (run_repl_wait t doc gen offset timeout_ms)
-    | Protocol.Promote -> reply verb (promote t)
-    | Protocol.Update { doc; op } -> reply verb (run_update t doc op)
-    | Protocol.Sleep ms ->
-      Thread.delay (float_of_int ms /. 1000.);
-      reply verb (Protocol.Ok_ (Printf.sprintf "slept=%d" ms))
-    | Protocol.Add_doc _ | Protocol.Add_chunk _ | Protocol.Adopt _
-    | Protocol.Adopt_abort _ | Protocol.Drop_doc _ ->
-      (* collection membership is the primary's to change; it replicates
-         through the journal/file shipping like any other write *)
-      reply verb
-        (Protocol.Err
-           (Printf.sprintf "%s: this node is a read-only replica" verb))
-    | Protocol.Rebalance _ ->
-      reply verb
-        (Protocol.Err
-           "REBALANCE: this node is a replica; connect to the router")
-    | Protocol.Query _ | Protocol.Count _ | Protocol.Explain _
-    | Protocol.Check _ | Protocol.Query_doc _ | Protocol.Count_doc _ ->
-      let iv = Ivar.create () in
-      let job () =
-        let response =
-          try run_read t req with
-          | Failure msg -> Protocol.Err msg
-          | e -> Protocol.Err ("internal error: " ^ Printexc.to_string e)
-        in
-        Ivar.fill iv response
-      in
-      if Scheduler.submit ~label:verb t.sched job then
-        reply verb (Ivar.read iv)
-      else reply verb (Protocol.Busy "queue full"))
-
-let session_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let rec loop () =
-    match Protocol.read_frame ic with
-    | None -> ()
-    | Some payload ->
-      handle_frame t oc payload;
-      loop ()
-  in
-  (try loop () with
-  | Protocol.Protocol_error _ | End_of_file | Sys_error _ ->
-    Metrics.record_session_error t.metrics
-  | Unix.Unix_error _ -> Metrics.record_session_error t.metrics);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let stopping () = not (running t) in
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _ when stopping () -> (
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    | fd, _ ->
-      let id =
-        Mutex.lock t.sessions_mu;
-        let id = t.next_session in
-        t.next_session <- id + 1;
-        Mutex.unlock t.sessions_mu;
-        id
-      in
-      let th =
-        Thread.create
-          (fun () ->
-            session_loop t fd;
-            Mutex.lock t.sessions_mu;
-            Hashtbl.remove t.sessions id;
-            Mutex.unlock t.sessions_mu)
-          ()
-      in
-      Mutex.lock t.sessions_mu;
-      Hashtbl.replace t.sessions id (fd, th);
-      Mutex.unlock t.sessions_mu;
-      loop ()
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
+(* Verb dispatch; the listener answers PING, STATS and SHUTDOWN itself. *)
+let dispatch t (req : Protocol.request) =
+  match req with
+  (* identical read semantics — and reply bytes — to the primary, over the
+     local snapshot (no result cache on replicas: staleness is governed by
+     the snapshot alone) *)
+  | Protocol.Query _ | Protocol.Count _ | Protocol.Explain _
+  | Protocol.Check _ | Protocol.Query_doc _ | Protocol.Count_doc _ ->
+    Listener.Queued
+      (t.sched, fun () -> Service.eval_read (Atomic.get t.current) req)
+  | Protocol.Docs ->
+    Listener.Inline (fun () -> Service.eval_read (Atomic.get t.current) req)
+  | Protocol.Repl_state -> Listener.Inline (fun () -> run_repl_state t)
+  | Protocol.Repl_file { doc; file; offset; limit } ->
+    Listener.Inline (fun () -> run_repl_file t doc file offset limit)
+  | Protocol.Repl_wait { doc; gen; offset; timeout_ms } ->
+    Listener.Inline (fun () -> run_repl_wait t doc gen offset timeout_ms)
+  | Protocol.Promote -> Listener.Inline (fun () -> promote t)
+  | Protocol.Update { doc; op } ->
+    Listener.Inline (fun () -> run_update t doc op)
+  | Protocol.Sleep ms ->
+    Listener.Inline
+      (fun () ->
+        Thread.delay (float_of_int ms /. 1000.);
+        Protocol.Ok_ (Printf.sprintf "slept=%d" ms))
+  | Protocol.Add_doc _ | Protocol.Add_chunk _ | Protocol.Adopt _
+  | Protocol.Adopt_abort _ | Protocol.Drop_doc _ ->
+    (* collection membership is the primary's to change; it replicates
+       through the journal/file shipping like any other write *)
+    Listener.Inline
+      (fun () ->
+        Protocol.Err
+          (Protocol.verb req ^ ": this node is a read-only replica"))
+  | Protocol.Rebalance _ ->
+    Listener.Inline
+      (fun () ->
+        Protocol.Err "REBALANCE: this node is a replica; connect to the router")
+  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown ->
+    Listener.Inline
+      (fun () -> Protocol.Err "internal: node verb reached the replica")
 
 (* ------------------------------------------------------------------ *)
 (* Startup                                                             *)
@@ -953,8 +800,6 @@ let start ?chaos cfg =
   (match validate_config cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Replica.start: " ^ msg));
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
   ensure_dir cfg.data_dir;
   (* Bootstrap over one dedicated connection.  A [Fenced] raised here is
      fatal by design: the configured upstream is provably behind the fence
@@ -991,19 +836,12 @@ let start ?chaos cfg =
     else None
   in
   let metrics = Metrics.create () in
+  let listener = Listener.create ~metrics cfg.socket_path in
   let on_exn ~label e = Metrics.record_dropped metrics ~verb:label e in
   let sched =
-    Scheduler.create ~on_exn ~workers:cfg.workers
+    Pool.create ~on_exn ~kind:`Threads ~workers:cfg.workers
       ~max_queue:(resolved_max_queue cfg) ()
   in
-  if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
   let t =
     {
       cfg;
@@ -1021,33 +859,34 @@ let start ?chaos cfg =
       lag_bytes = Atomic.make 0;
       sched;
       metrics;
-      listen_fd;
-      accept_thread = None;
+      listener;
       pull_thread = None;
-      sessions = Hashtbl.create 16;
-      sessions_mu = Mutex.create ();
-      next_session = 0;
-      state_mu = Mutex.create ();
-      state_cond = Condition.create ();
-      state = `Running;
-      pull_stop = false;
+      pull_stop = Atomic.make false;
     }
   in
   Replication.store_epoch cfg.data_dir (Atomic.get t.epoch);
   (* mirror + replay each hosted document, then publish the first local
      snapshot at the version the contract dictates *)
   let docs =
-    Client.with_connection cfg.primary @@ fun conn ->
-    Array.of_list
-      (List.map
-         (fun (u : Replication.doc_state) -> bootstrap_doc t conn u.name)
-         docs.Replication.s_docs)
+    match
+      Client.with_connection cfg.primary @@ fun conn ->
+      Array.of_list
+        (List.map
+           (fun (u : Replication.doc_state) -> bootstrap_doc t conn u.name)
+           docs.Replication.s_docs)
+    with
+    | docs -> docs
+    | exception e ->
+      (* a failed bootstrap leaves neither a socket nor a worker behind *)
+      Listener.stop listener;
+      Pool.shutdown sched;
+      raise e
   in
   let t = { t with docs } in
   Atomic.set t.current
     (Snapshot.capture ?planner:planner_shared ~version:(local_version t)
        (Array.to_list (Array.map (fun d -> (d.name, d.r2)) t.docs)));
-  Metrics.set_queue_probe metrics (fun () -> Scheduler.queue_depth t.sched);
+  Metrics.set_queue_probe metrics (fun () -> Pool.queue_depth t.sched);
   Metrics.set_snapshot_probe metrics (fun () ->
       let s = Atomic.get t.current in
       (s.Snapshot.version, s.Snapshot.published_at));
@@ -1066,5 +905,5 @@ let start ?chaos cfg =
         refused_epoch = Atomic.get t.refused_epoch;
       });
   t.pull_thread <- Some (Thread.create puller t);
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Listener.serve listener ~teardown:(teardown t) (dispatch t);
   t

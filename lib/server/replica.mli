@@ -15,6 +15,11 @@
     replies are byte-identical to the primary's (same version arithmetic,
     same {!Service.eval_read} code path).
 
+    {b Membership.}  A replica mirrors the document set its upstream
+    listed at bootstrap and does not follow membership changes: a
+    document dropped upstream stays served from its last mirrored copy,
+    and one added upstream is not mirrored.
+
     {b Fencing.}  The highest epoch ever seen is persisted in
     [<data-dir>/EPOCH]; bytes stamped with a lower epoch are refused and
     counted, never merged.  {!Fenced} at {!start} is fatal by design: the
@@ -46,7 +51,11 @@ val default_config :
 (** workers 2, max_queue 0, poll_ms 500, planner on, plan_cache 256. *)
 
 val resolved_max_queue : config -> int
+
 val validate_config : config -> (unit, string) result
+(** workers >= 1, max_queue >= 0, poll_ms >= 1, plan_cache >= 0, a
+    non-empty primary, and a socket path {!Listener.check_socket_path}
+    accepts. *)
 
 type t
 
@@ -61,7 +70,8 @@ val start : ?chaos:Rstorage.Fault.plan -> config -> t
     @raise Invalid_argument on an invalid config. *)
 
 val stop : t -> unit
-(** Stop pulling, stop serving, drain sessions, remove the socket file.
+(** Stop serving ({!Listener.stop}): join every session, then stop
+    pulling and drain the read pool; remove the socket file.
     Idempotent. *)
 
 val wait : t -> unit

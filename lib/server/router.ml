@@ -1,17 +1,17 @@
-(* The collection router.  See router.mli for the contract; the shape of
-   the code mirrors Service's session layer (accept loop, session
-   threads, length-prefixed frames) with the work body swapped: instead
-   of evaluating requests against a local snapshot, every request is
-   forwarded to the shard that owns its document, or scattered to all
-   shards and merged.
+(* The collection router.  See router.mli for the contract.  It serves on
+   the same {!Listener} as Service and Replica; its verb handler, instead
+   of evaluating requests against a local snapshot, forwards every
+   request to the shard that owns its document, or scatters it to all
+   shards and merges.
 
-   The router runs no admission queue of its own — each session thread
-   performs its forwards synchronously, and the shards' queues provide
-   the backpressure (a BUSY from a shard travels back verbatim).  What
-   the router does own is the rebalance gate: a reader/writer lock where
-   every forwarded request is a reader and the commit window of a
-   document move is the sole writer, so the map flip and the journal
-   tail shipment happen with no router traffic in flight. *)
+   The router runs no admission queue of its own — every verb runs inline
+   on its session thread, which performs its forwards synchronously, and
+   the shards' queues provide the backpressure (a BUSY from a shard
+   travels back verbatim).  What the router does own is the rebalance
+   gate: a reader/writer lock where every forwarded request is a reader
+   and the commit window of a document move is the sole writer, so the
+   map flip and the journal tail shipment happen with no router traffic
+   in flight. *)
 
 type config = {
   socket_path : string;
@@ -31,8 +31,7 @@ let default_config ~socket_path ~shard_sockets () =
   }
 
 let validate_config cfg =
-  if cfg.socket_path = "" then Error "socket_path must not be empty"
-  else if Array.length cfg.shard_sockets = 0 then
+  if Array.length cfg.shard_sockets = 0 then
     Error "at least one shard socket is required"
   else if Array.exists (fun s -> s = "") cfg.shard_sockets then
     Error "shard socket paths must not be empty"
@@ -41,7 +40,7 @@ let validate_config cfg =
   else if cfg.fanout < 0 then Error "fanout must be >= 0"
   else if cfg.shard_deadline_ms < 0 then Error "shard_deadline_ms must be >= 0"
   else if cfg.connect_retries < 0 then Error "connect_retries must be >= 0"
-  else Ok ()
+  else Listener.check_socket_path cfg.socket_path
 
 (* One pooled connection per shard, serialized by a mutex: the protocol
    is strictly request/reply per connection, so sharing one costs only
@@ -76,15 +75,7 @@ type t = {
   mutable rebalances : int;
   mutable rebalance_pause_ms : float;
   inflight : int Atomic.t;
-  (* lifecycle (the Service idiom) *)
-  listen_fd : Unix.file_descr;
-  mutable accept_thread : Thread.t option;
-  sessions : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  sessions_mu : Mutex.t;
-  mutable next_session : int;
-  state_mu : Mutex.t;
-  state_cond : Condition.t;
-  mutable state : [ `Running | `Stopping | `Stopped ];
+  listener : Listener.t;
 }
 
 let metrics t = t.metrics
@@ -598,75 +589,27 @@ let run_rebalance t doc target =
         Protocol.Err ("REBALANCE: " ^ msg)
   end
 
-(* --- Sessions ------------------------------------------------------- *)
+(* --- Serving --------------------------------------------------------- *)
 
-let stop t =
-  let proceed =
-    Mutex.lock t.state_mu;
-    let p = t.state = `Running in
-    if p then t.state <- `Stopping;
-    Mutex.unlock t.state_mu;
-    p
-  in
-  if not proceed then begin
-    Mutex.lock t.state_mu;
-    while t.state <> `Stopped do
-      Condition.wait t.state_cond t.state_mu
-    done;
-    Mutex.unlock t.state_mu
-  end
-  else begin
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_RECEIVE
-     with Unix.Unix_error _ -> ());
-    (try
-       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       (try Unix.connect fd (Unix.ADDR_UNIX t.cfg.socket_path)
-        with Unix.Unix_error _ -> ());
-       Unix.close fd
-     with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.sessions_mu;
-    let sess = Hashtbl.fold (fun _ v acc -> v :: acc) t.sessions [] in
-    Mutex.unlock t.sessions_mu;
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      sess;
-    List.iter (fun (_, th) -> Thread.join th) sess;
-    Array.iter
-      (fun sh ->
-        Mutex.lock sh.smu;
-        (match sh.conn with Some c -> Client.close c | None -> ());
-        sh.conn <- None;
-        Mutex.unlock sh.smu)
-      t.shards;
-    (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
-    Mutex.lock t.state_mu;
-    t.state <- `Stopped;
-    Condition.broadcast t.state_cond;
-    Mutex.unlock t.state_mu
-  end
+(* The router's part of a graceful stop, run by the listener once every
+   session is joined: close the pooled shard connections. *)
+let teardown t () =
+  Array.iter
+    (fun sh ->
+      Mutex.lock sh.smu;
+      (match sh.conn with Some c -> Client.close c | None -> ());
+      sh.conn <- None;
+      Mutex.unlock sh.smu)
+    t.shards
 
-let wait t =
-  Mutex.lock t.state_mu;
-  while t.state <> `Stopped do
-    Condition.wait t.state_cond t.state_mu
-  done;
-  Mutex.unlock t.state_mu
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener
 
-let request_stop_async t =
-  ignore (Thread.create (fun () -> try stop t with _ -> ()) ())
-
+(* The listener answers PING, STATS and SHUTDOWN itself. *)
 let run_request t (req : Protocol.request) =
   match req with
-  (* local verbs: no gate, no shard round-trip *)
-  | Protocol.Ping -> Protocol.Ok_ "pong"
-  | Protocol.Stats -> Protocol.Ok_ (Metrics.render t.metrics)
-  | Protocol.Shutdown ->
-    request_stop_async t;
-    Protocol.Ok_ "stopping"
+  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown ->
+    Protocol.Err "internal: node verb reached the router"
   | Protocol.Sleep _ ->
     Protocol.Err "SLEEP: the router runs no workers to hold"
   | Protocol.Repl_state | Protocol.Repl_file _ | Protocol.Repl_wait _
@@ -725,82 +668,6 @@ let run_request t (req : Protocol.request) =
       end
       | _ -> assert false)
 
-let guarded_run t req =
-  try run_request t req
-  with
-  | Failure msg -> Protocol.Err msg
-  | e -> Protocol.Err ("internal error: " ^ Printexc.to_string e)
-
-let handle_frame t oc payload =
-  let t0 = Unix.gettimeofday () in
-  let verb, response =
-    match Protocol.parse_request payload with
-    | Error msg -> ("(parse)", Protocol.Err msg)
-    | Ok req -> (Protocol.verb req, guarded_run t req)
-  in
-  Protocol.write_frame oc (Protocol.response_to_string response);
-  let outcome =
-    match response with
-    | Protocol.Ok_ _ -> `Ok
-    | Protocol.Err _ -> `Err
-    | Protocol.Busy _ -> `Busy
-  in
-  Metrics.record t.metrics ~verb ~outcome
-    ~latency_ns:((Unix.gettimeofday () -. t0) *. 1e9)
-
-let session_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let rec loop () =
-    match Protocol.read_frame ic with
-    | None -> ()
-    | Some payload ->
-      handle_frame t oc payload;
-      loop ()
-  in
-  (try loop () with
-  | Protocol.Protocol_error _ | End_of_file | Sys_error _ ->
-    Metrics.record_session_error t.metrics
-  | Unix.Unix_error _ -> Metrics.record_session_error t.metrics);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.state_mu;
-    let s = t.state <> `Running in
-    Mutex.unlock t.state_mu;
-    s
-  in
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _ when stopping () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    | fd, _ ->
-      let id =
-        Mutex.lock t.sessions_mu;
-        let id = t.next_session in
-        t.next_session <- id + 1;
-        Mutex.unlock t.sessions_mu;
-        id
-      in
-      let th =
-        Thread.create
-          (fun () ->
-            session_loop t fd;
-            Mutex.lock t.sessions_mu;
-            Hashtbl.remove t.sessions id;
-            Mutex.unlock t.sessions_mu)
-          ()
-      in
-      Mutex.lock t.sessions_mu;
-      Hashtbl.replace t.sessions id (fd, th);
-      Mutex.unlock t.sessions_mu;
-      loop ()
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
-
 (* --- Startup -------------------------------------------------------- *)
 
 let seed_catalog t =
@@ -815,19 +682,11 @@ let start cfg =
   (match validate_config cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Router.start: " ^ msg));
-  (* A shard dying mid-write must surface as EPIPE on the pooled
-     connection — caught and turned into a down mark — never as a
-     process-killing SIGPIPE. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
+  (* The listener ignores SIGPIPE: a shard dying mid-write surfaces as
+     EPIPE on the pooled connection — caught and turned into a down mark —
+     never as a process-killing signal. *)
+  let metrics = Metrics.create () in
+  let listener = Listener.create ~metrics cfg.socket_path in
   let n = Array.length cfg.shard_sockets in
   let t =
     {
@@ -838,7 +697,7 @@ let start cfg =
             { socket; smu = Mutex.create (); conn = None; up = true })
           cfg.shard_sockets;
       map = Shard_map.create ~shards:n;
-      metrics = Metrics.create ();
+      metrics;
       gate_mu = Mutex.create ();
       gate_cond = Condition.create ();
       gate_readers = 0;
@@ -851,14 +710,7 @@ let start cfg =
       rebalances = 0;
       rebalance_pause_ms = 0.;
       inflight = Atomic.make 0;
-      listen_fd;
-      accept_thread = None;
-      sessions = Hashtbl.create 16;
-      sessions_mu = Mutex.create ();
-      next_session = 0;
-      state_mu = Mutex.create ();
-      state_cond = Condition.create ();
-      state = `Running;
+      listener;
     }
   in
   Metrics.set_router_probe t.metrics (fun () ->
@@ -879,5 +731,6 @@ let start cfg =
       Mutex.unlock t.stat_mu;
       stats);
   seed_catalog t;
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Listener.serve listener ~teardown:(teardown t) (fun req ->
+      Listener.Inline (fun () -> run_request t req));
   t

@@ -62,6 +62,9 @@ val default_config :
 (** fanout 0 (= all shards), shard_deadline_ms 2000, connect_retries 3. *)
 
 val validate_config : config -> (unit, string) result
+(** At least one shard, no empty shard path, no shard on the router's own
+    socket, non-negative fanout, deadline and retries, and a socket path
+    {!Listener.check_socket_path} accepts. *)
 
 type t
 

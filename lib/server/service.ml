@@ -41,9 +41,6 @@ let resolved_max_queue c =
 let resolved_commit_groups c =
   if c.commit_groups > 0 then c.commit_groups else max 1 c.domains
 
-(* sockaddr_un paths are limited to ~104 bytes portably. *)
-let max_socket_path = 100
-
 let validate_config c =
   if c.workers < 1 then Error "workers must be >= 1"
   else if c.max_queue < 0 then
@@ -63,38 +60,7 @@ let validate_config c =
     Error "plan-cache must be >= 0 (0 disables plan caching)"
   else if c.epoch < 1 then
     Error "epoch must be >= 1 (the fencing generation this primary serves)"
-  else if c.socket_path = "" then Error "socket path must not be empty"
-  else if String.length c.socket_path > max_socket_path then
-    Error
-      (Printf.sprintf "socket path longer than %d bytes (sockaddr_un limit)"
-         max_socket_path)
-  else Ok ()
-
-(* ------------------------------------------------------------------ *)
-(* One-shot synchronization cell: session threads park on it while a    *)
-(* worker computes their reply.                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Ivar = struct
-  type 'a t = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  let fill t x =
-    Mutex.lock t.m;
-    t.v <- Some x;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let read t =
-    Mutex.lock t.m;
-    while t.v = None do
-      Condition.wait t.c t.m
-    done;
-    let x = Option.get t.v in
-    Mutex.unlock t.m;
-    x
-end
+  else Listener.check_socket_path c.socket_path
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -150,7 +116,7 @@ type pending = {
   doc_index : int;
   record : Wal.record;
   version : int;  (** the snapshot version this update introduces *)
-  iv : Protocol.response Ivar.t;
+  iv : Protocol.response Listener.Ivar.t;
 }
 
 type write_counters = {
@@ -209,18 +175,11 @@ type t = {
           shared by every group (fetch-and-add) *)
   repl_requests : int Atomic.t;  (** REPL-* requests served *)
   repl_bytes : int Atomic.t;  (** journal/snapshot bytes shipped *)
-  sched : Scheduler.t;
-  exec : Executor.t option;  (** parallel read pool; [None] = systhreads *)
+  sched : Pool.t;  (** systhread pool: writes, and reads without domains *)
+  exec : Pool.t option;  (** parallel read pool; [None] = systhreads *)
   cache : Query_cache.t option;
   metrics : Metrics.t;
-  listen_fd : Unix.file_descr;
-  mutable accept_thread : Thread.t option;
-  sessions : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  sessions_mu : Mutex.t;
-  mutable next_session : int;
-  state_mu : Mutex.t;
-  state_cond : Condition.t;
-  mutable state : [ `Running | `Stopping | `Stopped ];
+  listener : Listener.t;
 }
 
 let metrics t = t.metrics
@@ -502,7 +461,7 @@ let commit_batch t (g : group) batch =
       let why =
         Option.value ~default:"unknown" t.masters.(p.doc_index).wedged
       in
-      Ivar.fill p.iv (quarantine_reply why))
+      Listener.Ivar.fill p.iv (quarantine_reply why))
     quarantined;
   if batch = [] then ()
   else begin
@@ -651,7 +610,7 @@ let commit_batch t (g : group) batch =
   Mutex.unlock g.g_mu;
   List.iter
     (fun p ->
-      Ivar.fill p.iv
+      Listener.Ivar.fill p.iv
         (if List.mem p.doc_index stuck
             && p.version > published.Snapshot.docs.(p.doc_index).doc_version
          then
@@ -720,7 +679,7 @@ let leader_loop t (g : group) =
            if (not consistent) && m.wedged = None then m.wedged <- Some msg)
          batch;
        Mutex.unlock g.g_write_mu;
-       List.iter (fun p -> Ivar.fill p.iv (Protocol.Err msg)) batch);
+       List.iter (fun p -> Listener.Ivar.fill p.iv (Protocol.Err msg)) batch);
     (* Retire only on an empty queue: arrivals since the drain saw the
        committing flag up and parked without waking the pipeline. *)
     let continue =
@@ -784,7 +743,7 @@ let apply_and_enqueue t (g : group) idx m r2 op ~wait_ns =
         doc_index = idx;
         record = { Wal.seq = m.applied_seq; op; area; changed };
         version;
-        iv = Ivar.create ();
+        iv = Listener.Ivar.create ();
       }
     in
     Mutex.lock g.g_mu;
@@ -830,7 +789,7 @@ let run_update t doc op =
        into its next batch and fills it after fsync + publication. *)
     match queued with
     | Error msg -> Protocol.Err ("update rejected: " ^ msg)
-    | Ok p -> Ivar.read p.iv
+    | Ok p -> Listener.Ivar.read p.iv
   end
 
 let eval_check s doc =
@@ -839,7 +798,7 @@ let eval_check s doc =
   | exception Not_found -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
   | exception Failure msg -> Protocol.Err ("inconsistent snapshot: " ^ msg)
 
-(* The four read verbs over an explicit snapshot: the replica serves them
+(* The read verbs over an explicit snapshot: the replica serves them
    through this same code, so a caught-up follower's replies are
    byte-identical to the primary's at the same version. *)
 let eval_read ?cache s (req : Protocol.request) =
@@ -850,117 +809,38 @@ let eval_read ?cache s (req : Protocol.request) =
   | Protocol.Check doc -> eval_check s doc
   | Protocol.Count_doc { doc; xpath } -> eval_count_doc ?cache s doc xpath
   | Protocol.Query_doc { doc; xpath } -> eval_query_doc ?cache s doc xpath
+  | Protocol.Docs ->
+    let names = Snapshot.doc_names s in
+    Protocol.Ok_
+      (Printf.sprintf "v=%d docs=%d %s" s.Snapshot.version
+         (List.length names) (String.concat " " names))
   | _ -> Protocol.Err "internal: non-read verb reached the read path"
 
-let run_request t (req : Protocol.request) =
-  match req with
-  | Protocol.Count src -> eval_count ?cache:t.cache (Atomic.get t.current) src
-  | Protocol.Query src -> eval_query ?cache:t.cache (Atomic.get t.current) src
-  | Protocol.Explain src -> eval_explain (Atomic.get t.current) src
-  | Protocol.Update { doc; op } -> run_update t doc op
-  | Protocol.Check doc -> eval_check (Atomic.get t.current) doc
-  | Protocol.Count_doc { doc; xpath } ->
-    eval_count_doc ?cache:t.cache (Atomic.get t.current) doc xpath
-  | Protocol.Query_doc { doc; xpath } ->
-    eval_query_doc ?cache:t.cache (Atomic.get t.current) doc xpath
-  | Protocol.Sleep ms ->
-    Thread.delay (float_of_int ms /. 1000.);
-    Protocol.Ok_ (Printf.sprintf "slept=%d" ms)
-  | Protocol.Ping | Protocol.Docs | Protocol.Stats | Protocol.Shutdown
-  | Protocol.Repl_state | Protocol.Repl_file _ | Protocol.Repl_wait _
-  | Protocol.Promote | Protocol.Add_doc _ | Protocol.Add_chunk _
-  | Protocol.Adopt _ | Protocol.Adopt_abort _ | Protocol.Drop_doc _
-  | Protocol.Rebalance _ ->
-    (* handled inline by the session *)
-    Protocol.Err "internal: control verb reached the worker pool"
+(* The service's part of a graceful stop, run by the listener once every
+   session is joined. *)
+let teardown t () =
+  (* drain the admitted queues, park the workers and the domains *)
+  Pool.shutdown t.sched;
+  Option.iter Pool.shutdown t.exec;
+  (* Stop the commit pipelines — only now: until every session and worker
+     is joined, a writer may still be parked on an ivar only a live
+     pipeline can fill.  By here the queues are provably empty (each
+     queued record's session was joined, which required its ack, which a
+     pipeline only issues after the batch's fsync), so the domains exit at
+     once. *)
+  Array.iter
+    (fun g ->
+      Mutex.lock g.g_mu;
+      g.g_stop <- true;
+      Condition.broadcast g.g_cond;
+      Mutex.unlock g.g_mu)
+    t.groups;
+  Array.iter Domain.join t.pipelines
+  (* The WAL needs no flush — every batch was fsynced at commit.  The
+     files are final. *)
 
-let guarded_run t req =
-  try run_request t req
-  with
-  | Failure msg -> Protocol.Err msg
-  | e -> Protocol.Err ("internal error: " ^ Printexc.to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* Sessions                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let stop t =
-  let proceed =
-    Mutex.lock t.state_mu;
-    let p = t.state = `Running in
-    if p then t.state <- `Stopping;
-    Mutex.unlock t.state_mu;
-    p
-  in
-  if not proceed then (
-    (* someone else is stopping (or stopped): wait for them *)
-    Mutex.lock t.state_mu;
-    while t.state <> `Stopped do
-      Condition.wait t.state_cond t.state_mu
-    done;
-    Mutex.unlock t.state_mu)
-  else begin
-    (* 1. no new connections.  A thread parked in accept() on an AF_UNIX
-       socket is not reliably woken by shutdown()/close(), so wake it the
-       portable way: hand it one last dummy connection.  The accept loop
-       rechecks the state and exits. *)
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_RECEIVE
-     with Unix.Unix_error _ -> ());
-    (try
-       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       (try Unix.connect fd (Unix.ADDR_UNIX t.cfg.socket_path)
-        with Unix.Unix_error _ -> ());
-       Unix.close fd
-     with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (* 2. no new requests: sessions see EOF after their in-flight reply *)
-    Mutex.lock t.sessions_mu;
-    let sess = Hashtbl.fold (fun _ v acc -> v :: acc) t.sessions [] in
-    Mutex.unlock t.sessions_mu;
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      sess;
-    List.iter (fun (_, th) -> Thread.join th) sess;
-    (* 3. drain the admitted queues, park the workers and the domains *)
-    Scheduler.shutdown t.sched;
-    (match t.exec with Some ex -> Executor.shutdown ex | None -> ());
-    (* 4. stop the commit pipelines — only now: until every session and
-       worker is joined, a writer may still be parked on an ivar only a
-       live pipeline can fill.  By here the queues are provably empty
-       (each queued record's session was joined above, which required its
-       ack, which a pipeline only issues after the batch's fsync), so the
-       domains exit at once. *)
-    Array.iter
-      (fun g ->
-        Mutex.lock g.g_mu;
-        g.g_stop <- true;
-        Condition.broadcast g.g_cond;
-        Mutex.unlock g.g_mu)
-      t.groups;
-    Array.iter Domain.join t.pipelines;
-    (* 5. the WAL needs no flush — every batch was fsynced at commit.
-       The files are final. *)
-    (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
-    Mutex.lock t.state_mu;
-    t.state <- `Stopped;
-    Condition.broadcast t.state_cond;
-    Mutex.unlock t.state_mu
-  end
-
-let wait t =
-  Mutex.lock t.state_mu;
-  while t.state <> `Stopped do
-    Condition.wait t.state_cond t.state_mu
-  done;
-  Mutex.unlock t.state_mu
-
-let request_stop_async t =
-  (* SHUTDOWN arrives on a session thread; stop joins session threads, so
-     it must run elsewhere. *)
-  ignore (Thread.create (fun () -> try stop t with _ -> ()) ())
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener
 
 (* --- Replication endpoint ------------------------------------------
 
@@ -981,15 +861,20 @@ let repl_reply t chunk =
 let run_repl_state t =
   Atomic.incr t.repl_requests;
   let s = Atomic.get t.current in
+  (* live documents only: a retired slot's artifacts are deleted, so a
+     follower asking for its files could only be refused *)
   let s_docs =
     Array.to_list t.masters
-    |> List.map (fun m ->
-           {
-             Replication.name = m.name;
-             gen = Wal.generation m.wal;
-             seq = Wal.seq m.wal;
-             size = Replication.file_size m.wal_path;
-           })
+    |> List.filter_map (fun m ->
+           if m.retired then None
+           else
+             Some
+               {
+                 Replication.name = m.name;
+                 gen = Wal.generation m.wal;
+                 seq = Wal.seq m.wal;
+                 size = Replication.file_size m.wal_path;
+               })
   in
   Protocol.Ok_
     (Replication.encode_state
@@ -1030,12 +915,6 @@ let run_repl_wait t doc want_gen offset timeout_ms =
       Unix.gettimeofday ()
       +. (float_of_int (min timeout_ms Replication.max_wait_ms) /. 1000.)
     in
-    let stopping () =
-      Mutex.lock t.state_mu;
-      let s = t.state <> `Running in
-      Mutex.unlock t.state_mu;
-      s
-    in
     let rec loop () =
       let gen = Wal.generation m.wal in
       if gen <> want_gen then
@@ -1053,7 +932,8 @@ let run_repl_wait t doc want_gen offset timeout_ms =
           in
           repl_reply t { Replication.epoch = t.cfg.epoch; gen; size; data }
         end
-        else if stopping () || Unix.gettimeofday () > deadline then
+        else if (not (Listener.running t.listener))
+                || Unix.gettimeofday () > deadline then
           repl_reply t
             { Replication.epoch = t.cfg.epoch; gen; size; data = "" }
         else begin
@@ -1385,157 +1265,65 @@ let run_drop_doc t doc =
       [ m.xml_path; m.sidecar_path ];
     Protocol.Ok_ (Printf.sprintf "doc=%s dropped v=%d" doc version)
 
-let handle_frame t oc payload =
-  let t0 = Unix.gettimeofday () in
-  let reply verb response =
-    Protocol.write_frame oc (Protocol.response_to_string response);
-    let outcome =
-      match response with
-      | Protocol.Ok_ _ -> `Ok
-      | Protocol.Err _ -> `Err
-      | Protocol.Busy _ -> `Busy
-    in
-    Metrics.record t.metrics ~verb ~outcome
-      ~latency_ns:((Unix.gettimeofday () -. t0) *. 1e9)
-  in
-  match Protocol.parse_request payload with
-  | Error msg -> reply "INVALID" (Protocol.Err msg)
-  | Ok req -> (
-    let verb = Protocol.verb req in
-    match req with
-    (* Control verbs bypass the admission queue: they must stay
-       observable exactly when the queue is saturated. *)
-    | Protocol.Ping -> reply verb (Protocol.Ok_ "pong")
-    | Protocol.Stats -> reply verb (Protocol.Ok_ (Metrics.render t.metrics))
-    | Protocol.Docs ->
-      let s = Atomic.get t.current in
-      reply verb
-        (Protocol.Ok_
-           (Printf.sprintf "v=%d docs=%d %s" s.Snapshot.version
-              (List.length (Snapshot.doc_names s))
-              (String.concat " " (Snapshot.doc_names s))))
-    | Protocol.Shutdown ->
-      reply verb (Protocol.Ok_ "stopping");
-      request_stop_async t
-    (* The replication verbs are control verbs too: a follower's pull must
-       keep draining even when the admission queue is saturated, and a
-       REPL WAIT long-poll may hold its (dedicated) session thread without
-       costing a worker. *)
-    | Protocol.Repl_state -> reply verb (run_repl_state t)
-    | Protocol.Repl_file { doc; file; offset; limit } ->
-      reply verb (run_repl_file t doc file offset limit)
-    | Protocol.Repl_wait { doc; gen; offset; timeout_ms } ->
-      reply verb (run_repl_wait t doc gen offset timeout_ms)
-    | Protocol.Promote ->
-      reply verb
-        (Protocol.Err
-           "PROMOTE: this node is a primary, not a replica (already \
-            accepting writes)")
-    (* Collection membership runs inline too: ingest and rebalance use
-       dedicated connections (blocking one costs no worker), and the verbs
-       must stay available while the admission queue is saturated — a
-       rebalance is often the cure for the saturation. *)
-    | Protocol.Add_doc { doc; xml } -> reply verb (run_add_doc t doc xml)
-    | Protocol.Add_chunk { doc; off; last; bytes } ->
-      reply verb (run_add_chunk t doc off last bytes)
-    | Protocol.Adopt { doc; file; last; bytes } ->
-      reply verb (run_adopt t doc file last bytes)
-    | Protocol.Adopt_abort doc -> reply verb (run_adopt_abort t doc)
-    | Protocol.Drop_doc doc -> reply verb (run_drop_doc t doc)
-    | Protocol.Rebalance _ ->
-      reply verb
-        (Protocol.Err
-           "REBALANCE: this node is a shard; connect to the router")
-    | Protocol.Query _ | Protocol.Count _ | Protocol.Explain _
-    | Protocol.Update _ | Protocol.Check _ | Protocol.Sleep _
-    | Protocol.Query_doc _ | Protocol.Count_doc _ ->
-      let deadline =
-        if t.cfg.deadline_ms = 0 then infinity
-        else t0 +. (float_of_int t.cfg.deadline_ms /. 1000.)
-      in
-      let iv = Ivar.create () in
-      let job () =
-        let response =
-          if Unix.gettimeofday () > deadline then
-            Protocol.Busy "deadline exceeded in queue"
-          else guarded_run t req
-        in
-        Ivar.fill iv response
-      in
-      (* Reads go to the parallel executor when one is configured: they
-         only touch domain-safe state (the immutable snapshot, the sharded
-         cache).  UPDATE (and the testing verb SLEEP) stays on the
-         systhread pool of the main domain — the WAL + write-mutex path. *)
-      let admitted =
-        match (t.exec, req) with
-        | Some ex,
-          ( Protocol.Query _ | Protocol.Count _ | Protocol.Explain _
-          | Protocol.Check _ | Protocol.Query_doc _ | Protocol.Count_doc _ ) ->
-          Executor.submit ~label:verb ex job
-        | _ -> Scheduler.submit ~label:verb t.sched job
-      in
-      if admitted then reply verb (Ivar.read iv)
-      else reply verb (Protocol.Busy "queue full"))
-
-let session_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let rec loop () =
-    match Protocol.read_frame ic with
-    | None -> ()
-    | Some payload ->
-      handle_frame t oc payload;
-      loop ()
-  in
-  (* A peer that drops mid-frame or vanishes before reading its reply
-     (EPIPE on the write — surfaced as Sys_error/Unix_error with SIGPIPE
-     ignored) ends this session alone, counted, never the process. *)
-  (try loop () with
-  | Protocol.Protocol_error _ | End_of_file | Sys_error _ ->
-    Metrics.record_session_error t.metrics
-  | Unix.Unix_error _ -> Metrics.record_session_error t.metrics);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.state_mu;
-    let s = t.state <> `Running in
-    Mutex.unlock t.state_mu;
-    s
-  in
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _ when stopping () ->
-      (* the wake-up connection made by stop, or a late client *)
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    | fd, _ ->
-      let id =
-        Mutex.lock t.sessions_mu;
-        let id = t.next_session in
-        t.next_session <- id + 1;
-        Mutex.unlock t.sessions_mu;
-        id
-      in
-      let th =
-        Thread.create
-          (fun () ->
-            session_loop t fd;
-            Mutex.lock t.sessions_mu;
-            Hashtbl.remove t.sessions id;
-            Mutex.unlock t.sessions_mu)
-          ()
-      in
-      Mutex.lock t.sessions_mu;
-      (* A finished session may already have run its removal, leaving a
-         stale entry here; stop tolerates that (shutdown on a closed fd
-         and join on a dead thread are both harmless). *)
-      Hashtbl.replace t.sessions id (fd, th);
-      Mutex.unlock t.sessions_mu;
-      loop ()
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
+(* Verb dispatch; the listener answers PING, STATS and SHUTDOWN itself. *)
+let dispatch t (req : Protocol.request) =
+  match req with
+  (* Reads go to the parallel executor when one is configured: they only
+     touch domain-safe state (the immutable snapshot, the sharded cache).
+     UPDATE (and the testing verb SLEEP) stays on the systhread pool of
+     the main domain — the WAL + write-mutex path. *)
+  | Protocol.Query _ | Protocol.Count _ | Protocol.Explain _
+  | Protocol.Check _ | Protocol.Query_doc _ | Protocol.Count_doc _ ->
+    Listener.Queued
+      ( Option.value t.exec ~default:t.sched,
+        fun () -> eval_read ?cache:t.cache (Atomic.get t.current) req )
+  | Protocol.Update { doc; op } ->
+    Listener.Queued (t.sched, fun () -> run_update t doc op)
+  | Protocol.Sleep ms ->
+    Listener.Queued
+      ( t.sched,
+        fun () ->
+          Thread.delay (float_of_int ms /. 1000.);
+          Protocol.Ok_ (Printf.sprintf "slept=%d" ms) )
+  (* Every other verb runs inline on the session thread.  DOCS is a
+     control verb: it must stay observable when the queue is saturated. *)
+  | Protocol.Docs ->
+    Listener.Inline (fun () -> eval_read (Atomic.get t.current) req)
+  (* The replication verbs are control verbs too: a follower's pull must
+     keep draining even when the admission queue is saturated, and a
+     REPL WAIT long-poll may hold its (dedicated) session thread without
+     costing a worker. *)
+  | Protocol.Repl_state -> Listener.Inline (fun () -> run_repl_state t)
+  | Protocol.Repl_file { doc; file; offset; limit } ->
+    Listener.Inline (fun () -> run_repl_file t doc file offset limit)
+  | Protocol.Repl_wait { doc; gen; offset; timeout_ms } ->
+    Listener.Inline (fun () -> run_repl_wait t doc gen offset timeout_ms)
+  | Protocol.Promote ->
+    Listener.Inline
+      (fun () ->
+        Protocol.Err
+          "PROMOTE: this node is a primary, not a replica (already \
+           accepting writes)")
+  (* Collection membership runs inline too: ingest and rebalance use
+     dedicated connections (blocking one costs no worker), and the verbs
+     must stay available while the admission queue is saturated — a
+     rebalance is often the cure for the saturation. *)
+  | Protocol.Add_doc { doc; xml } ->
+    Listener.Inline (fun () -> run_add_doc t doc xml)
+  | Protocol.Add_chunk { doc; off; last; bytes } ->
+    Listener.Inline (fun () -> run_add_chunk t doc off last bytes)
+  | Protocol.Adopt { doc; file; last; bytes } ->
+    Listener.Inline (fun () -> run_adopt t doc file last bytes)
+  | Protocol.Adopt_abort doc ->
+    Listener.Inline (fun () -> run_adopt_abort t doc)
+  | Protocol.Drop_doc doc -> Listener.Inline (fun () -> run_drop_doc t doc)
+  | Protocol.Rebalance _ ->
+    Listener.Inline
+      (fun () ->
+        Protocol.Err "REBALANCE: this node is a shard; connect to the router")
+  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown ->
+    Listener.Inline
+      (fun () -> Protocol.Err "internal: node verb reached the service")
 
 (* ------------------------------------------------------------------ *)
 (* Startup                                                             *)
@@ -1552,11 +1340,6 @@ let start cfg docs =
   | Error msg -> invalid_arg ("Service.start: " ^ msg));
   (* An empty collection is a valid start: a shard in the collection
      tier boots bare and is filled by ADDDOC / ADOPT at runtime. *)
-  (* A peer closing its socket before reading a reply must surface as
-     EPIPE on the write — caught per-session — not as a process-killing
-     SIGPIPE.  (No-op on platforms without the signal.) *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
   ensure_dir cfg.data_dir;
   (* Persist the fencing epoch before serving: a follower's refusal rule
      depends on every node knowing which generation it speaks for. *)
@@ -1609,12 +1392,19 @@ let start cfg docs =
          ~version:1 numbered)
   in
   let metrics = Metrics.create () in
+  let listener =
+    Listener.create ~deadline_ms:cfg.deadline_ms ~metrics cfg.socket_path
+  in
   let on_exn ~label e = Metrics.record_dropped metrics ~verb:label e in
   let max_queue = resolved_max_queue cfg in
-  let sched = Scheduler.create ~on_exn ~workers:cfg.workers ~max_queue () in
+  let sched =
+    Pool.create ~on_exn ~kind:`Threads ~workers:cfg.workers ~max_queue ()
+  in
   let exec =
     if cfg.domains = 0 then None
-    else Some (Executor.create ~on_exn ~domains:cfg.domains ~max_queue ())
+    else
+      Some
+        (Pool.create ~on_exn ~kind:`Domains ~workers:cfg.domains ~max_queue ())
   in
   let cache =
     if cfg.cache_mb = 0 then None
@@ -1626,15 +1416,6 @@ let start cfg docs =
         (Query_cache.create ~max_entries:(cfg.cache_mb * 1024)
            ~max_bytes:(cfg.cache_mb * 1024 * 1024) ())
   in
-  (* the socket *)
-  if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
   let t =
     {
       cfg;
@@ -1669,19 +1450,12 @@ let start cfg docs =
       exec;
       cache;
       metrics;
-      listen_fd;
-      accept_thread = None;
-      sessions = Hashtbl.create 16;
-      sessions_mu = Mutex.create ();
-      next_session = 0;
-      state_mu = Mutex.create ();
-      state_cond = Condition.create ();
-      state = `Running;
+      listener;
     }
   in
   Metrics.set_queue_probe metrics (fun () ->
-      Scheduler.queue_depth t.sched
-      + match t.exec with Some ex -> Executor.queue_depth ex | None -> 0);
+      Pool.queue_depth t.sched
+      + match t.exec with Some ex -> Pool.queue_depth ex | None -> 0);
   Metrics.set_snapshot_probe metrics (fun () ->
       let s = Atomic.get t.current in
       (s.Snapshot.version, s.Snapshot.published_at));
@@ -1698,7 +1472,7 @@ let start cfg docs =
         })
   | None -> ());
   (match t.exec with
-  | Some ex -> Metrics.set_domain_probe metrics (fun () -> Executor.busy_seconds ex)
+  | Some ex -> Metrics.set_domain_probe metrics (fun () -> Pool.busy_seconds ex)
   | None -> ());
   (match planner_shared with
   | None -> ()
@@ -1789,5 +1563,5 @@ let start cfg docs =
       });
   t.pipelines <-
     Array.map (fun g -> Domain.spawn (fun () -> pipeline_loop t g)) t.groups;
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Listener.serve listener ~teardown:(teardown t) (dispatch t);
   t

@@ -4,8 +4,8 @@
     (every hosted document's {!Ruid.Ruid2} numbering), durability (every
     structural update committed through {!Rstorage.Wal} before it is
     visible), and query evaluation (the numbering-driven engine) — behind
-    a Unix-socket protocol ({!Protocol}) served by a worker pool
-    ({!Scheduler}).
+    a Unix-socket protocol ({!Protocol}) served on a {!Listener} by a
+    worker {!Pool}.
 
     Concurrency contract:
     - {e Reads are snapshot-isolated and never block.}  Workers grab the
@@ -14,8 +14,8 @@
       numbering before an update or after it — never a half-renumbered
       area.
     - {e Reads scale with cores when asked to.}  With [domains > 0],
-      QUERY/COUNT/CHECK run on a fixed pool of OCaml 5 domains
-      ({!Executor}) instead of systhreads, evaluating in true parallel
+      QUERY/COUNT/CHECK run on a fixed {!Pool} of OCaml 5 domains
+      instead of systhreads, evaluating in true parallel
       against the immutable snapshot; with [cache_mb > 0] their answers
       are memoized in a snapshot-versioned sharded LRU ({!Query_cache})
       whose keys embed the snapshot version — a cached answer can never
@@ -59,8 +59,9 @@
       clients get [BUSY] immediately, and a per-request deadline turns
       stale queued work into [BUSY] instead of late replies.
 
-    Graceful shutdown stops the accept loop, unblocks every session,
-    drains admitted work, and leaves [<doc>.xml] + [<doc>.ruid] + [<doc>.wal]
+    Graceful shutdown ({!Listener.stop}) stops the accept loop, unblocks
+    and joins every session, then drains admitted work and stops the
+    commit pipelines, and leaves [<doc>.xml] + [<doc>.ruid] + [<doc>.wal]
     in the data directory such that {!Rstorage.Wal.fsck} rates them
     recoverable (0 or 1) — the crash story and the shutdown story are the
     same story. *)
@@ -170,8 +171,9 @@ val doc_files : t -> string -> (string * string * string) option
 
 val eval_read :
   ?cache:Query_cache.t -> Snapshot.t -> Protocol.request -> Protocol.response
-(** Evaluate one of the four read verbs ([QUERY], [COUNT], [EXPLAIN],
-    [CHECK]) over an explicit snapshot.  This is the service's own read
+(** Evaluate one of the read verbs ([QUERY], [COUNT], [EXPLAIN], [CHECK],
+    [QUERYD], [COUNTD], [DOCS]) over an explicit snapshot.  This is the
+    service's own read
     path with the snapshot made a parameter: {!Replica} serves reads
     through it, so a caught-up follower's replies are byte-identical to
     the primary's at the same version.  Any other request is answered

@@ -6,7 +6,7 @@ module Dom = Rxml.Dom
 module P = Rserver.Protocol
 module C = Rserver.Client
 module Service = Rserver.Service
-module Executor = Rserver.Executor
+module Pool = Rserver.Pool
 module Cache = Rserver.Query_cache
 module Wal = Rstorage.Wal
 
@@ -141,24 +141,24 @@ let test_cache_byte_cap () =
     (Cache.find c ~doc:"d" ~version:99 ~query:"huge")
 
 (* ------------------------------------------------------------------ *)
-(* Executor                                                            *)
+(* Pools: domain workers, and exception accounting                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_executor_runs_jobs () =
-  let ex = Executor.create ~domains:2 ~max_queue:16 () in
+  let ex = Pool.create ~kind:`Domains ~workers:2 ~max_queue:16 () in
   let counter = Atomic.make 0 in
   let n = 50 in
   let submitted = ref 0 in
   for _ = 1 to n do
-    if Executor.submit ex (fun () -> Atomic.incr counter) then incr submitted
+    if Pool.submit ex (fun () -> Atomic.incr counter) then incr submitted
   done;
-  Executor.shutdown ex;
+  Pool.shutdown ex;
   Alcotest.(check int) "all admitted jobs ran" !submitted (Atomic.get counter);
   Alcotest.(check bool) "most jobs admitted" true (!submitted > 0);
-  Alcotest.(check int) "two domains" 2 (Executor.domains ex);
-  Alcotest.(check int) "drained" 0 (Executor.queue_depth ex);
+  Alcotest.(check int) "two domains" 2 (Pool.workers ex);
+  Alcotest.(check int) "drained" 0 (Pool.queue_depth ex);
   Alcotest.(check bool) "rejects after shutdown" false
-    (Executor.submit ex (fun () -> ()))
+    (Pool.submit ex (fun () -> ()))
 
 let test_executor_bounds_and_exceptions () =
   let dropped = ref [] and dmu = Mutex.create () in
@@ -167,7 +167,7 @@ let test_executor_bounds_and_exceptions () =
     dropped := (label, Printexc.to_string e) :: !dropped;
     Mutex.unlock dmu
   in
-  let ex = Executor.create ~on_exn ~domains:1 ~max_queue:2 () in
+  let ex = Pool.create ~on_exn ~kind:`Domains ~workers:1 ~max_queue:2 () in
   let release = Mutex.create () and released = Condition.create () in
   let go = ref false in
   let blocker () =
@@ -177,19 +177,19 @@ let test_executor_bounds_and_exceptions () =
     done;
     Mutex.unlock release
   in
-  Alcotest.(check bool) "job admitted" true (Executor.submit ex blocker);
+  Alcotest.(check bool) "job admitted" true (Pool.submit ex blocker);
   Thread.delay 0.1;
   (* the domain holds the blocker; fill the queue *)
   Alcotest.(check bool) "slot 1" true
-    (Executor.submit ~label:"BOOM" ex (fun () -> failwith "kaput"));
-  Alcotest.(check bool) "slot 2" true (Executor.submit ex (fun () -> ()));
-  Alcotest.(check bool) "queue full" false (Executor.submit ex (fun () -> ()));
-  Alcotest.(check int) "depth" 2 (Executor.queue_depth ex);
+    (Pool.submit ~label:"BOOM" ex (fun () -> failwith "kaput"));
+  Alcotest.(check bool) "slot 2" true (Pool.submit ex (fun () -> ()));
+  Alcotest.(check bool) "queue full" false (Pool.submit ex (fun () -> ()));
+  Alcotest.(check int) "depth" 2 (Pool.queue_depth ex);
   Mutex.lock release;
   go := true;
   Condition.broadcast released;
   Mutex.unlock release;
-  Executor.shutdown ex;
+  Pool.shutdown ex;
   (match !dropped with
   | [ (label, msg) ] ->
     Alcotest.(check string) "label reaches on_exn" "BOOM" label;
@@ -197,23 +197,23 @@ let test_executor_bounds_and_exceptions () =
       (String.length msg > 0)
   | l -> Alcotest.failf "expected exactly one dropped exception, got %d"
            (List.length l));
-  let busy = Executor.busy_seconds ex in
+  let busy = Pool.busy_seconds ex in
   Alcotest.(check int) "one busy slot" 1 (Array.length busy);
   Alcotest.(check bool) "busy time accumulated" true (busy.(0) > 0.)
 
 let test_scheduler_reports_dropped () =
   let m = Rserver.Metrics.create () in
   let sched =
-    Rserver.Scheduler.create
+    Pool.create
       ~on_exn:(fun ~label e -> Rserver.Metrics.record_dropped m ~verb:label e)
-      ~workers:1 ~max_queue:8 ()
+      ~kind:`Threads ~workers:1 ~max_queue:8 ()
   in
   Alcotest.(check bool) "raising job admitted" true
-    (Rserver.Scheduler.submit ~label:"QUERY" sched (fun () -> failwith "x"));
+    (Pool.submit ~label:"QUERY" sched (fun () -> failwith "x"));
   Alcotest.(check bool) "second raising job" true
-    (Rserver.Scheduler.submit ~label:"QUERY" sched (fun () ->
+    (Pool.submit ~label:"QUERY" sched (fun () ->
          raise Not_found));
-  Rserver.Scheduler.shutdown sched;
+  Pool.shutdown sched;
   Alcotest.(check int) "both counted" 2 (Rserver.Metrics.dropped m);
   let stats = Rserver.Metrics.render m in
   Alcotest.(check bool) "rendered in STATS" true

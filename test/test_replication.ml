@@ -39,7 +39,7 @@ let ok_body = function
   | P.Busy m -> Alcotest.failf "unexpected BUSY %s" m
 
 let with_primary ?(wal_segment_bytes = 0) ?(epoch = 1) ?(commit_groups = 0)
-    ?(workers = 2) docs f =
+    ?(workers = 2) ?(max_area_size = 8) docs f =
   let cfg =
     {
       Service.socket_path = sock_path ();
@@ -47,7 +47,7 @@ let with_primary ?(wal_segment_bytes = 0) ?(epoch = 1) ?(commit_groups = 0)
       workers;
       max_queue = 32;
       deadline_ms = 0;
-      max_area_size = 8;
+      max_area_size;
       max_depth = 10_000;
       domains = 0;
       cache_mb = 0;
@@ -376,6 +376,160 @@ let test_multi_group_catch_up () =
     names
 
 (* ------------------------------------------------------------------ *)
+(* Membership: a document dropped upstream                             *)
+(* ------------------------------------------------------------------ *)
+
+let total_of sock req =
+  C.with_connection sock @@ fun c ->
+  match C.kv_int (ok_body (C.request c req)) "total" with
+  | Some n -> n
+  | None -> Alcotest.fail "reply lacks total="
+
+let insert_x doc =
+  P.Update { doc; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "x" } }
+
+(* Replicas mirror the document set fixed at bootstrap.  A DROPDOC
+   upstream must neither stall a running replica (every pull round used
+   to fail on the dropped document, so the documents after it were never
+   polled) nor stop a new one from bootstrapping off the live set. *)
+let test_follow_after_dropdoc () =
+  with_primary [ ("a", lib_doc ()); ("b", lib_doc ()) ] @@ fun pcfg _ ->
+  let psock = pcfg.Service.socket_path in
+  let xs sock = total_of sock (P.Count_doc { doc = "b"; xpath = "//x" }) in
+  let before = replica_config ~primary:psock () in
+  with_replica before @@ fun _ ->
+  ignore
+    (ok_body (C.with_connection psock (fun c -> C.request c (P.Drop_doc "a"))));
+  C.with_connection psock (fun c ->
+      for _ = 1 to 5 do
+        ignore (ok_body (C.request c (insert_x "b")))
+      done);
+  let rsock = before.Replica.socket_path in
+  wait_until ~timeout_s:10. ~what:"the running replica to follow b"
+    (fun () -> xs rsock = 5);
+  Alcotest.(check int) "no reconnects" 0 (stats_kv rsock "repl_reconnects");
+  Alcotest.(check int) "the dropped document stays served" 2
+    (total_of rsock (P.Count_doc { doc = "a"; xpath = "//book" }));
+  let after = replica_config ~primary:psock () in
+  with_replica after @@ fun _ ->
+  let rsock = after.Replica.socket_path in
+  Alcotest.(check int) "a new replica mirrors the live set" 5 (xs rsock);
+  match
+    C.with_connection rsock (fun c ->
+        C.request c (P.Count_doc { doc = "a"; xpath = "//book" }))
+  with
+  | P.Err _ -> ()
+  | r ->
+    Alcotest.failf "the dropped document was mirrored: %s"
+      (P.response_to_string r)
+
+(* A bootstrap that fails after the replica bound its socket must leave
+   neither the socket file nor a listener behind.  The upstream is a toy
+   listener that lists a document and then refuses its files. *)
+let test_failed_bootstrap_cleans_up () =
+  let module L = Rserver.Listener in
+  let upstream = sock_path () in
+  let l = L.create ~metrics:(Rserver.Metrics.create ()) upstream in
+  let state =
+    Rserver.Replication.encode_state
+      { Rserver.Replication.s_epoch = 1; s_version = 1;
+        s_docs =
+          [ { Rserver.Replication.name = "ghost"; gen = 0; seq = 0; size = 0 }
+          ] }
+  in
+  L.serve l ~teardown:ignore (function
+    | P.Repl_state -> L.Inline (fun () -> P.Ok_ state)
+    | _ -> L.Inline (fun () -> P.Err "unknown document \"ghost\""));
+  Fun.protect ~finally:(fun () -> L.stop l) @@ fun () ->
+  let rcfg = replica_config ~primary:upstream () in
+  (match Replica.start rcfg with
+  | r ->
+    Replica.stop r;
+    Alcotest.fail "bootstrap off a refusing upstream succeeded"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "no socket left behind" false
+    (Sys.file_exists rcfg.Replica.socket_path)
+
+(* ------------------------------------------------------------------ *)
+(* A promoted replica's update that fails part-way                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A chain [depth] elements deep: at max_area_size 64 it is one area, so
+   every child inserted under its root raises the fan-out the area's
+   62-bit local identifiers are enumerated with, until they overflow. *)
+let chain depth =
+  String.concat "" (List.init depth (Printf.sprintf "<c%d>"))
+  ^ String.concat ""
+      (List.init depth (fun i -> Printf.sprintf "</c%d>" (depth - 1 - i)))
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+(* Uid.Overflow is raised by [Wal.apply] after the tree changed.  On a
+   promoted replica it must be answered like on a primary — the writer
+   copy re-cloned from the published one — and nothing half-applied may
+   reach the journal or a later update. *)
+let test_promoted_overflow () =
+  with_primary ~max_area_size:64 [ ("deep", doc_of_string (chain 16)) ]
+  @@ fun pcfg _ ->
+  let rcfg = replica_config ~primary:pcfg.Service.socket_path () in
+  let xs =
+    with_replica rcfg @@ fun _ ->
+    C.with_connection rcfg.Replica.socket_path @@ fun c ->
+    ignore (ok_body (C.request c P.Promote));
+    let rec drive acked =
+      if acked > 200 then Alcotest.fail "no overflow after 200 inserts"
+      else
+        match C.request_timeout c ~timeout_ms:10_000 (insert_x "deep") with
+        | P.Ok_ _ -> drive (acked + 1)
+        | P.Err msg -> (acked, msg)
+        | P.Busy msg -> Alcotest.failf "unexpected BUSY %s" msg
+        | exception C.Timeout -> Alcotest.fail "no reply within 10 s"
+    in
+    let acked, msg = drive 0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "overflow answered as a rejected update (%s)" msg)
+      true
+      (String.starts_with ~prefix:"update rejected: " msg
+      && contains msg "Overflow");
+    Alcotest.(check string) "the session carries on" "OK pong"
+      (P.response_to_string (C.request c P.Ping));
+    ignore (ok_body (C.request c (P.Check "deep")));
+    let xs () =
+      match
+        C.kv_int
+          (ok_body (C.request c (P.Count_doc { doc = "deep"; xpath = "//x" })))
+          "total"
+      with
+      | Some n -> n
+      | None -> Alcotest.fail "COUNTD lacks total="
+    in
+    Alcotest.(check int) "only acknowledged inserts visible" acked (xs ());
+    ignore
+      (ok_body
+         (C.request c
+            (P.Update { doc = "deep"; op = Wal.Delete { rank = 1 } })));
+    ignore (ok_body (C.request c (P.Check "deep")));
+    let last = xs () in
+    Alcotest.(check int) "the delete applied" (acked - 1) last;
+    last
+  in
+  (* the journal rebuilds exactly what was served *)
+  let file ext = Filename.concat rcfg.Replica.data_dir ("deep" ^ ext) in
+  let recovery =
+    Wal.replay ~xml:(file ".xml") ~sidecar:(file ".ruid") ~wal:(file ".wal") ()
+  in
+  let replayed =
+    Dom.fold_preorder
+      (fun n node -> if Dom.tag node = "x" then n + 1 else n)
+      0
+      (Ruid.Ruid2.root recovery.Wal.r2)
+  in
+  Alcotest.(check int) "replay of the replica's journal" xs replayed
+
+(* ------------------------------------------------------------------ *)
 (* Fenced failover: 10-seed split-brain suite                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -500,4 +654,10 @@ let suite =
       test_multi_group_catch_up;
     Alcotest.test_case "fenced failover split-brain (10 seeds)" `Slow
       test_failover_seeds;
+    Alcotest.test_case "replicas keep following after a DROPDOC upstream"
+      `Quick test_follow_after_dropdoc;
+    Alcotest.test_case "promoted replica rejects an overflowing update"
+      `Quick test_promoted_overflow;
+    Alcotest.test_case "failed bootstrap leaves no socket behind" `Quick
+      test_failed_bootstrap_cleans_up;
   ]

@@ -739,37 +739,83 @@ let test_segment_rotation_service () =
   in
   Alcotest.(check int) "recovered all thirty <m>" 30 (List.length ms)
 
+(* ------------------------------------------------------------------ *)
+(* Lifecycle, alike on every role                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A running node of one of the three serving roles, for the lifecycle
+   behaviour they share through the listener: its socket, its stop and
+   wait, and a request whose reply takes about 60 ms to produce. *)
+type node = {
+  role : string;
+  socket : string;
+  stop : unit -> unit;
+  wait : unit -> unit;
+  slow : P.request;
+}
+
+let roles = [ `Service; `Replica; `Router ]
+
+let with_node role f =
+  let lib = [ ("lib", doc_of_string library) ] in
+  match role with
+  | `Service ->
+    with_server lib @@ fun cfg t ->
+    f { role = "service"; socket = cfg.Service.socket_path;
+        stop = (fun () -> Service.stop t); wait = (fun () -> Service.wait t);
+        slow = P.Sleep 60 }
+  | `Replica ->
+    with_server lib @@ fun cfg _t ->
+    let module R = Rserver.Replica in
+    let rcfg =
+      R.default_config ~socket_path:(sock_path ()) ~data_dir:(temp_dir ())
+        ~primary:cfg.Service.socket_path ()
+    in
+    let r = R.start rcfg in
+    Fun.protect ~finally:(fun () -> R.stop r) @@ fun () ->
+    f { role = "replica"; socket = rcfg.R.socket_path;
+        stop = (fun () -> R.stop r); wait = (fun () -> R.wait r);
+        slow = P.Sleep 60 }
+  | `Router ->
+    let module Rt = Rserver.Router in
+    let module L = Rserver.Listener in
+    (* a toy shard that takes 60 ms over every reply *)
+    let shard_sock = sock_path () in
+    let shard = L.create ~metrics:(Rserver.Metrics.create ()) shard_sock in
+    L.serve shard ~teardown:ignore (fun _ ->
+        L.Inline
+          (fun () ->
+            Thread.delay 0.06;
+            P.Ok_ "v=1 total=0"));
+    let rcfg =
+      Rt.default_config ~socket_path:(sock_path ())
+        ~shard_sockets:[| shard_sock |] ()
+    in
+    let rt = Rt.start rcfg in
+    Fun.protect
+      ~finally:(fun () ->
+        Rt.stop rt;
+        L.stop shard)
+    @@ fun () ->
+    f { role = "router"; socket = rcfg.Rt.socket_path;
+        stop = (fun () -> Rt.stop rt); wait = (fun () -> Rt.wait rt);
+        slow = P.Count "//title" }
+
 let test_shutdown_verb () =
-  let cfg =
-    {
-      Service.socket_path = sock_path ();
-      data_dir = temp_dir ();
-      workers = 2;
-      max_queue = 8;
-      deadline_ms = 0;
-      max_area_size = 8;
-      max_depth = 10_000;
-      domains = 0;
-      cache_mb = 0;
-      commit_interval_us = 0;
-      commit_max_batch = 64;
-      commit_groups = 0;
-      wal_segment_bytes = 0;
-      planner = true;
-      plan_cache = 256;
-      epoch = 1;
-    }
-  in
-  let t = Service.start cfg [ ("lib", doc_of_string library) ] in
-  (C.with_connection cfg.Service.socket_path @@ fun c ->
-   match C.request c P.Shutdown with
-   | P.Ok_ _ -> ()
-   | r -> Alcotest.failf "shutdown: %s" (P.response_to_string r));
-  Service.wait t;
-  Alcotest.(check bool) "socket removed" false
-    (Sys.file_exists cfg.Service.socket_path);
-  (* idempotent *)
-  Service.stop t
+  List.iter
+    (fun role ->
+      with_node role @@ fun n ->
+      (C.with_connection n.socket @@ fun c ->
+       match C.request c P.Shutdown with
+       | P.Ok_ _ -> ()
+       | r ->
+         Alcotest.failf "%s: shutdown: %s" n.role (P.response_to_string r));
+      n.wait ();
+      Alcotest.(check bool) (n.role ^ ": socket removed") false
+        (Sys.file_exists n.socket);
+      (* idempotent *)
+      n.stop ())
+    roles
 
 let test_config_validation () =
   let base =
@@ -814,11 +860,13 @@ let test_config_validation () =
       ignore (Service.start base [ ("../evil", doc_of_string library) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler and thread-safe counters                                  *)
+(* Thread pool and thread-safe counters                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_scheduler_bounds () =
-  let sched = Rserver.Scheduler.create ~workers:1 ~max_queue:2 () in
+  let sched =
+    Rserver.Pool.create ~kind:`Threads ~workers:1 ~max_queue:2 ()
+  in
   let release = Mutex.create () and released = Condition.create () in
   let go = ref false in
   let blocker () =
@@ -829,22 +877,22 @@ let test_scheduler_bounds () =
     Mutex.unlock release
   in
   Alcotest.(check bool) "worker job admitted" true
-    (Rserver.Scheduler.submit sched blocker);
+    (Rserver.Pool.submit sched blocker);
   Thread.delay 0.05;
   (* worker busy *)
-  Alcotest.(check bool) "slot 1" true (Rserver.Scheduler.submit sched blocker);
-  Alcotest.(check bool) "slot 2" true (Rserver.Scheduler.submit sched blocker);
+  Alcotest.(check bool) "slot 1" true (Rserver.Pool.submit sched blocker);
+  Alcotest.(check bool) "slot 2" true (Rserver.Pool.submit sched blocker);
   Alcotest.(check bool) "queue full" false
-    (Rserver.Scheduler.submit sched (fun () -> ()));
-  Alcotest.(check int) "depth" 2 (Rserver.Scheduler.queue_depth sched);
+    (Rserver.Pool.submit sched (fun () -> ()));
+  Alcotest.(check int) "depth" 2 (Rserver.Pool.queue_depth sched);
   Mutex.lock release;
   go := true;
   Condition.broadcast released;
   Mutex.unlock release;
-  Rserver.Scheduler.shutdown sched;
-  Alcotest.(check int) "drained" 0 (Rserver.Scheduler.queue_depth sched);
+  Rserver.Pool.shutdown sched;
+  Alcotest.(check int) "drained" 0 (Rserver.Pool.queue_depth sched);
   Alcotest.(check bool) "rejected after shutdown" false
-    (Rserver.Scheduler.submit sched (fun () -> ()))
+    (Rserver.Pool.submit sched (fun () -> ()))
 
 let test_io_stats_concurrent () =
   let stats = Rstorage.Io_stats.create () in
@@ -893,38 +941,41 @@ let test_buffer_pool_concurrent () =
     Rstorage.Io_stats.(s.page_reads + s.hits)
 
 (* A peer that hangs up mid-reply must cost exactly one session (and one
-   error counter tick), never the process: the server writes the reply
+   error counter tick), never the process: the node writes the reply
    into a closed socket, takes EPIPE/ECONNRESET, and moves on. *)
 let test_peer_drop_mid_reply () =
-  let doc = doc_of_string "<lib><a/><b/></lib>" in
-  with_server [ ("lib", doc) ] @@ fun cfg _t ->
-  let session_errors () =
-    C.with_connection cfg.Service.socket_path @@ fun c ->
-    get_kv (ok_body (C.request c P.Stats)) "session_errors"
-  in
-  let before = session_errors () in
-  (* park a request on a worker, then vanish before the reply lands *)
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX cfg.Service.socket_path);
-  let oc = Unix.out_channel_of_descr fd in
-  P.write_frame oc (P.request_to_string (P.Sleep 60));
-  Unix.close fd;
-  (* the reply write happens ~60ms from now; poll for the counter *)
-  let deadline = Unix.gettimeofday () +. 5. in
-  let rec wait () =
-    if session_errors () > before then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "peer drop was never counted as a session error"
-    else begin
-      Thread.delay 0.02;
-      wait ()
-    end
-  in
-  wait ();
-  (* and the server is entirely unharmed *)
-  C.with_connection cfg.Service.socket_path @@ fun c ->
-  Alcotest.(check string) "server still serves" "pong"
-    (ok_body (C.request c P.Ping))
+  List.iter
+    (fun role ->
+      with_node role @@ fun n ->
+      let session_errors () =
+        C.with_connection n.socket @@ fun c ->
+        get_kv (ok_body (C.request c P.Stats)) "session_errors"
+      in
+      let before = session_errors () in
+      (* start a slow request, then vanish before the reply lands *)
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX n.socket);
+      let oc = Unix.out_channel_of_descr fd in
+      P.write_frame oc (P.request_to_string n.slow);
+      Unix.close fd;
+      (* the reply write happens ~60ms from now; poll for the counter *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec wait () =
+        if session_errors () > before then ()
+        else if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s: peer drop was never counted as a session error"
+            n.role
+        else begin
+          Thread.delay 0.02;
+          wait ()
+        end
+      in
+      wait ();
+      (* and the node is entirely unharmed *)
+      C.with_connection n.socket @@ fun c ->
+      Alcotest.(check string) (n.role ^ " still serves") "pong"
+        (ok_body (C.request c P.Ping)))
+    roles
 
 (* ------------------------------------------------------------------ *)
 (* Streaming ingest: ADDCHUNK spooling and the depth budget             *)
