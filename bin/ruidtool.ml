@@ -658,6 +658,32 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix domain socket path.")
 
+(* ------------------------------------------------------------------ *)
+(* Serving roles: run until SHUTDOWN, SIGTERM or SIGINT                *)
+(* ------------------------------------------------------------------ *)
+
+let stop_signals = [ Sys.sigint; Sys.sigterm ]
+
+(* Called just before a role starts, so every thread and domain it spawns
+   inherits the mask and no thread takes the stop signals asynchronously:
+   an OCaml handler runs on whichever thread next polls for signals, and
+   the role's [stop] joins most of the threads that could.
+   {!serve_until_stopped} takes them with sigwait instead. *)
+let block_stop_signals () =
+  ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals)
+
+(* Park until the role stops, by SHUTDOWN or by a stop signal: one thread
+   waits for SIGINT/SIGTERM and runs the role's graceful [stop], which
+   removes the socket and lets [wait] return. *)
+let serve_until_stopped ~stop ~wait =
+  ignore
+    (Thread.create
+       (fun () ->
+         ignore (Thread.wait_signal stop_signals);
+         stop ())
+       ());
+  wait ()
+
 let serve_cmd =
   let files =
     Arg.(
@@ -895,6 +921,7 @@ let serve_cmd =
                    Rxml.Parser.pp_error e))
           files
     in
+    block_stop_signals ();
     let t =
       try Service.start cfg docs
       with Invalid_argument msg -> fail msg
@@ -914,10 +941,9 @@ let serve_cmd =
       (if deadline_ms = 0 then "none" else string_of_int deadline_ms ^ "ms")
       (if planner then Printf.sprintf "on (plan cache %d)" plan_cache
        else "off");
-    let stop_and_exit _ = Service.stop t; exit 0 in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop_and_exit);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_and_exit);
-    Service.wait t;
+    serve_until_stopped
+      ~stop:(fun () -> Service.stop t)
+      ~wait:(fun () -> Service.wait t);
     print_endline "server stopped."
   in
   Cmd.v
@@ -1024,6 +1050,7 @@ let replica_cmd =
     (match Rserver.Replica.validate_config cfg with
     | Ok () -> ()
     | Error msg -> fail msg);
+    block_stop_signals ();
     let t =
       try Rserver.Replica.start cfg with
       | Rserver.Replica.Fenced { seen; got } ->
@@ -1048,10 +1075,9 @@ let replica_cmd =
       (Rserver.Replica.epoch t)
       socket s.Rserver.Snapshot.version workers
       (Rserver.Replica.resolved_max_queue cfg);
-    let stop_and_exit _ = Rserver.Replica.stop t; exit 0 in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop_and_exit);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_and_exit);
-    Rserver.Replica.wait t;
+    serve_until_stopped
+      ~stop:(fun () -> Rserver.Replica.stop t)
+      ~wait:(fun () -> Rserver.Replica.wait t);
     print_endline "replica stopped."
   in
   Cmd.v
@@ -1197,6 +1223,7 @@ let router_cmd =
     (match Router.validate_config cfg with
     | Ok () -> ()
     | Error msg -> fail msg);
+    block_stop_signals ();
     let t = try Router.start cfg with Invalid_argument msg -> fail msg in
     Printf.printf
       "routing %d shard(s) on %s (fanout %s, shard deadline %s)\n%!"
@@ -1205,10 +1232,9 @@ let router_cmd =
       (if shard_deadline_ms = 0 then "none"
        else string_of_int shard_deadline_ms ^ "ms");
     List.iteri (fun i s -> Printf.printf "  shard %d: %s\n%!" i s) shards;
-    let stop_and_exit _ = Router.stop t; exit 0 in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop_and_exit);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_and_exit);
-    Router.wait t;
+    serve_until_stopped
+      ~stop:(fun () -> Router.stop t)
+      ~wait:(fun () -> Router.wait t);
     print_endline "router stopped."
   in
   Cmd.v

@@ -8,36 +8,47 @@ let connect path =
      raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
-let request_raw t line =
-  Protocol.write_frame t.oc line;
+let send_raw t line = Protocol.write_frame t.oc line
+let send t req = send_raw t (Protocol.request_to_string req)
+
+let receive t =
   match Protocol.read_frame t.ic with
   | Some payload -> Protocol.parse_response payload
   | None -> raise End_of_file
+
+let request_raw t line =
+  send_raw t line;
+  receive t
 
 let request t req = request_raw t (Protocol.request_to_string req)
 
+(* Park on readability rather than in a blocking read.  With at most one
+   request outstanding per connection, nothing is left in its input
+   buffer between replies, so a readable socket is the start of the next
+   reply, or the peer hanging up. *)
+let wait_readable ts ~until =
+  let rec go () =
+    let timeout =
+      if until = infinity then -1.
+      else Float.max 0. (until -. Unix.gettimeofday ())
+    in
+    match Unix.select (List.map (fun t -> t.fd) ts) [] [] timeout with
+    | ready, _, _ -> List.filter (fun t -> List.memq t.fd ready) ts
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  if ts = [] then [] else go ()
+
 exception Timeout
 
-(* Deadline-capped request: park on readability of the socket rather than
-   in a blocking read.  On expiry the connection is poisoned (the reply
-   may still arrive and would desynchronize the stream), so the caller
-   must close it — the router does, and reconnects with backoff. *)
+(* On expiry the connection is poisoned (the reply may still arrive and
+   would desynchronize the stream), so the caller must close it. *)
 let request_timeout t ~timeout_ms req =
-  Protocol.write_frame t.oc (Protocol.request_to_string req);
-  (if timeout_ms > 0 then
-     let rec wait deadline =
-       let left = deadline -. Unix.gettimeofday () in
-       if left <= 0. then raise Timeout
-       else
-         match Unix.select [ t.fd ] [] [] left with
-         | [], _, _ -> raise Timeout
-         | _ -> ()
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait deadline
-     in
-     wait (Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.)));
-  match Protocol.read_frame t.ic with
-  | Some payload -> Protocol.parse_response payload
-  | None -> raise End_of_file
+  send t req;
+  if timeout_ms > 0 then begin
+    let until = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.) in
+    if wait_readable [ t ] ~until = [] then raise Timeout
+  end;
+  receive t
 
 let close t =
   (try flush t.oc with Sys_error _ -> ());

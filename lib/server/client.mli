@@ -22,7 +22,30 @@ val request_timeout : t -> timeout_ms:int -> Protocol.request -> Protocol.respon
     readability for at most [timeout_ms] (0 = wait forever).
     @raise Timeout on expiry — the connection is then poisoned (a late
     reply would desynchronize the request/reply stream) and must be
-    closed.  The router's per-shard deadline. *)
+    closed. *)
+
+(** {2 The pieces of a request}
+
+    [request] is {!send} then {!receive}; {!request_timeout} waits with
+    {!wait_readable} in between.  A caller holding several connections —
+    the router's scatter — sends on each, waits on all of them at once
+    and receives as replies land.  At most one request may be outstanding
+    per connection. *)
+
+val send : t -> Protocol.request -> unit
+val send_raw : t -> string -> unit
+(** Write one request frame and flush it. *)
+
+val wait_readable : t list -> until:float -> t list
+(** Block until a reply can be read on at least one of the connections,
+    or the absolute time [until] (as {!Unix.gettimeofday}; [infinity]
+    waits forever) passes; return the readable ones, [[]] on expiry.  A
+    reply already waiting is returned even when [until] has passed. *)
+
+val receive : t -> Protocol.response
+(** Read one reply.
+    @raise Protocol.Protocol_error on a framing violation;
+    @raise End_of_file if the server hung up. *)
 
 val close : t -> unit
 

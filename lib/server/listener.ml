@@ -198,8 +198,11 @@ let handle_frame t handler oc payload =
                Protocol.Busy "deadline exceeded in queue"
              else guard f)
         in
-        if Pool.submit ~label:verb pool job then reply verb (Ivar.read iv)
-        else reply verb (Protocol.Busy "queue full")))
+        (* A free slot runs the job right here: the hop to a worker costs
+           two wake-ups and, on a systhread pool, buys no parallelism. *)
+        match Pool.run_or_submit ~label:verb pool job with
+        | `Ran | `Queued -> reply verb (Ivar.read iv)
+        | `Refused -> reply verb (Protocol.Busy "queue full")))
 
 let session_loop t handler fd =
   let ic = Unix.in_channel_of_descr fd in

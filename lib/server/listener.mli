@@ -19,9 +19,12 @@
     - {b One exception guard} around every handler call, inline or
       queued: [Failure m] answers [ERR m], anything else
       [ERR internal error: ...]; the session carries on.
-    - {b Admission} for queued verbs: a {!Pool} that refuses the job
-      answers [BUSY queue full]; a job that reaches its worker past the
-      configured deadline answers [BUSY deadline exceeded in queue].
+    - {b Admission} for queued verbs, through {!Pool.run_or_submit}: a
+      systhread pool with a free slot runs the verb on the session
+      thread; otherwise it waits in the pool's queue.  A pool that
+      refuses the job answers [BUSY queue full]; a job that starts past
+      the configured deadline answers [BUSY deadline exceeded in
+      queue].
     - {b The lifecycle}: {!running}, {!wait}, {!request_stop} and an
       idempotent {!stop}. *)
 
@@ -43,8 +46,10 @@ type action =
   | Inline of (unit -> Protocol.response)
       (** run on the session thread, bypassing admission *)
   | Queued of Pool.t * (unit -> Protocol.response)
-      (** run on a worker of the pool, subject to its bound and the
-          deadline; the session parks until the reply is ready *)
+      (** run under the pool's admission, subject to its bound and the
+          deadline: on the session thread when a systhread slot is free,
+          else on a worker while the session parks until the reply is
+          ready *)
 
 val check_socket_path : string -> (unit, string) result
 (** Non-empty, and at most 100 bytes (the portable [sockaddr_un] limit).

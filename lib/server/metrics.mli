@@ -145,7 +145,9 @@ val set_repl_probe : t -> (unit -> repl_stats) -> unit
 type router_stats = {
   shard_up : bool array;  (** per-shard liveness, shard order *)
   shard_docs : int array;  (** catalogued documents per shard *)
-  inflight : int;  (** scatter sub-requests currently in flight *)
+  inflight : int;
+      (** shard requests currently in flight: scatter sub-requests and
+          forwards *)
   scatters : int;  (** scatter-gather queries served *)
   partials : int;  (** of which answered degraded (>= 1 shard missing) *)
   fanout_hist : int array;

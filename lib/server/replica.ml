@@ -73,6 +73,9 @@ type t = {
   listener : Listener.t;
   mutable pull_thread : Thread.t option;
   pull_stop : bool Atomic.t;  (** set by promotion *)
+  wake : Unix.file_descr * Unix.file_descr;
+      (** pipe the puller's back-off parks on; promotion and stop write
+          to it so neither waits the back-off out *)
 }
 
 let metrics t = t.metrics
@@ -389,19 +392,29 @@ let catch_up t conn d ~target_gen =
 
 let pull_round t conn =
   let st = get_state t conn in
-  (* lag gauges: versions behind the primary's published stamp, bytes of
-     journal not yet mirrored *)
-  Atomic.set t.lag_versions
-    (max 0 (st.Replication.s_version - local_version t));
-  let lag_bytes =
-    List.fold_left
-      (fun acc (u : Replication.doc_state) ->
-        match find_doc t u.name with
-        | Some (_, d) when u.gen = d.gen ->
-          acc + max 0 (u.size - d.local_size - String.length d.tail)
-        | _ -> acc + u.size)
-      0 st.Replication.s_docs
+  (* Lag gauges over the mirrored documents only: records and journal
+     bytes upstream holds that this replica has not applied.  The
+     upstream's version stamp also counts ADDDOC/DROPDOC and documents
+     this replica does not mirror, so it is not compared. *)
+  let lag_versions, lag_bytes =
+    Array.fold_left
+      (fun (versions, bytes) d ->
+        match
+          List.find_opt
+            (fun (u : Replication.doc_state) -> u.name = d.name)
+            st.Replication.s_docs
+        with
+        | None -> (versions, bytes)
+        | Some u ->
+          let unread =
+            if u.gen = d.gen then
+              max 0 (u.size - d.local_size - String.length d.tail)
+            else u.size
+          in
+          (versions + max 0 (u.seq - d.applied_seq), bytes + unread))
+      (0, 0) t.docs
   in
+  Atomic.set t.lag_versions lag_versions;
   Atomic.set t.lag_bytes lag_bytes;
   Array.iteri
     (fun idx d ->
@@ -444,17 +457,19 @@ let pull_round t conn =
     t.docs
 
 (* Bounded exponential backoff between reconnect attempts: 50 ms doubling
-   to a 2 s cap, sliced so promotion/stop never waits long. *)
+   to a 2 s cap, parked on the wake pipe so that promotion and stop end it
+   at once. *)
 let backoff_delay t attempt =
   let ms = min 2_000 (50 * (1 lsl min attempt 5)) in
-  let slices = max 1 (ms / 50) in
-  let rec go k =
-    if k > 0 && not (pull_stopped t) then begin
-      Thread.delay 0.05;
-      go (k - 1)
-    end
-  in
-  go slices
+  if not (pull_stopped t) then
+    try ignore (Unix.select [ fst t.wake ] [] [] (float_of_int ms /. 1000.))
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Called once the puller's stop condition holds.  The byte is never
+   read: every later back-off returns at once, and the puller exits. *)
+let wake_puller t =
+  try ignore (Unix.single_write_substring (snd t.wake) "w" 0 1)
+  with Unix.Unix_error _ -> ()
 
 let puller t =
   let attempt = ref 0 in
@@ -678,6 +693,7 @@ let promote t =
       (Printf.sprintf "epoch=%d role=promoted already=1" (Atomic.get t.epoch))
   | `Following ->
     Atomic.set t.pull_stop true;
+    wake_puller t;
     (* the puller may hold write_mu transitively? no: it takes write_mu
        only inside pull_round, and we hold it — but the puller blocks on
        it at most one drain long, then observes pull_stop. *)
@@ -742,10 +758,17 @@ let run_update t doc op =
           (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=1" version
              record.Wal.seq area changed)))
 
+let close_wake t =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ fst t.wake; snd t.wake ]
+
 (* The replica's part of a graceful stop, run by the listener once every
    session is joined; the puller sees the listener stopping and exits. *)
 let teardown t () =
+  wake_puller t;
   (match t.pull_thread with Some th -> Thread.join th | None -> ());
+  close_wake t;
   Pool.shutdown t.sched
 
 let stop t = Listener.stop t.listener
@@ -862,6 +885,7 @@ let start ?chaos cfg =
       listener;
       pull_thread = None;
       pull_stop = Atomic.make false;
+      wake = Unix.pipe ~cloexec:true ();
     }
   in
   Replication.store_epoch cfg.data_dir (Atomic.get t.epoch);
@@ -880,6 +904,7 @@ let start ?chaos cfg =
       (* a failed bootstrap leaves neither a socket nor a worker behind *)
       Listener.stop listener;
       Pool.shutdown sched;
+      close_wake t;
       raise e
   in
   let t = { t with docs } in

@@ -4,10 +4,12 @@
    request to the shard that owns its document, or scatters it to all
    shards and merges.
 
-   The router runs no admission queue of its own — every verb runs inline
-   on its session thread, which performs its forwards synchronously, and
-   the shards' queues provide the backpressure (a BUSY from a shard
-   travels back verbatim).  What the router does own is the rebalance
+   The router runs no admission queue and no threads of its own — every
+   verb runs inline on its session thread, which performs its forwards
+   and scatters itself: a scatter writes the request to each shard's
+   pooled connection and waits for the replies in one select.  The
+   shards' queues provide the backpressure (a BUSY from a shard travels
+   back verbatim).  What the router does own is the rebalance
    gate: a reader/writer lock where every forwarded request is a reader
    and the commit window of a document move is the sole writer, so the
    map flip and the journal tail shipment happen with no router traffic
@@ -121,48 +123,116 @@ let with_read_gate t f =
 
 (* --- Talking to shards --------------------------------------------- *)
 
-(* One request against shard [i]; [None] means the shard is unreachable
-   or missed its deadline.  A failed call poisons the pooled connection
-   (a late reply would desynchronize the stream) and marks the shard
-   down; the next call reconnects — with backoff while the shard was
-   thought up (it may be mid-restart), with a single cheap attempt while
-   it was already known down, so a dead shard costs each request one
-   connect(2) and not a retry budget. *)
-let shard_call t i req =
-  let sh = t.shards.(i) in
-  Mutex.lock sh.smu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.smu) @@ fun () ->
-  let conn =
-    match sh.conn with
-    | Some c -> Some c
-    | None -> (
-      let attempt () =
-        if sh.up then
-          Client.connect_retry ~retries:t.cfg.connect_retries ~budget_ms:500
-            sh.socket
-        else Client.connect sh.socket
-      in
-      match attempt () with
-      | c ->
-        sh.conn <- Some c;
-        sh.up <- true;
-        Some c
-      | exception _ ->
-        sh.up <- false;
-        None)
-  in
-  match conn with
-  | None -> None
-  | Some c -> (
+(* The shard's pooled connection, opened if there is none: with backoff
+   while the shard was thought up (it may be mid-restart), with a single
+   cheap attempt while it was already known down, so a dead shard costs
+   each request one connect(2) and not a retry budget.  The caller holds
+   [sh.smu]. *)
+let connection t sh =
+  match sh.conn with
+  | Some c -> Some c
+  | None -> (
     match
-      Client.request_timeout c ~timeout_ms:t.cfg.shard_deadline_ms req
+      if sh.up then
+        Client.connect_retry ~retries:t.cfg.connect_retries ~budget_ms:500
+          sh.socket
+      else Client.connect sh.socket
     with
-    | resp -> Some resp
+    | c ->
+      sh.conn <- Some c;
+      sh.up <- true;
+      Some c
     | exception _ ->
-      Client.close c;
-      sh.conn <- None;
       sh.up <- false;
       None)
+
+(* A failed call poisons the pooled connection (a late reply would
+   desynchronize the stream) and marks the shard down; the next call
+   reconnects. *)
+let poison sh =
+  (match sh.conn with Some c -> Client.close c | None -> ());
+  sh.conn <- None;
+  sh.up <- false
+
+(* Send [line] to every shard in [targets] (ascending indexes) and collect
+   the replies in the same order; [None] means the shard is unreachable,
+   failed, hung up or missed its deadline.  The calling thread does it
+   all.  It locks each target's connection in ascending index order — the
+   one order every caller uses, so no two sessions can deadlock — writes
+   the request, and keeps at most [fanout] requests outstanding, parked in
+   one select over their sockets.  A lock is released as soon as its
+   shard's reply is read or given up on, and every lock on every exit; an
+   exit that leaves a request outstanding poisons its connection. *)
+let exchange t ~fanout targets line =
+  let results = Array.make (Array.length targets) None in
+  let held = Array.make (Array.length targets) false in
+  (* (slot, connection, deadline) of every request awaiting its reply *)
+  let outstanding = ref [] in
+  let timeout_s = float_of_int t.cfg.shard_deadline_ms /. 1000. in
+  let settle slot reply =
+    let sh = t.shards.(targets.(slot)) in
+    if Option.is_none reply then poison sh;
+    results.(slot) <- reply;
+    held.(slot) <- false;
+    Mutex.unlock sh.smu;
+    Atomic.decr t.inflight
+  in
+  let await () =
+    let until =
+      List.fold_left (fun acc (_, _, d) -> Float.min acc d) infinity
+        !outstanding
+    in
+    let ready =
+      Client.wait_readable (List.map (fun (_, c, _) -> c) !outstanding) ~until
+    in
+    let now = Unix.gettimeofday () in
+    outstanding :=
+      List.filter
+        (fun (slot, c, deadline) ->
+          if List.memq c ready then begin
+            settle slot (try Some (Client.receive c) with _ -> None);
+            false
+          end
+          else if deadline <= now then begin
+            settle slot None;
+            false
+          end
+          else true)
+        !outstanding
+  in
+  let release_all () =
+    Array.iteri (fun slot h -> if h then settle slot None) held
+  in
+  Fun.protect ~finally:release_all @@ fun () ->
+  Array.iteri
+    (fun slot i ->
+      while List.length !outstanding >= fanout do
+        await ()
+      done;
+      let sh = t.shards.(i) in
+      Atomic.incr t.inflight;
+      Mutex.lock sh.smu;
+      held.(slot) <- true;
+      match connection t sh with
+      | None -> settle slot None
+      | Some c -> (
+        match Client.send_raw c line with
+        | () ->
+          let deadline =
+            if t.cfg.shard_deadline_ms = 0 then infinity
+            else Unix.gettimeofday () +. timeout_s
+          in
+          outstanding := (slot, c, deadline) :: !outstanding
+        | exception _ -> settle slot None))
+    targets;
+  while not (List.is_empty !outstanding) do
+    await ()
+  done;
+  results
+
+(* One request against shard [i]: the one-shard case of [exchange]. *)
+let shard_call t i req =
+  (exchange t ~fanout:1 [| i |] (Protocol.request_to_string req)).(0)
 
 (* --- Merge kernels -------------------------------------------------- *)
 
@@ -318,30 +388,15 @@ let merge_docs ~shards ~replies ~missing =
 
 (* --- Scatter-gather ------------------------------------------------- *)
 
-(* Fan the request to every shard with at most [fanout] calls in flight,
-   collecting per-shard outcomes in shard order.  Worker threads pull
-   shard indices from a shared cursor; per-shard serialization is the
-   shard mutex inside [shard_call]. *)
+(* Fan the request out to every shard from the session thread itself —
+   at most [fanout] requests outstanding, one select over their sockets —
+   and sort the per-shard outcomes in shard order. *)
 let scatter t req =
   let n = Array.length t.shards in
   let fanout = if t.cfg.fanout <= 0 then n else min t.cfg.fanout n in
-  let results = Array.make n None in
-  let cursor = Atomic.make 0 in
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add cursor 1 in
-      if i < n then begin
-        Atomic.incr t.inflight;
-        Fun.protect
-          ~finally:(fun () -> Atomic.decr t.inflight)
-          (fun () -> results.(i) <- shard_call t i req);
-        go ()
-      end
-    in
-    go ()
+  let results =
+    exchange t ~fanout (Array.init n Fun.id) (Protocol.request_to_string req)
   in
-  let threads = List.init fanout (fun _ -> Thread.create worker ()) in
-  List.iter Thread.join threads;
   let oks = ref [] and errs = ref [] and missing = ref [] in
   for i = n - 1 downto 0 do
     match results.(i) with

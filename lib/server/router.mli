@@ -7,8 +7,10 @@
     transactions: every single-document verb (UPDATE, CHECK, QUERYD,
     COUNTD, ADDDOC, DROPDOC) forwards to the owning shard by
     {!Shard_map} lookup, and the collection-wide verbs (QUERY, COUNT,
-    EXPLAIN, DOCS) scatter to every shard with bounded fan-out
-    concurrency and a per-shard deadline, then merge.
+    EXPLAIN, DOCS) scatter to every shard, then merge.  A scatter runs on
+    the requesting session's thread: it sends on each shard's pooled
+    connection, at most [fanout] requests outstanding, and waits for the
+    replies in one select, each under a per-shard deadline.
 
     {b Merge rules} (deterministic, shard-index order — pinned by the
     byte-equivalence tests):
@@ -48,7 +50,9 @@
 type config = {
   socket_path : string;  (** the router's own Unix socket *)
   shard_sockets : string array;  (** shard service sockets, shard order *)
-  fanout : int;  (** concurrent shard calls per scatter; 0 = all shards *)
+  fanout : int;
+      (** requests a scatter keeps outstanding (sent, reply not yet read);
+          0 = all shards *)
   shard_deadline_ms : int;
       (** per-shard call deadline; an expiring call marks the shard down
           and poisons its pooled connection; 0 disables *)

@@ -134,6 +134,160 @@ let test_role_socket_paths () =
         limit)")
     (fun () -> ignore (Listener.create ~metrics:(Metrics.create ()) long))
 
+(* ------------------------------------------------------------------ *)
+(* Admission: a free slot runs the verb where it arrived               *)
+(* ------------------------------------------------------------------ *)
+
+(* Submit the way the listener does: the job fills a cell, and the
+   submitter reads it, whether the job ran on the submitting thread or
+   waited for a worker. *)
+let submit_and_wait pool job =
+  let iv = Listener.Ivar.create () in
+  let outcome =
+    Pool.run_or_submit pool (fun () -> Listener.Ivar.fill iv (job ()))
+  in
+  (match outcome with
+  | `Ran | `Queued -> ignore (Listener.Ivar.read iv)
+  | `Refused -> ());
+  outcome
+
+(* Eight submitters over a two-slot pool: some jobs run on their
+   submitter's thread, the rest wait in the queue, and never more than two
+   run at once. *)
+let test_threads_pool_bound () =
+  let workers = 2 in
+  let pool = Pool.create ~kind:`Threads ~workers ~max_queue:64 () in
+  let mu = Mutex.create () in
+  let running = ref 0 and peak = ref 0 in
+  let ran = Atomic.make 0 and queued = Atomic.make 0 in
+  let misplaced = Atomic.make 0 and refused = Atomic.make 0 in
+  let job () =
+    Mutex.lock mu;
+    incr running;
+    peak := max !peak !running;
+    Mutex.unlock mu;
+    Thread.delay 0.002;
+    Mutex.lock mu;
+    decr running;
+    Mutex.unlock mu;
+    Thread.id (Thread.self ())
+  in
+  let submitters =
+    List.init 8 (fun _ ->
+        Thread.create
+          (fun () ->
+            let me = Thread.id (Thread.self ()) in
+            for _ = 1 to 15 do
+              let ran_on = ref (-1) in
+              match
+                submit_and_wait pool (fun () -> ran_on := job ())
+              with
+              | `Ran ->
+                Atomic.incr ran;
+                if !ran_on <> me then Atomic.incr misplaced
+              | `Queued -> Atomic.incr queued
+              | `Refused -> Atomic.incr refused
+            done)
+          ())
+  in
+  List.iter Thread.join submitters;
+  Pool.shutdown pool;
+  Alcotest.(check int) "none refused with room in the queue" 0
+    (Atomic.get refused);
+  Alcotest.(check int) "inline jobs ran on their submitter" 0
+    (Atomic.get misplaced);
+  Alcotest.(check int) "every job ran" 120 (Atomic.get ran + Atomic.get queued);
+  Alcotest.(check bool) "some jobs ran on their submitter" true
+    (Atomic.get ran > 0);
+  Alcotest.(check bool) "some jobs waited for a slot" true
+    (Atomic.get queued > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %d jobs at once (saw %d)" workers !peak)
+    true (!peak <= workers)
+
+(* With the only slot held by a verb running on its session thread and
+   the one queue place taken, the next request is refused outright; the
+   queued one, started past the deadline, answers BUSY too. *)
+let test_full_pool_busy_and_deadline () =
+  let pool = Pool.create ~kind:`Threads ~workers:1 ~max_queue:1 () in
+  let gate = Listener.Ivar.create () in
+  let holding = Atomic.make false in
+  let handler = function
+    | P.Count "hold" ->
+      Listener.Queued
+        ( pool,
+          fun () ->
+            Atomic.set holding true;
+            Listener.Ivar.read gate;
+            P.Ok_ "held" )
+    | _ -> Listener.Queued (pool, fun () -> P.Ok_ "ran")
+  in
+  let metrics = Metrics.create () in
+  let sock = sock_path () in
+  let l = Listener.create ~deadline_ms:50 ~metrics sock in
+  Listener.serve l ~teardown:(fun () -> Pool.shutdown pool) handler;
+  (* a failed check must not leave the holder parked: stop joins it *)
+  Fun.protect
+    ~finally:(fun () ->
+      Listener.Ivar.fill gate ();
+      Listener.stop l)
+  @@ fun () ->
+  let ask_async req =
+    let reply = ref None in
+    let th =
+      Thread.create
+        (fun () ->
+          reply := Some (C.with_connection sock (fun c -> C.request c req)))
+        ()
+    in
+    (th, reply)
+  in
+  let wait_for what pred =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (pred ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    if not (pred ()) then Alcotest.failf "timed out waiting for %s" what
+  in
+  let holder, held = ask_async (P.Count "hold") in
+  wait_for "the slot to be held" (fun () -> Atomic.get holding);
+  let late, late_reply = ask_async (P.Count "late") in
+  wait_for "the queued request" (fun () -> Pool.queue_depth pool = 1);
+  (match C.with_connection sock (fun c -> C.request c (P.Count "x")) with
+  | P.Busy "queue full" -> ()
+  | r -> Alcotest.failf "expected BUSY queue full, got %s"
+           (P.response_to_string r));
+  Thread.delay 0.08;
+  Listener.Ivar.fill gate ();
+  Thread.join holder;
+  Thread.join late;
+  let show = function
+    | Some r -> P.response_to_string r
+    | None -> "(no reply)"
+  in
+  Alcotest.(check string) "the holder answers" "OK held" (show !held);
+  Alcotest.(check string) "the queued request expired"
+    "BUSY deadline exceeded in queue" (show !late_reply)
+
+(* A domain pool exists to put work on another core: even idle, with
+   every slot free, it never runs a job on the submitter. *)
+let test_domains_pool_hands_off () =
+  let pool = Pool.create ~kind:`Domains ~workers:2 ~max_queue:8 () in
+  let caller = Domain.self () in
+  let on_caller = Atomic.make 0 in
+  for _ = 1 to 20 do
+    match
+      submit_and_wait pool (fun () ->
+          if Domain.self () = caller then Atomic.incr on_caller)
+    with
+    | `Queued -> ()
+    | `Ran -> Alcotest.fail "a domain pool ran a job on its caller"
+    | `Refused -> Alcotest.fail "an idle domain pool refused a job"
+  done;
+  Pool.shutdown pool;
+  Alcotest.(check int) "no job ran on the caller's domain" 0
+    (Atomic.get on_caller)
+
 let suite =
   [
     Alcotest.test_case "raising handler answers ERR, session continues"
@@ -142,4 +296,10 @@ let suite =
       test_concurrent_stop;
     Alcotest.test_case "role configs reject bad socket paths" `Quick
       test_role_socket_paths;
+    Alcotest.test_case "threads pool: at most workers jobs, inline or queued"
+      `Quick test_threads_pool_bound;
+    Alcotest.test_case "slot held, queue full: BUSY, then deadline BUSY"
+      `Quick test_full_pool_busy_and_deadline;
+    Alcotest.test_case "domains pool never runs a job on its caller" `Quick
+      test_domains_pool_hands_off;
   ]

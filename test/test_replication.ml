@@ -423,6 +423,30 @@ let test_follow_after_dropdoc () =
     Alcotest.failf "the dropped document was mirrored: %s"
       (P.response_to_string r)
 
+(* Lag gauges cover the mirrored documents only.  The upstream's version
+   stamp also counts ADDDOC, and the new document's journal is not
+   mirrored, yet a replica that has applied every record of the documents
+   it mirrors reads zero lag on both gauges. *)
+let test_lag_zero_after_adddoc () =
+  with_primary [ ("lib", lib_doc ()) ] @@ fun pcfg _ ->
+  let psock = pcfg.Service.socket_path in
+  let rcfg = replica_config ~primary:psock () in
+  with_replica rcfg @@ fun r ->
+  let rsock = rcfg.Replica.socket_path in
+  C.with_connection psock (fun c ->
+      ignore
+        (ok_body
+           (C.request c (P.Add_doc { doc = "extra"; xml = "<a><b/><b/></a>" })));
+      ignore (ok_body (C.request c (insert_x "lib"))));
+  wait_version r 2;
+  (* three more upstream requests: the puller has read STATE since *)
+  let served = stats_kv psock "repl_served_requests" in
+  wait_until ~timeout_s:10. ~what:"three more pull requests" (fun () ->
+      stats_kv psock "repl_served_requests" >= served + 3);
+  Alcotest.(check int) "repl_lag_versions" 0
+    (stats_kv rsock "repl_lag_versions");
+  Alcotest.(check int) "repl_lag_bytes" 0 (stats_kv rsock "repl_lag_bytes")
+
 (* A bootstrap that fails after the replica bound its socket must leave
    neither the socket file nor a listener behind.  The upstream is a toy
    listener that lists a document and then refuses its files. *)
@@ -656,6 +680,8 @@ let suite =
       test_failover_seeds;
     Alcotest.test_case "replicas keep following after a DROPDOC upstream"
       `Quick test_follow_after_dropdoc;
+    Alcotest.test_case "lag gauges read zero after an upstream ADDDOC"
+      `Quick test_lag_zero_after_adddoc;
     Alcotest.test_case "promoted replica rejects an overflowing update"
       `Quick test_promoted_overflow;
     Alcotest.test_case "failed bootstrap leaves no socket behind" `Quick

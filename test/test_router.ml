@@ -317,6 +317,209 @@ let test_shard_down_degrades () =
   Alcotest.(check bool) "explain marks the dead shard" true has_unavailable
 
 (* ------------------------------------------------------------------ *)
+(* Scatter from the session thread                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-document tokens of a COUNT reply, summed. *)
+let listed_sum body =
+  String.split_on_char ' ' body
+  |> List.filter_map (fun tok ->
+         match String.index_opt tok '=' with
+         | Some i
+           when not (List.mem (String.sub tok 0 i) [ "v"; "total"; "partial" ])
+           ->
+           int_of_string_opt
+             (String.sub tok (i + 1) (String.length tok - i - 1))
+         | _ -> None)
+  |> List.fold_left ( + ) 0
+
+(* A toy shard: a bare listener answering every verb with [reply ()]. *)
+let with_toy_shard reply f =
+  let module L = Rserver.Listener in
+  let sock = sock_path () in
+  let l = L.create ~metrics:(Rserver.Metrics.create ()) sock in
+  L.serve l ~teardown:ignore (fun _ -> L.Inline reply);
+  Fun.protect ~finally:(fun () -> L.stop l) (fun () -> f sock)
+
+let with_router ?(fanout = 0) ?(deadline_ms = 5_000) shard_sockets f =
+  let rcfg =
+    Router.default_config ~socket_path:(sock_path ()) ~shard_sockets ()
+  in
+  let rcfg =
+    { rcfg with Router.fanout; shard_deadline_ms = deadline_ms }
+  in
+  let router = Router.start rcfg in
+  Fun.protect
+    ~finally:(fun () -> Router.stop router)
+    (fun () -> f rcfg.Router.socket_path)
+
+(* A shard that accepts and never replies costs a scatter its deadline,
+   not more, and comes back on the next scatter once it answers. *)
+let test_silent_shard_deadline () =
+  let mute = Atomic.make true in
+  let answer body () = P.Ok_ body in
+  let silent () =
+    while Atomic.get mute do
+      Thread.delay 0.005
+    done;
+    P.Ok_ "v=1 total=3 d1=3"
+  in
+  with_toy_shard (answer "v=1 total=2 d0=2") @@ fun s0 ->
+  with_toy_shard silent @@ fun s1 ->
+  with_toy_shard (answer "v=1 total=5 d2=5") @@ fun s2 ->
+  Fun.protect ~finally:(fun () -> Atomic.set mute false) @@ fun () ->
+  let deadline_ms = 200 in
+  with_router ~deadline_ms [| s0; s1; s2 |] @@ fun rsock ->
+  C.with_connection rsock @@ fun c ->
+  let t0 = Unix.gettimeofday () in
+  let body = ok_body (C.request c (P.Count "//x")) in
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  Alcotest.(check string) "the live shards merge, flagged partial"
+    "v=2 total=7 d0=2 d2=5 partial=1/3" body;
+  Alcotest.(check bool)
+    (Printf.sprintf "answered after the deadline, not long after (%.0f ms)"
+       elapsed_ms)
+    true
+    (elapsed_ms >= float_of_int deadline_ms
+    && elapsed_ms < float_of_int deadline_ms +. 1500.);
+  let up = C.kv (ok_body (C.request c P.Stats)) "router_up" in
+  Alcotest.(check (option string)) "the silent shard is marked down"
+    (Some "1,0,1") up;
+  Atomic.set mute false;
+  Alcotest.(check string) "the next scatter reconnects"
+    "v=3 total=10 d0=2 d1=3 d2=5" (ok_body (C.request c (P.Count "//x")));
+  Alcotest.(check (option string)) "and marks it up again" (Some "1,1,1")
+    (C.kv (ok_body (C.request c P.Stats)) "router_up")
+
+(* Bounding the requests outstanding changes when shards are asked, not
+   what the router answers. *)
+let test_fanout_one_same_bytes () =
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
+  let shard_sockets = Array.map (fun c -> c.Service.socket_path) cfgs in
+  let requests =
+    [ P.Count "//x"; P.Count "//*"; P.Query "//y"; P.Query "//a/z";
+      P.Docs; P.Count "//nothing"; P.Query "bad[" ]
+  in
+  let replies sock =
+    C.with_connection sock @@ fun c ->
+    List.map (fun r -> P.response_to_string (C.request c r)) requests
+  in
+  let all = replies rcfg.Router.socket_path in
+  List.iter
+    (fun fanout ->
+      with_router ~fanout shard_sockets @@ fun rsock ->
+      List.iter2
+        (fun req (a, b) ->
+          Alcotest.(check string)
+            (Printf.sprintf "fanout %d: %s" fanout (P.request_to_string req))
+            a b)
+        requests
+        (List.combine all (replies rsock)))
+    [ 1; 2 ]
+
+(* Eight sessions scatter at once, over routers with every fanout, while
+   a writer updates one shard: every scatter completes, and each total is
+   the sum of its per-document tokens. *)
+let test_concurrent_scatters () =
+  with_tier ~docs:(shard_docs ()) @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
+  let shard_sockets = Array.map (fun c -> c.Service.socket_path) cfgs in
+  with_router ~fanout:1 shard_sockets @@ fun narrow ->
+  let stop = Atomic.make false in
+  let writer =
+    Thread.create
+      (fun () ->
+        C.with_connection rcfg.Router.socket_path @@ fun c ->
+        while not (Atomic.get stop) do
+          ignore
+            (C.request c
+               (P.Update
+                  { doc = "beta";
+                    op = Wal.Insert { parent_rank = 0; pos = 0; tag = "y" } }))
+        done)
+      ()
+  in
+  let bad = ref [] and mu = Mutex.create () in
+  let note msg =
+    Mutex.lock mu;
+    bad := msg :: !bad;
+    Mutex.unlock mu
+  in
+  let session k =
+    Thread.create
+      (fun () ->
+        let sock = if k mod 2 = 0 then rcfg.Router.socket_path else narrow in
+        C.with_connection sock @@ fun c ->
+        for _ = 1 to 25 do
+          match C.request c (P.Count "//y") with
+          | P.Ok_ body ->
+            if is_partial body then note ("partial: " ^ body)
+            else if get_kv body "total" <> listed_sum body then
+              note ("total is not the sum of its tokens: " ^ body)
+          | r -> note (P.response_to_string r)
+        done)
+      ()
+  in
+  let sessions = List.init 8 session in
+  List.iter Thread.join sessions;
+  Atomic.set stop true;
+  Thread.join writer;
+  match !bad with
+  | [] -> ()
+  | m :: _ -> Alcotest.failf "%d bad replies, e.g. %s" (List.length !bad) m
+
+(* This process's thread count, from /proc (0 where there is none). *)
+let threads_now () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> 0
+  | ic ->
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    let rec go () =
+      match input_line ic with
+      | exception End_of_file -> 0
+      | line when String.length line > 8 && String.sub line 0 8 = "Threads:"
+        ->
+        int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
+      | _ -> go ()
+    in
+    go ()
+
+(* The scatter runs on the session thread: while the shards handle it,
+   and after 200 of them, the process has no thread it did not have
+   before. *)
+let test_scatter_spawns_no_threads () =
+  let peak = Atomic.make 0 in
+  let rec raise_peak n =
+    let p = Atomic.get peak in
+    if n > p && not (Atomic.compare_and_set peak p n) then raise_peak n
+  in
+  let shard () =
+    raise_peak (threads_now ());
+    P.Ok_ "v=1 total=1 d=1"
+  in
+  with_toy_shard shard @@ fun s0 ->
+  with_toy_shard shard @@ fun s1 ->
+  with_toy_shard shard @@ fun s2 ->
+  with_router [| s0; s1; s2 |] @@ fun rsock ->
+  C.with_connection rsock @@ fun c ->
+  (* the first scatter opens the pooled connections *)
+  ignore (ok_body (C.request c (P.Count "//d")));
+  let baseline = threads_now () in
+  Atomic.set peak 0;
+  for _ = 1 to 200 do
+    ignore (ok_body (C.request c (P.Count "//d")))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "no thread while shards answer (%d, before %d)"
+       (Atomic.get peak) baseline)
+    true
+    (Atomic.get peak <= baseline);
+  (* a thread of an earlier test may still be exiting, never starting *)
+  let after = threads_now () in
+  Alcotest.(check bool)
+    (Printf.sprintf "no thread left behind (%d, before %d)" after baseline)
+    true (after <= baseline)
+
+(* ------------------------------------------------------------------ *)
 (* Forwarding, membership, rebalance                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -602,6 +805,14 @@ let suite =
       test_scatter_with_writer;
     Alcotest.test_case "shard down degrades to partial" `Quick
       test_shard_down_degrades;
+    Alcotest.test_case "silent shard: partial within the deadline" `Quick
+      test_silent_shard_deadline;
+    Alcotest.test_case "fanout 1 and 2 answer the bytes of fanout 0" `Quick
+      test_fanout_one_same_bytes;
+    Alcotest.test_case "8 sessions scatter beside a writer" `Quick
+      test_concurrent_scatters;
+    Alcotest.test_case "scatter spawns no threads" `Quick
+      test_scatter_spawns_no_threads;
     Alcotest.test_case "forwarding and probe-on-miss" `Quick
       test_forward_and_probe;
     Alcotest.test_case "membership through the router" `Quick

@@ -817,6 +817,84 @@ let test_shutdown_verb () =
       n.stop ())
     roles
 
+(* The built [ruidtool] serving roles stop gracefully on SIGTERM and
+   SIGINT: exit 0, socket removed.  A primary, a replica following it and
+   a router over it run as child processes. *)
+let ruidtool =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/ruidtool.exe"
+
+let test_stop_signals () =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let children = ref [] in
+  let spawn socket args =
+    let pid =
+      Unix.create_process ruidtool
+        (Array.of_list ("ruidtool" :: args))
+        devnull devnull devnull
+    in
+    children := pid :: !children;
+    let deadline = Unix.gettimeofday () +. 30. in
+    while
+      (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline
+    do
+      Thread.delay 0.02
+    done;
+    if not (Sys.file_exists socket) then
+      Alcotest.failf "%s never bound %s" (List.hd args) socket;
+    pid
+  in
+  (* wait up to 10 s for [pid] to exit *)
+  let reap pid =
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec go () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.02;
+        go ()
+      | 0, _ -> None
+      | _, status ->
+        children := List.filter (fun p -> p <> pid) !children;
+        Some status
+    in
+    go ()
+  in
+  let stops what pid signal socket =
+    Unix.kill pid signal;
+    (match reap pid with
+    | Some (Unix.WEXITED 0) -> ()
+    | Some (Unix.WEXITED n) -> Alcotest.failf "%s exited %d" what n
+    | Some (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.failf "%s died on signal %d" what n
+    | None -> Alcotest.failf "%s still running 10 s after the signal" what);
+    Alcotest.(check bool) (what ^ ": socket removed") false
+      (Sys.file_exists socket)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !children;
+      Unix.close devnull)
+  @@ fun () ->
+  let primary = sock_path () and replica = sock_path ()
+  and router = sock_path () in
+  let p =
+    spawn primary
+      [ "serve"; "--socket"; primary; "--data-dir"; temp_dir ();
+        "--gen-kind"; "dblp"; "--gen-size"; "300" ]
+  in
+  let r =
+    spawn replica
+      [ "replica"; "--socket"; replica; "--primary"; primary; "--data-dir";
+        temp_dir (); "--poll-ms"; "50" ]
+  in
+  let rt = spawn router [ "router"; "--socket"; router; "--shard"; primary ] in
+  stops "router" rt Sys.sigterm router;
+  stops "replica" r Sys.sigint replica;
+  stops "serve" p Sys.sigterm primary
+
 let test_config_validation () =
   let base =
     Service.default_config ~socket_path:(sock_path ()) ~data_dir:(temp_dir ()) ()
@@ -1363,6 +1441,8 @@ let suite =
       test_commit_pipelines_concurrent_docs;
     Alcotest.test_case "segment rotation under live service" `Quick test_segment_rotation_service;
     Alcotest.test_case "SHUTDOWN verb" `Quick test_shutdown_verb;
+    Alcotest.test_case "serve, replica, router stop on SIGTERM/SIGINT" `Quick
+      test_stop_signals;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "scheduler bounds + drain" `Quick test_scheduler_bounds;
     Alcotest.test_case "io_stats: concurrent counters" `Quick test_io_stats_concurrent;
