@@ -23,6 +23,7 @@ let experiments =
     ("E18", E18.run);
     ("E19", E19.run);
     ("E20", E20.run);
+    ("E21", E21.run);
   ]
 
 let () =

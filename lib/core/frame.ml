@@ -1,12 +1,24 @@
 module Dom = Rxml.Dom
+module ISet = Set.Make (Int)
 
+(* [cut] is frozen once a numbering shares the frame; a structural update
+   that retires areas records them in [dropped] instead, so every version
+   keeps its own cut set at O(log dropped) per retirement.  [root] is the
+   version's copy of the tree root. *)
 type t = {
   root : Dom.t;
   cut : (int, unit) Hashtbl.t;  (* serials of area roots, root included *)
+  dropped : ISet.t;  (* serials retired from [cut] by later versions *)
 }
 
 let root t = t.root
-let is_area_root t n = Hashtbl.mem t.cut n.Dom.serial
+
+let is_area_root t n =
+  Hashtbl.mem t.cut n.Dom.serial
+  && (ISet.is_empty t.dropped || not (ISet.mem n.Dom.serial t.dropped))
+
+let reroot t root = { t with root }
+let drop t n = { t with dropped = ISet.add n.Dom.serial t.dropped }
 
 let own_area_root t n =
   let rec go n = if is_area_root t n then n else
@@ -44,7 +56,7 @@ let frame_children t r =
 let area_roots t =
   List.filter (is_area_root t) (Dom.preorder t.root)
 
-let area_count t = Hashtbl.length t.cut
+let area_count t = Hashtbl.length t.cut - ISet.cardinal t.dropped
 
 let area_members t r =
   let acc = ref [] in
@@ -86,7 +98,7 @@ let of_cut_set root nodes =
         invalid_arg "Frame.of_cut_set: node not in tree";
       Hashtbl.replace cut n.Dom.serial ())
     nodes;
-  { root; cut }
+  { root; cut; dropped = ISet.empty }
 
 (* Greedy top-down partition: grow the current area in document order; when
    it would exceed the size budget — or a path would exceed the depth
@@ -116,7 +128,7 @@ let greedy_cut ~max_area_size ~max_area_depth root =
     List.iter fill_area (List.rev !next_areas)
   in
   fill_area root;
-  { root; cut }
+  { root; cut; dropped = ISet.empty }
 
 let adjust_fanout t =
   let tree_fanout =
@@ -239,17 +251,6 @@ let uncut t n =
   if Dom.equal n t.root then invalid_arg "Frame.uncut: tree root";
   Hashtbl.remove t.cut n.Dom.serial
 
-(* Transport the cut set onto a structurally identical tree: [node] maps an
-   old serial to the corresponding node of the new tree.  O(areas), no
-   ancestry validation — the caller guarantees the trees are isomorphic
-   (this is the cheap path behind Ruid2.clone; of_cut_set re-validates). *)
-let remap t ~root ~node =
-  let cut = Hashtbl.create (max 16 (Hashtbl.length t.cut * 2)) in
-  Hashtbl.iter
-    (fun serial () -> Hashtbl.replace cut (node serial).Dom.serial ())
-    t.cut;
-  { root; cut }
-
 let bits v =
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
   go 0 v
@@ -342,7 +343,7 @@ module Cut_builder = struct
       invalid_arg "Frame.Cut_builder.finish: unbalanced enter/leave";
     if root.Dom.serial <> b.root_serial then
       invalid_arg "Frame.Cut_builder.finish: root is not the first entered node";
-    { root; cut = b.cut }
+    { root; cut = b.cut; dropped = ISet.empty }
 end
 
 let check_invariants t =

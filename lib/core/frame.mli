@@ -88,7 +88,10 @@ val area_root_of : t -> Rxml.Dom.t -> Rxml.Dom.t
     root. *)
 
 val own_area_root : t -> Rxml.Dom.t -> Rxml.Dom.t
-(** Nearest area root that is the node itself or an ancestor. *)
+(** Nearest area root that is the node itself or an ancestor.  Walks parent
+    pointers by identity: in a tree shared between versions the result
+    may be an older version of that area root (same serial), to be
+    resolved through the numbering ({!Ruid2.current}). *)
 
 val frame_parent : t -> Rxml.Dom.t -> Rxml.Dom.t option
 (** For an area root: the nearest strict-ancestor area root. *)
@@ -117,14 +120,22 @@ val frame_fanout : t -> int
 val frame_depth : t -> int
 
 val uncut : t -> Rxml.Dom.t -> unit
-(** Remove a node from the cut set (used when a whole area is deleted).
+(** Remove a node from the cut set in place (used when a whole area is
+    deleted from a frame nothing else shares).
     @raise Invalid_argument on the tree root. *)
 
-val remap : t -> root:Rxml.Dom.t -> node:(int -> Rxml.Dom.t) -> t
-(** Transport the frame onto a structurally identical tree rooted at
-    [root]; [node] maps each old node serial to its counterpart.  O(areas)
-    and unvalidated — the caller guarantees isomorphism ({!Ruid2.clone}
-    uses a lockstep traversal, which guarantees it by construction). *)
+(** {1 Versions}
+
+    A numbering that shares its frame with older versions never edits it
+    in place: each structural update derives a new frame value. *)
+
+val reroot : t -> Rxml.Dom.t -> t
+(** The same cut set over a new copy of the tree root (path copying,
+    {!Ruid2.insert_node}). *)
+
+val drop : t -> Rxml.Dom.t -> t
+(** The frame without the given area root; the argument is unchanged.
+    O(log dropped). *)
 
 val check_invariants : t -> unit
 (** Validate Definitions 1-2: cut set covers the tree, areas are induced

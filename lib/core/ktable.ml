@@ -1,56 +1,30 @@
 type row = { global : int; root_local : int; fanout : int }
 
-(* Sorted array by global index; lookups are binary searches. *)
-type t = row array
+module IMap = Map.Make (Int)
+
+(* A balanced map by global index: lookups and edits are O(log areas),
+   and a numbering's versions share all but the path an edit copies. *)
+type t = row IMap.t
 
 let make rows =
-  let arr = Array.of_list rows in
-  Array.sort (fun a b -> Stdlib.compare a.global b.global) arr;
-  Array.iteri
-    (fun i r ->
-      if i > 0 && arr.(i - 1).global = r.global then
-        invalid_arg "Ktable.make: duplicate global index")
-    arr;
-  arr
+  List.fold_left
+    (fun t r ->
+      if IMap.mem r.global t then
+        invalid_arg "Ktable.make: duplicate global index";
+      IMap.add r.global r t)
+    IMap.empty rows
 
-let find t g =
-  let rec go lo hi =
-    if lo >= hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let r = t.(mid) in
-      if r.global = g then Some r
-      else if r.global < g then go (mid + 1) hi
-      else go lo mid
-    end
-  in
-  go 0 (Array.length t)
-
-let get t g = match find t g with Some r -> r | None -> raise Not_found
-let fanout t g = (get t g).fanout
-let root_local t g = (get t g).root_local
-let mem t g = find t g <> None
-let rows t = Array.to_list t
-let size t = Array.length t
-
-(* Index of the first row with global >= g. *)
-let lower_bound t g =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if t.(mid).global < g then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 (Array.length t)
+let find t g = IMap.find_opt g t
+let fanout t g = (IMap.find g t).fanout
+let root_local t g = (IMap.find g t).root_local
+let mem t g = IMap.mem g t
+let rows t = List.map snd (IMap.bindings t)
+let size t = IMap.cardinal t
 
 let rows_in_range t ~lo ~hi =
-  let i0 = lower_bound t lo in
-  let rec go i acc =
-    if i >= Array.length t || t.(i).global > hi then List.rev acc
-    else go (i + 1) (t.(i) :: acc)
-  in
-  go i0 []
+  IMap.to_seq_from lo t
+  |> Seq.take_while (fun (g, _) -> g <= hi)
+  |> Seq.map snd |> List.of_seq
 
 let frame_children_rows t ~parent_global ~kappa =
   (* Frame children of [parent_global] have identifiers in
@@ -67,22 +41,13 @@ let area_rooted_at t ~parent_global ~kappa ~local =
   | Some r -> Some r.global
   | None -> None
 
-let with_row t row =
-  match find t row.global with
-  | Some _ ->
-    Array.map (fun r -> if r.global = row.global then row else r) t
-  | None ->
-    let arr = Array.append t [| row |] in
-    Array.sort (fun a b -> Stdlib.compare a.global b.global) arr;
-    arr
-
-let without t g = Array.of_list (List.filter (fun r -> r.global <> g) (rows t))
-
-let memory_words t = 3 * Array.length t
+let with_row t row = IMap.add row.global row t
+let without t g = IMap.remove g t
+let memory_words t = 3 * size t
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>global  root-local  fanout@,";
-  Array.iter
-    (fun r -> Format.fprintf ppf "%6d  %10d  %6d@," r.global r.root_local r.fanout)
+  IMap.iter
+    (fun _ r -> Format.fprintf ppf "%6d  %10d  %6d@," r.global r.root_local r.fanout)
     t;
   Format.fprintf ppf "@]"

@@ -14,7 +14,7 @@ val make : row list -> t
 (** @raise Invalid_argument on duplicate global indices. *)
 
 val find : t -> int -> row option
-(** Binary search by global index. *)
+(** By global index, O(log areas). *)
 
 val fanout : t -> int -> int
 (** @raise Not_found if the area does not exist. *)
@@ -43,7 +43,8 @@ val area_rooted_at : t -> parent_global:int -> kappa:int -> local:int -> int opt
     [rchildren] (Section 3.5). *)
 
 val with_row : t -> row -> t
-(** Functional update: insert or replace the row for [row.global]. *)
+(** Functional update: insert or replace the row for [row.global].
+    O(log areas): the result shares all but one path with [t]. *)
 
 val without : t -> int -> t
 (** Remove the row for a global index (no-op when absent). *)

@@ -1,0 +1,122 @@
+(** Persistent document-order index: order keys, node versions, subtree
+    extents and one payload per node.
+
+    Every node of a tree has an {e order key}, an integer that grows in
+    document order.  A bulk build gives the node at preorder position [i]
+    the key [i * step]; a node inserted later takes a key in the gap after
+    its predecessor, so no other key moves and an insert or delete costs
+    O(log edits), not O(nodes).  Keys are therefore ordered but not
+    consecutive: {!next} steps from one live key to the next.
+
+    A value is immutable.  Edits return a new index that shares the flat
+    arrays of the last build with the old one.  It keeps its own changes
+    in balanced maps, one per field (node versions, subtree ends,
+    payloads, inserted keys), and the keys that move a preorder position
+    (inserts and deaths) in a tree of running sums.  A lookup probes the
+    map of the field it reads and costs one array read when that map is
+    empty.  {!compact} rebuilds the arrays from a tree and drops the
+    maps.  The index behind {!Ruid2}. *)
+
+type 'a t
+
+type 'a entry = {
+  node : Rxml.Dom.t;  (** the version of the node this index holds *)
+  last : int;  (** key of the last node of its subtree *)
+  pay : 'a;
+}
+
+val shift : int
+(** Built keys are [i lsl shift]. *)
+
+val create : pay:'a -> Rxml.Dom.t -> 'a t
+(** Index a tree in preorder, every payload [pay]
+    ({!set_built_pay} fills them in before the index is shared). *)
+
+val set_built_pay : 'a t -> int -> 'a -> unit
+(** [set_built_pay t i p]: the payload of built position [i], in place.
+    Construction only: the index must not be shared yet. *)
+
+val built_pos : 'a t -> Rxml.Dom.t -> int
+(** Built position of a node, [-1] if it was not in the built tree.
+    Serials address the built positions through an array over the serial
+    range of the first build and a table for the rest (the leaves
+    inserted since, whose serials come from anywhere in the process-global
+    counter), so the index stays O(nodes) however long the process has
+    run. *)
+
+val size : 'a t -> int
+(** Live nodes. *)
+
+val edits : 'a t -> int
+(** Edits since the last build (map bindings). *)
+
+val same_build : 'a t -> 'a t -> bool
+(** The two values descend from one build (share its arrays). *)
+
+val key : 'a t -> Rxml.Dom.t -> int
+(** Order key of a node by identity (serial); [-1] outside the index. *)
+
+val key_of_serial : 'a t -> int -> int
+
+val node : 'a t -> int -> Rxml.Dom.t
+(** The current version of the node with the key.  Keys must be live. *)
+
+val any_version : 'a t -> int -> Rxml.Dom.t
+(** A version of the node with the key — the current one or the one the
+    last build saw — for what every version shares: serial, payload, the
+    parent's serial.  No overlay probe for a built key. *)
+
+val last : 'a t -> int -> int
+(** Key of the last node of the subtree at the key. *)
+
+val pay : 'a t -> int -> 'a
+
+val parent : 'a t -> int -> int
+(** Key of the parent of the node with the key, found by the parent's
+    serial; [-1] for the indexed root, whose parent (if any) lies outside
+    the index. *)
+
+val has_tag : 'a t -> int -> string -> bool
+(** Whether the node with the key is an element with the tag. *)
+
+val next : 'a t -> int -> int
+(** The first live key after [k], [-1] at the end: a first child's key is
+    its parent's [next]; a next sibling's is [next (last k)]. *)
+
+val iter_range : 'a t -> lo:int -> hi:int -> (int -> unit) -> unit
+(** Live keys in [lo .. hi], ascending. *)
+
+val fold : (int -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** Every live key, ascending. *)
+
+val nth : 'a t -> int -> int
+(** Key of the node at a preorder position, [-1] out of range:
+    O(log edits). *)
+
+val rank : 'a t -> int -> int
+(** Preorder position of a live key (inverse of {!nth}): O(log edits). *)
+
+val set_node : 'a t -> int -> Rxml.Dom.t -> 'a t
+(** A new version of the node with a live key. *)
+
+val set_last : 'a t -> int -> int -> 'a t
+val set_pay : 'a t -> int -> 'a -> 'a t
+
+val alloc_after : 'a t -> int -> int
+(** A free key between [k] and the next occupied key, [-1] when that gap
+    is used up (then {!compact} first). *)
+
+val insert : 'a t -> int -> 'a entry -> 'a t
+(** Bind a key from {!alloc_after} to a new node. *)
+
+val remove : 'a t -> int -> 'a t
+
+val log : 'a t -> (int * Rxml.Dom.t * bool) list
+(** Keys inserted ([true]) and removed ([false]) since the last build,
+    newest first — what a derived index (tag postings) folds in. *)
+
+val log_len : 'a t -> int
+
+val compact : 'a t -> Rxml.Dom.t -> 'a t
+(** A fresh build over the given tree (the current one), payloads carried
+    over by identity; the serial array keeps [t]'s range. *)

@@ -10,27 +10,61 @@ let id_to_string i = Format.asprintf "%a" pp_id i
 let id_equal (a : id) (b : id) = a = b
 let id_compare (a : id) (b : id) = Stdlib.compare a b
 
-type t = {
-  kappa : int;
-  mutable ktable : Ktable.t;
-  frame : Frame.t;
-  id_of : (int, id) Hashtbl.t;  (* node serial -> identifier *)
-  node_at : (int, (int, Dom.t) Hashtbl.t) Hashtbl.t;
-      (* area global -> (local index -> node); index 1 maps to the area
-         root, other indices to the nodes enumerated in the area. *)
-  global_of_root : (int, int) Hashtbl.t;  (* area-root serial -> global *)
-  root_of_global : (int, Dom.t) Hashtbl.t;
-  root : Dom.t;
+(* Nodes enumerated in one area, ascending by local index; local 1 is
+   the area root.  Serials, not nodes: a path copy changes which record
+   is a node's current version, never its serial, so an area's table
+   survives every update that does not renumber the area. *)
+type area = { locals : int array; serials : int array }
+
+module IMap = Map.Make (Int)
+
+(* One version of the numbering.  Every field is persistent: the order
+   index shares all but its recent edits with the versions it came from,
+   the area map and K (balanced maps over about n/64 areas) all but the
+   paths an update copied, and the frame records retired areas beside a
+   frozen cut set. *)
+type state = {
+  ktable : Ktable.t;
+  frame : Frame.t;  (* cut set, and this version's copy of the tree root *)
+  order : id Order_index.t;  (* key -> node version, subtree end, id *)
+  areas : area IMap.t;  (* area global -> its enumerated nodes *)
 }
 
-let kappa t = t.kappa
-let ktable t = t.ktable
-let frame t = t.frame
-let root t = t.root
-let area_count t = Ktable.size t.ktable
-let aux_memory_words t = Ktable.memory_words t.ktable + 1
+(* [exclusive] holds until the first clone: no other numbering shares the
+   tree, so updates edit it in place and a caller's own handles on the
+   tree stay live.  After a clone both copies path-copy instead. *)
+type t = { kappa : int; mutable st : state; mutable exclusive : bool }
 
-let id_of_node t n = Hashtbl.find t.id_of n.Dom.serial
+module O = Order_index
+
+let kappa t = t.kappa
+let ktable t = t.st.ktable
+let frame t = t.st.frame
+let root t = Frame.root t.st.frame
+let order t = t.st.order
+let area_count t = Ktable.size t.st.ktable
+let aux_memory_words t = Ktable.memory_words t.st.ktable + 1
+
+(* A placeholder id for a node the enumeration has not reached yet: no
+   real identifier has global index 0. *)
+let unset = { global = 0; local = 0; is_root = false }
+
+let id_in st n =
+  let k = O.key st.order n in
+  if k < 0 then raise Not_found else O.pay st.order k
+
+let id_of_node t n = id_in t.st n
+
+let node_of_serial st s =
+  let k = O.key_of_serial st.order s in
+  if k < 0 then None else Some (O.node st.order k)
+
+let current_in st n = node_of_serial st n.Dom.serial
+let current t n = current_in t.st n
+
+let node_at_rank t r =
+  let k = O.nth t.st.order r in
+  if k < 0 then None else Some (O.node t.st.order k)
 
 (* The position at which a node is enumerated: for an area root, its leaf
    slot in the upper area (the tree root being (1, 1)); for any other node,
@@ -43,37 +77,58 @@ let pos t (i : id) =
     | Some p -> (p, i.local)
     | None -> assert false
 
+(* Index of [l] in an area's ascending locals, or of the first local above
+   it when absent. *)
+let lower_bound (a : area) l =
+  let lo = ref 0 and hi = ref (Array.length a.locals) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.locals.(mid) < l then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let find_local a l =
+  let i = lower_bound a l in
+  if i < Array.length a.locals && a.locals.(i) = l then i else -1
+
 let node_at_pos t (g, l) =
-  match Hashtbl.find_opt t.node_at g with
+  match IMap.find_opt g t.st.areas with
   | None -> None
-  | Some inner -> Hashtbl.find_opt inner l
+  | Some a ->
+    let i = find_local a l in
+    if i < 0 then None else node_of_serial t.st a.serials.(i)
 
 let node_of_id t i =
   match node_at_pos t (pos t i) with
   | Some n when id_equal (id_of_node t n) i -> Some n
   | Some _ | None -> None
 
-let area_root_node t g = Hashtbl.find_opt t.root_of_global g
-let global_of_area t n = Hashtbl.find_opt t.global_of_root n.Dom.serial
+let area_root_node t g = node_at_pos t (g, 1)
 
-let all_nodes t = Dom.preorder t.root
+let global_of_area t n =
+  if Frame.is_area_root t.st.frame n then
+    match id_of_node t n with i -> Some i.global | exception Not_found -> None
+  else None
+
+let all_nodes t = Dom.preorder (root t)
+
+let fold_ids f t acc =
+  let o = t.st.order in
+  O.fold (fun k acc -> f (O.pay o k) acc) o acc
 
 let max_local_bits t =
   let bits v =
     let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
     go 0 v
   in
-  Hashtbl.fold (fun _ i acc -> max acc (max (bits i.global) (bits i.local)))
-    t.id_of 0
+  fold_ids (fun i acc -> max acc (max (bits i.global) (bits i.local))) t 0
 
 let total_label_bits t =
   let bits v =
     let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
     max 1 (go 0 v)
   in
-  Hashtbl.fold
-    (fun _ i acc -> acc + bits i.global + bits i.local + 1)
-    t.id_of 0
+  fold_ids (fun i acc -> acc + bits i.global + bits i.local + 1) t 0
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -92,32 +147,28 @@ let enumerate_area frame ~k r =
   go 1 r;
   List.rev !acc
 
+let area_of_members members =
+  let a = Array.of_list members in
+  Array.sort (fun (_, x) (_, y) -> Int.compare x y) a;
+  { locals = Array.map snd a;
+    serials = Array.map (fun (n, _) -> n.Dom.serial) a }
+
 let number_with_frame frame =
   let root = Frame.root frame in
   let kappa = max 1 (Frame.frame_fanout frame) in
   let global_of_root = Hashtbl.create 64 in
-  let root_of_global = Hashtbl.create 64 in
   let rec assign_frame g r =
     Hashtbl.replace global_of_root r.Dom.serial g;
-    Hashtbl.replace root_of_global g r;
     List.iteri
       (fun j c -> assign_frame (U.child ~k:kappa g j) c)
       (Frame.frame_children frame r)
   in
   assign_frame 1 root;
-  let t =
-    {
-      kappa;
-      ktable = Ktable.make [];
-      frame;
-      id_of = Hashtbl.create 1024;
-      node_at = Hashtbl.create 64;
-      global_of_root;
-      root_of_global;
-      root;
-    }
-  in
-  Hashtbl.replace t.id_of root.Dom.serial { global = 1; local = 1; is_root = true };
+  (* The order index is built in one preorder pass; the enumeration below
+     fills in each node's identifier in place before anything shares it. *)
+  let order = O.create ~pay:{ global = 1; local = 1; is_root = true } root in
+  let set n i = O.set_built_pay order (O.built_pos order n) i in
+  let areas = ref IMap.empty in
   (* Area roots in document order: upper areas come before lower ones, so
      each area root's own identifier is known before its K row is built. *)
   let krows = ref [] in
@@ -125,29 +176,28 @@ let number_with_frame frame =
     (fun r ->
       let g = Hashtbl.find global_of_root r.Dom.serial in
       let k = max 1 (Frame.area_fanout frame r) in
-      let inner = Hashtbl.create 64 in
-      Hashtbl.replace inner 1 r;
+      let members = enumerate_area frame ~k r in
       List.iter
         (fun (n, local) ->
-          if not (Dom.equal n r) then begin
-            Hashtbl.replace inner local n;
-            let i =
-              if Frame.is_area_root frame n then
-                { global = Hashtbl.find global_of_root n.Dom.serial;
-                  local; is_root = true }
-              else { global = g; local; is_root = false }
-            in
-            Hashtbl.replace t.id_of n.Dom.serial i
-          end)
-        (enumerate_area frame ~k r);
-      Hashtbl.replace t.node_at g inner;
+          if not (Dom.equal n r) then
+            set n
+              (if Frame.is_area_root frame n then
+                 { global = Hashtbl.find global_of_root n.Dom.serial;
+                   local; is_root = true }
+               else { global = g; local; is_root = false }))
+        members;
+      areas := IMap.add g (area_of_members members) !areas;
       let root_local =
-        if Dom.equal r root then 1 else (id_of_node t r).local
+        if Dom.equal r root then 1 else (O.pay order (O.key order r)).local
       in
       krows := { Ktable.global = g; root_local; fanout = k } :: !krows)
     (Frame.area_roots frame);
-  t.ktable <- Ktable.make !krows;
-  t
+  {
+    kappa;
+    st =
+      { ktable = Ktable.make !krows; frame; order; areas = !areas };
+    exclusive = true;
+  }
 
 let number ?max_area_size ?max_area_depth ?adjust root =
   number_with_frame (Frame.partition ?max_area_size ?max_area_depth ?adjust root)
@@ -167,10 +217,10 @@ let rparent t (i : id) =
         | None -> assert false
       else i.global
     in
-    let kj = Ktable.fanout t.ktable g in
+    let kj = Ktable.fanout t.st.ktable g in
     let l = ((i.local - 2) / kj) + 1 in
     if l = 1 then
-      Some { global = g; local = Ktable.root_local t.ktable g; is_root = true }
+      Some { global = g; local = Ktable.root_local t.st.ktable g; is_root = true }
     else Some { global = g; local = l; is_root = false }
   end
 
@@ -184,12 +234,12 @@ let rlevel t i = List.length (rancestors t i)
 
 let possible_children_ids t (i : id) =
   let g_area, alpha = if i.is_root then (i.global, 1) else (i.global, i.local) in
-  let k = Ktable.fanout t.ktable g_area in
+  let k = Ktable.fanout t.st.ktable g_area in
   let lo, _ = U.children_range ~k alpha in
   List.init k (fun j ->
       let local = lo + j in
       match
-        Ktable.area_rooted_at t.ktable ~parent_global:g_area ~kappa:t.kappa ~local
+        Ktable.area_rooted_at t.st.ktable ~parent_global:g_area ~kappa:t.kappa ~local
       with
       | Some g' -> { global = g'; local; is_root = true }
       | None -> { global = g_area; local; is_root = false })
@@ -210,7 +260,7 @@ let rec relationship t a b =
   else begin
     let ga, la = pos t a and gb, lb = pos t b in
     if ga = gb then begin
-      let k = Ktable.fanout t.ktable ga in
+      let k = Ktable.fanout t.st.ktable ga in
       match U.relation ~k la lb with
       | Rel.Self ->
         (* Two distinct identifiers cannot share an enumeration slot. *)
@@ -226,8 +276,8 @@ let rec relationship t a b =
         (* Lemma 1 composition: compare a with the joint node of the child
            area on the frame path towards b, inside area ga. *)
         let theta = frame_child_towards t ~anc:ga gb in
-        let lstar = Ktable.root_local t.ktable theta in
-        let k = Ktable.fanout t.ktable ga in
+        let lstar = Ktable.root_local t.st.ktable theta in
+        let k = Ktable.fanout t.st.ktable ga in
         (match U.relation ~k la lstar with
         | Rel.Self | Rel.Ancestor -> Rel.Ancestor
         | Rel.Before -> Rel.Before
@@ -261,21 +311,20 @@ let child_context t n =
 
 let children t n =
   let g_area, alpha = child_context t n in
-  let k = Ktable.fanout t.ktable g_area in
+  let k = Ktable.fanout t.st.ktable g_area in
   let lo, hi = U.children_range ~k alpha in
-  match Hashtbl.find_opt t.node_at g_area with
+  match IMap.find_opt g_area t.st.areas with
   | None -> []
-  | Some inner ->
-    if Hashtbl.length inner < k then
-      (* Fewer occupied slots than candidate slots: scan the area's
-         occupancy table instead of probing every slot. *)
-      Hashtbl.fold
-        (fun l node acc -> if l >= lo && l <= hi then (l, node) :: acc else acc)
-        inner []
-      |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-      |> List.map snd
-    else
-      List.filter_map (fun j -> Hashtbl.find_opt inner (lo + j)) (List.init k Fun.id)
+  | Some a ->
+    (* The candidate slots are one run of ascending locals. *)
+    let rec take i acc =
+      if i >= Array.length a.locals || a.locals.(i) > hi then List.rev acc
+      else
+        match node_of_serial t.st a.serials.(i) with
+        | Some c -> take (i + 1) (c :: acc)
+        | None -> take (i + 1) acc
+    in
+    take (lower_bound a lo) []
 
 (* Area-at-a-time descendant enumeration: within the context area, members
    below the context slot are found by one virtual-ancestry test each;
@@ -284,25 +333,27 @@ let children t n =
 let descendants_unordered t n =
   let acc = ref [] in
   let rec area_members g ~below =
-    match Hashtbl.find_opt t.node_at g with
+    match IMap.find_opt g t.st.areas with
     | None -> ()
-    | Some inner ->
-      let k = Ktable.fanout t.ktable g in
-      Hashtbl.iter
-        (fun l node ->
+    | Some a ->
+      let k = Ktable.fanout t.st.ktable g in
+      Array.iteri
+        (fun j l ->
           if l <> 1 then begin
             let take =
               match below with
               | None -> true
               | Some alpha -> U.relation ~k alpha l = Rel.Ancestor
             in
-            if take then begin
-              acc := node :: !acc;
-              let nid = Hashtbl.find t.id_of node.Dom.serial in
-              if nid.is_root then area_members nid.global ~below:None
-            end
+            if take then
+              match node_of_serial t.st a.serials.(j) with
+              | None -> ()
+              | Some node ->
+                acc := node :: !acc;
+                let nid = id_of_node t node in
+                if nid.is_root then area_members nid.global ~below:None
           end)
-        inner
+        a.locals
   in
   let g, alpha = child_context t n in
   (* For an area root the context is (own area, slot 1): every member is a
@@ -319,7 +370,7 @@ let siblings_side t ~before n =
   if i.is_root && i.global = 1 then []
   else begin
     let g, l = pos t i in
-    let k = Ktable.fanout t.ktable g in
+    let k = Ktable.fanout t.st.ktable g in
     let parent_slot = ((l - 2) / k) + 1 in
     let lo, hi = U.children_range ~k parent_slot in
     let slots = List.init (hi - lo + 1) (fun j -> lo + j) in
@@ -335,9 +386,11 @@ let following_siblings t n = siblings_side t ~before:false n
 (* Nodes enumerated in area [g]: the area root belongs to the upper area's
    set, except the tree root which is enumerated in its own area. *)
 let set_of_area t g =
-  let r = Hashtbl.find t.root_of_global g in
-  let members = Frame.area_members t.frame r in
-  if g = 1 then members else List.tl members
+  match area_root_node t g with
+  | None -> []
+  | Some r ->
+    let members = Frame.area_members t.st.frame r in
+    if g = 1 then members else List.tl members
 
 (* Lemma 3 driven sweep: whole areas are classified by their frame
    relation to the context node's area; only the context area and its
@@ -347,8 +400,8 @@ let side_axis t ~(want : Rel.t) n =
   let ga, _ = pos t a_id in
   let out = ref [] in
   let add x = out := x :: !out in
-  Hashtbl.iter
-    (fun g r ->
+  IMap.iter
+    (fun g _ ->
       match U.relation ~k:t.kappa g ga with
       | Rel.Before -> if want = Rel.Before then List.iter add (set_of_area t g)
       | Rel.After -> if want = Rel.After then List.iter add (set_of_area t g)
@@ -357,10 +410,12 @@ let side_axis t ~(want : Rel.t) n =
           (fun x ->
             if relationship t (id_of_node t x) a_id = want then add x)
           (set_of_area t g)
-      | Rel.Descendant ->
-        if relationship t (id_of_node t r) a_id = want then
-          List.iter add (set_of_area t g))
-    t.root_of_global;
+      | Rel.Descendant -> (
+        match area_root_node t g with
+        | Some r when relationship t (id_of_node t r) a_id = want ->
+          List.iter add (set_of_area t g)
+        | Some _ | None -> ()))
+    t.st.areas;
   List.sort (fun x y -> doc_order t (id_of_node t x) (id_of_node t y)) !out
 
 let preceding t n = side_axis t ~want:Rel.Before n
@@ -370,84 +425,224 @@ let following t n = side_axis t ~want:Rel.After n
 (* Structural update                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-enumerate the single area rooted at [r] with the fan-out currently
-   recorded in K, refresh the identifier maps and the K rows of child
+(* Every update derives a new state from [t.st] and installs it only once
+   it is complete, so an update that raises (Uid.Overflow in a renumbered
+   area) leaves the numbering at its previous version — unless the
+   numbering is exclusive, whose tree edits are made in place.  The order
+   index and the areas of a shared numbering change by path copying: new
+   versions of the edited node and of each ancestor up to the root, found
+   by serial through the order index (a shared node's [parent] may name an
+   older version, so it is read for its serial only). *)
+
+let parent_in st n =
+  match n.Dom.parent with
+  | None -> None
+  | Some p -> node_of_serial st p.Dom.serial
+
+(* Record new node versions in the order index: same key, same extent,
+   same identifier. *)
+let rekey order copies =
+  List.fold_left (fun order n -> O.set_node order (O.key order n) n) order copies
+
+(* New versions of [n] and of its ancestors, wired to each other; the old
+   versions stay as they were.  Returns [n]'s new version, the new root,
+   and every new version. *)
+let path_copy st n =
+  let root = Frame.root st.frame in
+  let rec up copy orig acc =
+    if Dom.equal orig root then (copy, acc)
+    else
+      match parent_in st orig with
+      | None -> (copy, acc)
+      | Some p ->
+        let p' = Dom.version p in
+        Dom.replace_child p' ~old:orig copy;
+        up p' p (p' :: acc)
+  in
+  let n' = Dom.version n in
+  let root', copies = up n' n [ n' ] in
+  (n', root', copies)
+
+(* The editable version of [parent] and the state it lives in: the node
+   itself for an exclusive numbering, a path copy otherwise. *)
+let editable t st parent =
+  if t.exclusive then (parent, st)
+  else
+    let p', root', copies = path_copy st parent in
+    (p', { st with frame = Frame.reroot st.frame root';
+                   order = rekey st.order copies })
+
+(* Fold [f] over [n]'s ancestors, nearest first, in [st]. *)
+let rec climb st n f acc =
+  match f acc n with
+  | `Stop acc -> acc
+  | `Go acc -> (
+    if Dom.equal n (Frame.root st.frame) then acc
+    else match parent_in st n with None -> acc | Some p -> climb st p f acc)
+
+(* Re-enumerate the single area rooted at [r] (its current version) with
+   the fan-out recorded in K; refresh identifiers and the K rows of child
    areas whose joint index moved; count changed identifiers of
    pre-existing nodes. *)
-let renumber_area t r =
-  let g = Hashtbl.find t.global_of_root r.Dom.serial in
-  let k = Ktable.fanout t.ktable g in
-  let members = enumerate_area t.frame ~k r in
-  let inner = Hashtbl.create (List.length members * 2) in
-  Hashtbl.replace inner 1 r;
-  let changed = ref 0 in
+let renumber_area st r =
+  let g = (id_in st r).global in
+  let k = Ktable.fanout st.ktable g in
+  let members = enumerate_area st.frame ~k r in
+  let order = ref st.order and ktable = ref st.ktable and changed = ref 0 in
   List.iter
     (fun (n, local) ->
       if not (Dom.equal n r) then begin
-        Hashtbl.replace inner local n;
+        let key = O.key !order n in
+        let old = O.pay !order key in
         let i =
-          if Frame.is_area_root t.frame n then
-            { global = Hashtbl.find t.global_of_root n.Dom.serial;
-              local; is_root = true }
+          if Frame.is_area_root st.frame n then
+            { global = old.global; local; is_root = true }
           else { global = g; local; is_root = false }
         in
-        (match Hashtbl.find_opt t.id_of n.Dom.serial with
-        | Some old when id_equal old i -> ()
-        | Some old ->
-          incr changed;
-          if old.is_root then begin
-            (* The joint moved: record the new leaf index in K; the child
-               area's own nodes keep their identifiers. *)
-            let row = Option.get (Ktable.find t.ktable i.global) in
-            t.ktable <-
-              Ktable.with_row t.ktable { row with Ktable.root_local = local }
-          end
-        | None -> ());
-        Hashtbl.replace t.id_of n.Dom.serial i
+        if not (id_equal old i) then begin
+          if old.global <> 0 then begin
+            incr changed;
+            if old.is_root then begin
+              (* The joint moved: record the new leaf index in K; the child
+                 area's own nodes keep their identifiers. *)
+              let row = Option.get (Ktable.find !ktable i.global) in
+              ktable := Ktable.with_row !ktable { row with Ktable.root_local = local }
+            end
+          end;
+          order := O.set_pay !order key i
+        end
       end)
     members;
-  Hashtbl.replace t.node_at g inner;
-  !changed
+  ( { st with order = !order; ktable = !ktable;
+              areas = IMap.add g (area_of_members members) st.areas },
+    !changed )
+
+(* Compact the order index when its overlay outgrows an eighth of the
+   document, or when a key gap is used up. *)
+let compacted st =
+  let o = st.order in
+  if O.edits o > max 64 (O.size o / 8) then
+    { st with order = O.compact o (Frame.root st.frame) }
+  else st
 
 let insert_node ?(slack = 0) t ~parent ~pos node =
   if node.Dom.children <> [] then
     invalid_arg "Ruid2.insert_node: only leaf insertion is supported";
-  (match Hashtbl.find_opt t.id_of parent.Dom.serial with
-  | Some _ -> ()
-  | None -> invalid_arg "Ruid2.insert_node: parent not in numbered tree");
-  Dom.insert_child parent ~pos node;
-  let r = Frame.own_area_root t.frame parent in
-  let g = Hashtbl.find t.global_of_root r.Dom.serial in
-  let row = Option.get (Ktable.find t.ktable g) in
-  let needed = Dom.degree parent in
-  if needed > row.Ktable.fanout then
-    t.ktable <-
-      Ktable.with_row t.ktable { row with Ktable.fanout = needed + slack };
-  renumber_area t r
+  let st = compacted t.st in
+  let parent =
+    match current_in st parent with
+    | Some p -> p
+    | None -> invalid_arg "Ruid2.insert_node: parent not in numbered tree"
+  in
+  (match node.Dom.parent with
+  | Some _ -> invalid_arg "Dom.insert_child: child already attached"
+  | None -> ());
+  let pos = max 0 (min pos (Dom.degree parent)) in
+  (* The new node's key follows its document-order predecessor: the
+     parent, or the last node under the previous sibling. *)
+  let pred st =
+    let o = st.order in
+    if pos = 0 then O.key o parent
+    else O.last o (O.key o (List.nth parent.Dom.children (pos - 1)))
+  in
+  let st =
+    if O.alloc_after st.order (pred st) >= 0 then st
+    else { st with order = O.compact st.order (Frame.root st.frame) }
+  in
+  let nk = O.alloc_after st.order (pred st) in
+  let parent', st = editable t st parent in
+  Dom.insert_child parent' ~pos node;
+  let order = O.insert st.order nk { O.node; last = nk; pay = unset } in
+  (* Ancestors whose extent ended before the new key now end at it. *)
+  let order =
+    climb st parent'
+      (fun order a ->
+        let k = O.key order a in
+        if O.last order k < nk then `Go (O.set_last order k nk)
+        else `Stop order)
+      order
+  in
+  let st = { st with order } in
+  let r =
+    Option.get (current_in st (Frame.own_area_root st.frame parent'))
+  in
+  let g = (id_in st r).global in
+  let row = Option.get (Ktable.find st.ktable g) in
+  let needed = Dom.degree parent' in
+  let st =
+    if needed > row.Ktable.fanout then
+      { st with ktable = Ktable.with_row st.ktable
+                    { row with Ktable.fanout = needed + slack } }
+    else st
+  in
+  let st, changed = renumber_area st r in
+  t.st <- st;
+  changed
 
 let delete_subtree t node =
-  if Dom.equal node t.root then
+  let st = compacted t.st in
+  if Dom.equal node (Frame.root st.frame) then
     invalid_arg "Ruid2.delete_subtree: cannot delete the tree root";
-  let parent =
-    match node.Dom.parent with
-    | Some p -> p
+  let node, parent =
+    match current_in st node with
     | None -> invalid_arg "Ruid2.delete_subtree: detached node"
+    | Some n -> (
+      match parent_in st n with
+      | Some p -> (n, p)
+      | None -> invalid_arg "Ruid2.delete_subtree: detached node")
   in
-  let r = Frame.own_area_root t.frame parent in
-  List.iter
-    (fun x ->
-      Hashtbl.remove t.id_of x.Dom.serial;
-      if Frame.is_area_root t.frame x then begin
-        let gx = Hashtbl.find t.global_of_root x.Dom.serial in
-        t.ktable <- Ktable.without t.ktable gx;
-        Hashtbl.remove t.root_of_global gx;
-        Hashtbl.remove t.global_of_root x.Dom.serial;
-        Hashtbl.remove t.node_at gx;
-        Frame.uncut t.frame x
-      end)
-    (Dom.preorder node);
-  Dom.remove_child parent node;
-  renumber_area t r
+  let o = st.order in
+  let nk = O.key o node in
+  let nlast = O.last o nk in
+  (* The deleted subtree's predecessor ends every extent it ended. *)
+  let newlast =
+    let rec before prev = function
+      | [] -> assert false
+      | c :: rest ->
+        if Dom.equal c node then prev
+        else before (O.last o (O.key o c)) rest
+    in
+    before (O.key o parent) parent.Dom.children
+  in
+  (* Drop the subtree's keys and the areas inside it. *)
+  let st =
+    let keys = ref [] in
+    O.iter_range o ~lo:nk ~hi:nlast (fun k -> keys := k :: !keys);
+    List.fold_left
+      (fun st k ->
+        let x = O.node st.order k in
+        let st =
+          if Frame.is_area_root st.frame x then
+            let gx = (O.pay st.order k).global in
+            { st with ktable = Ktable.without st.ktable gx;
+                      areas = IMap.remove gx st.areas;
+                      frame = Frame.drop st.frame x }
+          else st
+        in
+        { st with order = O.remove st.order k })
+      st !keys
+  in
+  let parent', st = editable t st parent in
+  if t.exclusive then Dom.remove_child parent' node
+  else
+    (* older versions still hold [node]: leave its parent as it is *)
+    parent'.Dom.children <-
+      List.filter (fun c -> not (Dom.equal c node)) parent'.Dom.children;
+  let order =
+    climb st parent'
+      (fun order a ->
+        let k = O.key order a in
+        if O.last order k = nlast then `Go (O.set_last order k newlast)
+        else `Stop order)
+      st.order
+  in
+  let st = { st with order } in
+  let r =
+    Option.get (current_in st (Frame.own_area_root st.frame parent'))
+  in
+  let st, changed = renumber_area st r in
+  t.st <- st;
+  changed
 
 (* ------------------------------------------------------------------ *)
 (* Consistency checking                                                *)
@@ -455,27 +650,29 @@ let delete_subtree t node =
 
 let check_consistency t =
   let fail fmt = Format.kasprintf failwith fmt in
-  Frame.check_invariants t.frame;
+  Frame.check_invariants t.st.frame;
   let nodes = all_nodes t in
-  if Hashtbl.length t.id_of <> List.length nodes then
-    fail "id map has %d entries for %d nodes" (Hashtbl.length t.id_of)
+  if O.size t.st.order <> List.length nodes then
+    fail "id map has %d entries for %d nodes" (O.size t.st.order)
       (List.length nodes);
   let seen = Hashtbl.create 256 in
   List.iter
     (fun n ->
       let i =
-        match Hashtbl.find_opt t.id_of n.Dom.serial with
-        | Some i -> i
-        | None -> fail "node %d has no identifier" n.Dom.serial
+        match id_of_node t n with
+        | i -> i
+        | exception Not_found -> fail "node %d has no identifier" n.Dom.serial
       in
       if Hashtbl.mem seen i then fail "duplicate identifier %s" (id_to_string i);
       Hashtbl.replace seen i ();
       (match node_of_id t i with
-      | Some m when Dom.equal m n -> ()
+      | Some m when m == n -> ()
+      | Some m when Dom.equal m n ->
+        fail "identifier %s resolves to a stale version" (id_to_string i)
       | _ -> fail "identifier %s does not resolve back" (id_to_string i));
       (* rparent must agree with the DOM; the numbered root may carry a
          parent outside the numbered tree (e.g. the #document node). *)
-      let dom_parent = if Dom.equal n t.root then None else n.Dom.parent in
+      let dom_parent = if Dom.equal n (root t) then None else n.Dom.parent in
       match (rparent t i, dom_parent) with
       | None, None -> ()
       | Some p, Some dp ->
@@ -489,6 +686,29 @@ let check_consistency t =
 
 let enumeration_area t i = fst (pos t i)
 
+(* The order index against the tree: keys ascend in preorder, the key
+   and the preorder position convert into each other, and each node's
+   extent ends at its last descendant's key. *)
+let check_order t =
+  let fail fmt = Format.kasprintf failwith fmt in
+  let o = t.st.order in
+  let prev = ref (-1) and pos = ref 0 in
+  let rec walk n =
+    let k = O.key o n in
+    if k <= !prev then fail "order key of node %d is out of preorder" n.Dom.serial;
+    if O.node o k != n then fail "order key of node %d holds a stale version" n.Dom.serial;
+    if O.rank o k <> !pos || O.nth o !pos <> k then
+      fail "node %d at preorder position %d has rank %d" n.Dom.serial !pos
+        (O.rank o k);
+    prev := k;
+    incr pos;
+    List.iter walk n.Dom.children;
+    if O.last o k <> !prev then
+      fail "extent of node %d ends at key %d, its last descendant is %d"
+        n.Dom.serial (O.last o k) !prev
+  in
+  walk (root t)
+
 (* Deep invariant checker, used as the recovery postcondition: everything
    check_consistency verifies, plus K-table/area agreement, fan-out
    adequacy, local-index slot chains, and the document order of the
@@ -496,16 +716,17 @@ let enumeration_area t i = fst (pos t i)
 let check t =
   let fail fmt = Format.kasprintf failwith fmt in
   check_consistency t;
+  check_order t;
   (* K rows <-> areas, and each row's fields against the area root. *)
-  let rows = Ktable.rows t.ktable in
-  if List.length rows <> Hashtbl.length t.root_of_global then
+  let rows = Ktable.rows t.st.ktable in
+  if List.length rows <> IMap.cardinal t.st.areas then
     fail "K has %d rows for %d area roots" (List.length rows)
-      (Hashtbl.length t.root_of_global);
+      (IMap.cardinal t.st.areas);
   List.iter
     (fun row ->
       if row.Ktable.fanout < 1 then
         fail "area %d has fan-out %d < 1" row.Ktable.global row.Ktable.fanout;
-      match Hashtbl.find_opt t.root_of_global row.Ktable.global with
+      match area_root_node t row.Ktable.global with
       | None -> fail "K row %d has no area root node" row.Ktable.global
       | Some r ->
         let ri = id_of_node t r in
@@ -522,28 +743,28 @@ let check t =
   (* Occupancy tables: only known areas, locals in range, and every
      occupied slot reachable from the area root through occupied parent
      slots (the chain rparent will walk). *)
-  Hashtbl.iter
-    (fun g inner ->
-      if not (Ktable.mem t.ktable g) then
+  IMap.iter
+    (fun g a ->
+      if not (Ktable.mem t.st.ktable g) then
         fail "area %d is occupied but has no K row" g;
-      let k = Ktable.fanout t.ktable g in
-      Hashtbl.iter
-        (fun l _node ->
+      let k = Ktable.fanout t.st.ktable g in
+      Array.iter
+        (fun l ->
           if l < 1 then fail "local index %d out of range in area %d" l g;
           if l >= 2 then begin
             let pslot = ((l - 2) / k) + 1 in
-            if not (Hashtbl.mem inner pslot) then
+            if find_local a pslot < 0 then
               fail "slot %d of area %d is occupied but parent slot %d is empty"
                 l g pslot
           end)
-        inner)
-    t.node_at;
+        a.locals)
+    t.st.areas;
   (* Fan-out adequacy: no node's degree exceeds the fan-out of the area in
      which its children are enumerated. *)
   List.iter
     (fun n ->
       let g, _ = child_context t n in
-      let k = Ktable.fanout t.ktable g in
+      let k = Ktable.fanout t.st.ktable g in
       if Dom.degree n > k then
         fail "node %s has %d children but area %d enumerates with fan-out %d"
           (id_to_string (id_of_node t n))
@@ -562,58 +783,11 @@ let check t =
   in
   ordered (all_nodes t)
 
-(* Independent structural copy: clone the DOM, then transport every table
-   onto the clone through the old-serial -> new-node map built by walking
-   both trees in lockstep (Dom.clone preserves child order, so the
-   traversals are isomorphic by construction).  The K table is a persistent
-   value and is shared; everything mutable is private to the copy.  This is
-   O(nodes) of pointer work — no serialization, no re-enumeration, no
-   consistency sweep — which is what makes per-batch snapshot publication
-   cheap (the server's incremental publish path). *)
+(* O(1): the copy shares every table and the tree with [t], and from now
+   on neither edits the shared tree in place. *)
 let clone t =
-  let root' = Dom.clone t.root in
-  let map = Hashtbl.create (max 16 (Hashtbl.length t.id_of * 2)) in
-  let rec walk a b =
-    Hashtbl.replace map a.Dom.serial b;
-    List.iter2 walk a.Dom.children b.Dom.children
-  in
-  walk t.root root';
-  let node serial = Hashtbl.find map serial in
-  let id_of = Hashtbl.create (max 16 (Hashtbl.length t.id_of * 2)) in
-  Hashtbl.iter
-    (fun serial i -> Hashtbl.replace id_of (node serial).Dom.serial i)
-    t.id_of;
-  let node_at = Hashtbl.create (max 16 (Hashtbl.length t.node_at * 2)) in
-  Hashtbl.iter
-    (fun g inner ->
-      let inner' = Hashtbl.create (max 8 (Hashtbl.length inner * 2)) in
-      Hashtbl.iter
-        (fun l n -> Hashtbl.replace inner' l (node n.Dom.serial))
-        inner;
-      Hashtbl.replace node_at g inner')
-    t.node_at;
-  let global_of_root =
-    Hashtbl.create (max 16 (Hashtbl.length t.global_of_root * 2))
-  in
-  Hashtbl.iter
-    (fun serial g -> Hashtbl.replace global_of_root (node serial).Dom.serial g)
-    t.global_of_root;
-  let root_of_global =
-    Hashtbl.create (max 16 (Hashtbl.length t.root_of_global * 2))
-  in
-  Hashtbl.iter
-    (fun g n -> Hashtbl.replace root_of_global g (node n.Dom.serial))
-    t.root_of_global;
-  {
-    kappa = t.kappa;
-    ktable = t.ktable;
-    frame = Frame.remap t.frame ~root:root' ~node;
-    id_of;
-    node_at;
-    global_of_root;
-    root_of_global;
-    root = root';
-  }
+  t.exclusive <- false;
+  { kappa = t.kappa; st = t.st; exclusive = false }
 
 let restore ~kappa ~ktable ~ids root =
   let nodes = Dom.preorder root in
@@ -626,51 +800,32 @@ let restore ~kappa ~ktable ~ids root =
       (List.combine nodes ids)
   in
   let frame = Frame.of_cut_set root cut_nodes in
+  let order = O.create ~pay:unset root in
   let t =
-    {
-      kappa;
-      ktable;
-      frame;
-      id_of = Hashtbl.create (List.length nodes * 2);
-      node_at = Hashtbl.create 64;
-      global_of_root = Hashtbl.create 64;
-      root_of_global = Hashtbl.create 64;
-      root;
-    }
+    { kappa;
+      st = { ktable; frame; order; areas = IMap.empty };
+      exclusive = true }
   in
-  List.iter2
-    (fun n i ->
-      Hashtbl.replace t.id_of n.Dom.serial i;
-      if i.is_root then begin
-        Hashtbl.replace t.global_of_root n.Dom.serial i.global;
-        Hashtbl.replace t.root_of_global i.global n
-      end)
-    nodes ids;
-  (* Rebuild the per-area occupancy tables from enumeration positions. *)
-  List.iter2
-    (fun n i ->
+  (* Identifiers in preorder, and the per-area occupancy tables rebuilt
+     from enumeration positions. *)
+  let members = Hashtbl.create 64 in
+  let add g l n =
+    match Hashtbl.find_opt members g with
+    | Some r -> r := (n, l) :: !r
+    | None -> Hashtbl.replace members g (ref [ (n, l) ])
+  in
+  List.iteri
+    (fun j (n, i) ->
+      O.set_built_pay order j i;
       let g, l = pos t i in
-      let inner =
-        match Hashtbl.find_opt t.node_at g with
-        | Some inner -> inner
-        | None ->
-          let inner = Hashtbl.create 32 in
-          Hashtbl.replace t.node_at g inner;
-          inner
-      in
-      Hashtbl.replace inner l n;
-      if i.is_root then begin
-        let own =
-          match Hashtbl.find_opt t.node_at i.global with
-          | Some inner -> inner
-          | None ->
-            let inner = Hashtbl.create 32 in
-            Hashtbl.replace t.node_at i.global inner;
-            inner
-        in
-        Hashtbl.replace own 1 n
-      end)
-    nodes ids;
+      add g l n;
+      if i.is_root then add i.global 1 n)
+    (List.combine nodes ids);
+  let areas =
+    Hashtbl.fold (fun g r acc -> IMap.add g (area_of_members !r) acc) members
+      IMap.empty
+  in
+  t.st <- { t.st with areas };
   (* A corrupted identifier stream can surface as a consistency failure or
      as a missing K row / unresolvable position inside the checker. *)
   (try check_consistency t with

@@ -46,12 +46,20 @@ val restore :
     or is internally inconsistent (checked via {!check_consistency}). *)
 
 val clone : t -> t
-(** Independent deep copy: a fresh DOM clone with every identifier, area
-    table and frame transported onto it (the persistent K table is
-    shared).  Identifiers are bit-identical to the source; mutating either
-    copy never affects the other.  O(nodes) of pointer work with no
-    serialization round-trip or consistency sweep — the fast path behind
-    incremental snapshot publication in the server. *)
+(** O(1): a second handle on the same version.  Every table is persistent
+    and the two handles share all of them and the tree; an update to
+    either derives a new version for that handle alone, copying only the
+    renumbered area, the path from the change up to the root and a
+    bounded piece of the order index (see {!insert_node}).  Identifiers
+    are bit-identical to the source.  The fast path behind incremental
+    snapshot publication, the server's first-write copy and a replica's
+    writer copy.
+
+    Until its first clone a numbering owns its tree and updates edit the
+    tree in place, so a caller that built the tree sees the edits through
+    its own handles.  After it, neither handle edits the shared tree: an
+    update makes new versions of the nodes on the changed path (same
+    serials) and {!root} returns the new root. *)
 
 (** {1 Global parameters (what must sit in main memory)} *)
 
@@ -60,6 +68,10 @@ val ktable : t -> Ktable.t
 val frame : t -> Frame.t
 val root : t -> Rxml.Dom.t
 val area_count : t -> int
+
+val order : t -> id Order_index.t
+(** The document-order index the numbering keeps: every node's order key,
+    its current version, its subtree extent and its identifier. *)
 
 val aux_memory_words : t -> int
 (** Words of main memory the derivation routines need: K plus kappa. *)
@@ -70,6 +82,17 @@ val id_of_node : t -> Rxml.Dom.t -> id
 (** @raise Not_found for a node outside the numbered tree. *)
 
 val node_of_id : t -> id -> Rxml.Dom.t option
+
+val current : t -> Rxml.Dom.t -> Rxml.Dom.t option
+(** The version of a node in this numbering, by identity (serial); [None]
+    for a node outside the tree.  A caller holding a node across updates
+    of a cloned numbering resolves it here. *)
+
+val node_at_rank : t -> int -> Rxml.Dom.t option
+(** The node at a preorder position of {!root} (the addressing of
+    {!Rstorage.Wal} operations), through the order index: O(1) on a fresh
+    numbering, O(log edits since the last compaction) after updates —
+    never a tree walk. *)
 
 val area_root_node : t -> int -> Rxml.Dom.t option
 (** The node rooting the area with the given global index. *)
@@ -133,13 +156,22 @@ val insert_node : ?slack:int -> t -> parent:Rxml.Dom.t -> pos:int -> Rxml.Dom.t 
 (** Insert a fresh leaf as the [pos]-th child and re-enumerate the single
     affected UID-local area, enlarging its fan-out when the parent's degree
     outgrows it ([slack] adds headroom on such growth, default 0).  Returns
-    the number of {e pre-existing} nodes whose identifier changed. *)
+    the number of {e pre-existing} nodes whose identifier changed.
+
+    [parent] is taken by identity: a node held from an earlier version
+    names its current version.  Cost: the renumbered area, the path to the
+    root (new node versions once the numbering is shared) and O(log edits)
+    per touched key; the order index compacts — one O(nodes) rebuild —
+    when its edits outgrow an eighth of the document.  An update that
+    raises ({!Uid.Overflow}) leaves a cloned numbering at its previous
+    version. *)
 
 val delete_subtree : t -> Rxml.Dom.t -> int
 (** Cascading deletion (Section 3.2): remove the node and all descendants,
     drop the K rows of any areas inside, re-enumerate only the area where
     the deleted root was enumerated.  Returns the number of surviving nodes
-    whose identifier changed.
+    whose identifier changed.  The node is taken by identity, as for
+    {!insert_node}.
     @raise Invalid_argument when asked to delete the tree root. *)
 
 val check_consistency : t -> unit

@@ -44,7 +44,10 @@ type doc = {
   xml_path : string;
   sidecar_path : string;
   wal_path : string;
-  mutable r2 : R2.t;  (** local master numbering, fed by the stream *)
+  mutable r2 : R2.t;
+      (** local master numbering, fed by the stream: after each
+          publication an O(1) clone of the published version, sharing its
+          tables and tree *)
   mutable applied_seq : int;  (** last record folded into [r2] *)
   mutable gen : int;  (** generation of the local active segment *)
   mutable local_size : int;  (** bytes of the local journal (all validated) *)
@@ -135,11 +138,23 @@ let check_epoch t got =
 
 exception Stream_torn  (** injected by the chaos plan: connection died *)
 
+(* Upstream no longer hosts a document it listed in the round's STATE: a
+   DROPDOC landed in between.  Not a stream fault — a pull round skips the
+   document and keeps the connection, as for a document STATE omits; a
+   bootstrap fails as on any other refusal. *)
+exception Dropped_upstream of string
+
+let unknown_document m =
+  let p = "unknown document" in
+  String.length m >= String.length p && String.sub m 0 (String.length p) = p
+
 let repl_failure what = function
   | Protocol.Ok_ body -> (
     match Replication.decode_chunk body with
     | Ok c -> c
     | Error why -> failwith (Printf.sprintf "%s: bad reply: %s" what why))
+  | Protocol.Err m when unknown_document m ->
+    raise (Dropped_upstream (Printf.sprintf "%s: upstream ERR %s" what m))
   | Protocol.Err m -> failwith (Printf.sprintf "%s: upstream ERR %s" what m)
   | Protocol.Busy m -> failwith (Printf.sprintf "%s: upstream BUSY %s" what m)
 
@@ -239,6 +254,12 @@ let apply_entries d entries =
     entries;
   List.rev !ops
 
+(* Install [next] and re-derive the writer copy from it: an O(1) clone
+   sharing the published version, which holds every applied operation. *)
+let install t idx d next =
+  Atomic.set t.current next;
+  d.r2 <- R2.clone next.Snapshot.docs.(idx).Snapshot.r2
+
 (* Publish one snapshot covering [ops] on document [idx] — the same
    incremental {!Snapshot.advance} path the primary's group commit uses,
    with the sidecar re-capture as fallback, so the published numbering is
@@ -254,7 +275,7 @@ let publish t idx d ops =
         Snapshot.replace_doc prev ~version ~doc_version:version
           ~doc_index:idx d.r2
     in
-    Atomic.set t.current next
+    install t idx d next
   end
 
 let segment_header_ok s =
@@ -346,36 +367,43 @@ let catch_up t conn d ~target_gen =
     (* 4. Install the new active segment: its current complete-frame
        prefix, published over the journal path by rename so there is no
        instant where the directory holds a torn or empty journal. *)
-    let source =
-      if next < target_gen then Protocol.Segment (next + 1)
-      else Protocol.Active_wal
+    let fetch_segment source =
+      let bytes = fetch_file t conn ~doc:d.name ~file:source in
+      if not (segment_header_ok bytes) then
+        failwith (Printf.sprintf "segment of gen %d has no v2 header" next);
+      let entries, consumed, corrupt =
+        Wal.decode_stream (Bytes.of_string bytes) ~pos:Wal.header_length
+      in
+      (match corrupt with
+      | Some why ->
+        failwith (Printf.sprintf "segment of gen %d corrupt: %s" next why)
+      | None -> ());
+      (bytes, entries, consumed)
     in
-    let bytes = fetch_file t conn ~doc:d.name ~file:source in
-    if not (segment_header_ok bytes) then
-      failwith (Printf.sprintf "segment of gen %d has no v2 header" next);
-    let entries, consumed, corrupt =
-      Wal.decode_stream (Bytes.of_string bytes) ~pos:Wal.header_length
+    let gen_of = function Wal.Ckpt c :: _ -> Some c.Wal.gen | _ -> None in
+    let bytes, entries, consumed =
+      if next < target_gen then fetch_segment (Protocol.Segment (next + 1))
+      else
+        let (_, entries, _) as active = fetch_segment Protocol.Active_wal in
+        (* The segment names its own generation (the checkpoint frame
+           every rotated segment opens with).  The active segment is
+           NEWER than [next] when the primary rotated again after the
+           STATE poll that set [target_gen] — commit pipelines rotate from
+           their own domains, so back-to-back rotations are routine.  Then
+           generation [next] is retired and its archive holds the whole
+           segment: install it from there, on this connection. *)
+        match gen_of entries with
+        | Some g when g <> next -> fetch_segment (Protocol.Segment (next + 1))
+        | _ -> active
     in
-    (match corrupt with
-    | Some why ->
-      failwith (Printf.sprintf "segment of gen %d corrupt: %s" next why)
-    | None -> ());
-    (* The segment names its own generation (the checkpoint frame every
-       rotated segment opens with).  The active segment can legitimately
-       be NEWER than [next] when the primary rotated again after the
-       STATE poll that set [target_gen] — commit pipelines rotate from
-       their own domains, so back-to-back rotations are routine.  Fail
-       BEFORE touching any local state: the reconnect path re-reads
-       STATE and walks the now-archived generation instead.  Installing
-       the bytes as generation [next] would poison the mirror — the
-       next drain would see a checkpoint cutting past the locally
-       applied sequence and every later resume would misalign. *)
-    (match entries with
-    | Wal.Ckpt c :: _ when c.Wal.gen <> next ->
+    (* Installing bytes of another generation as [next] would poison the
+       mirror — the next drain would see a checkpoint cutting past the
+       locally applied sequence and every later resume would misalign —
+       so any mismatch left fails before touching local state. *)
+    (match gen_of entries with
+    | Some g when g <> next ->
       failwith
-        (Printf.sprintf
-           "fetched segment is gen %d, expected %d: primary rotated again"
-           c.Wal.gen next)
+        (Printf.sprintf "fetched segment is gen %d, expected %d" g next)
     | _ -> ());
     store_atomic d.wal_path (String.sub bytes 0 consumed);
     d.gen <- next;
@@ -389,6 +417,31 @@ let catch_up t conn d ~target_gen =
 (* ------------------------------------------------------------------ *)
 (* The pull loop                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* One mirrored document's share of a pull round: catch up through the
+   archives when upstream rotated past us, then long-poll the live tail. *)
+let pull_doc t conn idx d (u : Replication.doc_state) =
+  if u.gen > d.gen then begin
+    Mutex.lock t.write_mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu) @@ fun () ->
+    catch_up t conn d ~target_gen:u.gen
+  end;
+  (* live tail: long-poll for growth of the active segment *)
+  let offset = d.local_size + String.length d.tail in
+  let req =
+    Protocol.Repl_wait
+      { doc = d.name; gen = d.gen; offset; timeout_ms = t.cfg.poll_ms }
+  in
+  let c = repl_failure "REPL WAIT" (Client.request conn req) in
+  check_epoch t c.Replication.epoch;
+  if c.Replication.gen = d.gen && String.length c.Replication.data > 0 then begin
+    Mutex.lock t.write_mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu) @@ fun () ->
+    let data = chaos_data t d c.Replication.data in
+    d.tail <- d.tail ^ data;
+    drain t idx d
+  end
+  (* a different gen: the next round's STATE sees it and catches up *)
 
 let pull_round t conn =
   let st = get_state t conn in
@@ -430,30 +483,9 @@ let pull_round t conn =
            polled. *)
         ()
       | Some _ when pull_stopped t -> ()
-      | Some u ->
-        if u.gen > d.gen then begin
-          Mutex.lock t.write_mu;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu)
-          @@ fun () -> catch_up t conn d ~target_gen:u.gen
-        end;
-        (* live tail: long-poll for growth of the active segment *)
-        let offset = d.local_size + String.length d.tail in
-        let req =
-          Protocol.Repl_wait
-            { doc = d.name; gen = d.gen; offset; timeout_ms = t.cfg.poll_ms }
-        in
-        let c = repl_failure "REPL WAIT" (Client.request conn req) in
-        check_epoch t c.Replication.epoch;
-        if c.Replication.gen = d.gen && String.length c.Replication.data > 0
-        then begin
-          Mutex.lock t.write_mu;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu)
-          @@ fun () ->
-          let data = chaos_data t d c.Replication.data in
-          d.tail <- d.tail ^ data;
-          drain t idx d
-        end
-        (* a different gen: the next round's STATE sees it and catches up *))
+      | Some u -> (
+        (* dropped between STATE and this document's turn: same case *)
+        try pull_doc t conn idx d u with Dropped_upstream _ -> ()))
     t.docs
 
 (* Bounded exponential backoff between reconnect attempts: 50 ms doubling
@@ -731,12 +763,8 @@ let run_update t doc op =
       | exception Wal.Replay_error msg ->
         Protocol.Err ("update rejected: " ^ msg)
       | exception e ->
-        (* An operation that fails part-way (Uid.Overflow once a grown
-           fan-out overflows an area's local identifiers — raised after
-           the tree changed) leaves the writer copy half-applied.  Under
-           [write_mu] the published copy holds every applied operation, so
-           the writer copy is re-cloned from it, as the primary does. *)
-        d.r2 <- R2.clone (Atomic.get t.current).Snapshot.docs.(idx).Snapshot.r2;
+        (* The writer copy is a clone: an operation that fails part-way
+           (Uid.Overflow) leaves it at its previous version. *)
         Protocol.Err ("update rejected: " ^ Printexc.to_string e)
       | area, changed ->
         d.applied_seq <- d.applied_seq + 1;
@@ -753,7 +781,7 @@ let run_update t doc op =
             Snapshot.replace_doc prev ~version ~doc_version:version
               ~doc_index:idx d.r2
         in
-        Atomic.set t.current next;
+        install t idx d next;
         Protocol.Ok_
           (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=1" version
              record.Wal.seq area changed)))
@@ -896,7 +924,9 @@ let start ?chaos cfg =
       Client.with_connection cfg.primary @@ fun conn ->
       Array.of_list
         (List.map
-           (fun (u : Replication.doc_state) -> bootstrap_doc t conn u.name)
+           (fun (u : Replication.doc_state) ->
+             try bootstrap_doc t conn u.name
+             with Dropped_upstream msg -> failwith msg)
            docs.Replication.s_docs)
     with
     | docs -> docs
@@ -908,9 +938,15 @@ let start ?chaos cfg =
       raise e
   in
   let t = { t with docs } in
-  Atomic.set t.current
-    (Snapshot.capture ?planner:planner_shared ~version:(local_version t)
-       (Array.to_list (Array.map (fun d -> (d.name, d.r2)) t.docs)));
+  (* The recovered numberings are handed to the snapshot as they are; each
+     writer copy is a clone sharing them. *)
+  let version = local_version t in
+  let snap, _ =
+    Snapshot.host (Snapshot.capture ~version []) ?planner:planner_shared
+      ~version
+      (Array.to_list (Array.map (fun d -> (d.name, d.r2)) t.docs))
+  in
+  Array.iteri (fun idx d -> install t idx d snap) t.docs;
   Metrics.set_queue_probe metrics (fun () -> Pool.queue_depth t.sched);
   Metrics.set_snapshot_probe metrics (fun () ->
       let s = Atomic.get t.current in

@@ -77,10 +77,11 @@ type master = {
           by DROPDOC: the slot stays — the commit queues address masters by
           index — but the document refuses updates and stops being served *)
   mutable r2 : R2.t option;
-      (** the writer's private copy, guarded by the group's write mutex and
-          never read by readers.  [None] until the document's first UPDATE
-          clones the published numbering (copy-on-first-write): a document
-          nobody writes stays resident once, in the snapshot *)
+      (** the writer's handle, guarded by the group's write mutex and never
+          read by readers.  [None] until the document's first UPDATE; each
+          UPDATE that finds the published copy caught up takes an O(1)
+          clone of it, which shares the published version's tables and
+          tree, so a written document stays resident about once *)
   wal : Wal.writer;
   mutable applied_seq : int;
       (** sequence number of the last operation applied to [r2]; runs ahead
@@ -720,11 +721,11 @@ let published t idx = (Atomic.get t.current).Snapshot.docs.(idx)
 (* Phase 1 under the group's write mutex: apply to the writer copy, take a
    sequence number and a version, park in the commit queue.  An operation
    that fails part-way (Uid.Overflow once a grown fan-out overflows an
-   area's local identifiers — raised after the tree changed) leaves the
-   writer copy half-applied.  With none of the document's records pending
-   the published copy holds every applied operation, so the copy is
-   dropped and the next write re-clones; otherwise the document is
-   quarantined like a failed commit. *)
+   area's local identifiers) leaves the writer copy, a clone, at its
+   previous version.  The document's outcome is the server's overflow
+   policy, which the server suite pins: with none of its records pending
+   the copy is dropped and the next write re-clones the published one;
+   otherwise the document is quarantined like a failed commit. *)
 let apply_and_enqueue t (g : group) idx m r2 op ~wait_ns =
   match Wal.apply r2 op with
   | exception Wal.Replay_error msg -> Error msg
@@ -760,10 +761,13 @@ let run_update t doc op =
     (* The slot's group never changes (it is a pure function of the name,
        and revival keeps the name), so it is safe to read before locking. *)
     let g = t.groups.(t.masters.(idx).group) in
-    (* Phase 1, under the group's write lock only.  Copy-on-first-write: a
-       document without a writer copy clones its published numbering here.
-       While the slot holds no writer copy only the membership verbs
-       replace its published copy, and they take every group's mutex. *)
+    (* Phase 1, under the group's write lock only.  A writer whose
+       published copy already holds every operation it applied takes a
+       fresh O(1) clone of the published numbering, so the two share every
+       table and the tree and the document stays resident about once; a
+       writer with records still in the queue keeps its own copy.  While
+       the slot holds no writer copy only the membership verbs replace its
+       published copy, and they take every group's mutex. *)
     let w0 = Unix.gettimeofday () in
     Mutex.lock g.g_write_mu;
     let wait_ns = (Unix.gettimeofday () -. w0) *. 1e9 in
@@ -779,8 +783,10 @@ let run_update t doc op =
             (Printf.sprintf
                "document %S is quarantined (%s); \
                 restart the server to recover from the journal" doc why)
-        | None, Some r2 -> apply_and_enqueue t g idx m r2 op ~wait_ns
-        | None, None ->
+        | None, Some r2
+          when (published t idx).Snapshot.doc_version < m.applied_version ->
+          apply_and_enqueue t g idx m r2 op ~wait_ns
+        | None, _ ->
           let c = R2.clone (published t idx).Snapshot.r2 in
           m.r2 <- Some c;
           apply_and_enqueue t g idx m c op ~wait_ns

@@ -7,6 +7,7 @@ type doc = {
   name : string;
   root : Dom.t;
   r2 : R2.t;
+  index : Rxpath.Doc_index.t;
   engine : Rxpath.Eval.engine;
   planner : Planner.t option;
   doc_version : int;
@@ -27,12 +28,14 @@ type t = {
 let doc_over ?planner ~doc_version name r2 =
   match planner with
   | None ->
-    { name; root = R2.root r2; r2; engine = Rxpath.Engine_ruid.create r2;
-      planner = None; doc_version; live = true }
+    let index = Rxpath.Doc_index.build r2 in
+    { name; root = R2.root r2; r2; index;
+      engine = Rxpath.Engine_ruid.create ~index r2; planner = None;
+      doc_version; live = true }
   | Some shared ->
     let p = Planner.create ~shared r2 in
-    { name; root = R2.root r2; r2; engine = Planner.engine p; planner = Some p;
-      doc_version; live = true }
+    { name; root = R2.root r2; r2; index = Planner.index p;
+      engine = Planner.engine p; planner = Some p; doc_version; live = true }
 
 (* An isolated copy of a master document: clone the DOM, then re-impose the
    exact identifiers through the persistence sidecar (Ruid2 state references
@@ -112,38 +115,43 @@ let retire_doc t ~version ~doc_index =
   { version; published_at = Unix.gettimeofday (); docs; index = t.index }
 
 (* Root label path of an element (root label first, elements only — the
-   document node contributes nothing). *)
+   document node contributes nothing).  Parent pointers are read for their
+   payload only: a shared node's may name an older version of its parent,
+   with the same tag. *)
 let label_path n =
   List.rev_map Dom.tag
     (List.filter Dom.is_element (n :: Dom.ancestors n))
 
-(* The guide delta of one logical operation, computed against the tree the
-   operation is ABOUT to apply to (ranks are pre-apply preorder ranks). *)
-let delta_of_op root op =
+(* The guide delta of one logical operation, computed against the version
+   the operation is ABOUT to apply to (ranks are pre-apply preorder ranks,
+   resolved through the numbering's order index). *)
+let delta_of_op r2 op =
   match op with
   | Rstorage.Wal.Insert { parent_rank; tag; _ } -> (
-    match List.nth_opt (Dom.preorder root) parent_rank with
+    match R2.node_at_rank r2 parent_rank with
     | None -> None  (* replay will fail; let Wal.apply report it *)
     | Some parent ->
       let base = if Dom.is_element parent then label_path parent else [] in
       Some [ Planner.Add (base @ [ tag ]) ])
   | Rstorage.Wal.Delete { rank } -> (
-    match List.nth_opt (Dom.preorder root) rank with
+    match R2.node_at_rank r2 rank with
     | None -> None
     | Some n ->
       Some (List.map (fun e -> Planner.Remove (label_path e)) (Dom.elements n)))
 
-(* Incremental capture: instead of a sidecar serialize + reparse of the
-   master, clone the PREVIOUS snapshot's copy (pointer work, no encoding)
-   and replay the batch's logical operations on the clone.  [Wal.apply] is
-   deterministic, so the clone converges to identifiers bit-identical to
+(* Incremental publication: an O(1) clone of the PREVIOUS snapshot's
+   numbering, then a replay of the batch's logical operations on it.  The
+   clone shares every table and the tree; the replay path-copies the
+   nodes it changes and the path to the root, so the new version shares
+   the rest with the old one, which readers may still hold.  [Wal.apply]
+   is deterministic, so the result carries identifiers bit-identical to
    the master that already applied the same ops — the equivalence the
-   server property test pins across random update sequences.  The planner
-   advances incrementally too: each op's DataGuide delta is computed
-   against the pre-apply tree (ranks are pre-apply), then folded into a
-   clone of the previous guide — O(changed paths), no guide rebuild.
-   Returns the new doc plus how many area-renumberings the replay performed
-   (the [areas_rebuilt] metric: everything else was shared, not rebuilt). *)
+   server property test pins across random update sequences.  The index
+   and the planner advance by sharing too: postings of the touched tags
+   only, and each op's DataGuide delta (computed against the pre-apply
+   version) folded into a clone of the previous guide.  Returns the new
+   doc plus how many area-renumberings the replay performed (the
+   [areas_rebuilt] metric: everything else was shared, not rebuilt). *)
 let advance_doc prev ~doc_version ops =
   let r2 = R2.clone prev.r2 in
   let areas = Hashtbl.create 8 in
@@ -152,7 +160,7 @@ let advance_doc prev ~doc_version ops =
   List.iter
     (fun op ->
       if track then
-        (match (!deltas, delta_of_op (R2.root r2) op) with
+        (match (!deltas, delta_of_op r2 op) with
         | Some acc, Some ds -> deltas := Some (acc @ ds)
         | _, None -> deltas := None  (* unresolvable rank: give up tracking *)
         | None, _ -> ());
@@ -169,13 +177,15 @@ let advance_doc prev ~doc_version ops =
             | None -> [ Planner.Remove [] ]  (* inconsistent: force rebuild *)))
       prev.planner
   in
-  let engine =
+  let index, engine =
     match planner with
-    | Some p -> Planner.engine p
-    | None -> Rxpath.Engine_ruid.create r2
+    | Some p -> (Planner.index p, Planner.engine p)
+    | None ->
+      let index = Rxpath.Doc_index.advance prev.index r2 in
+      (index, Rxpath.Engine_ruid.create ~index r2)
   in
-  ( { name = prev.name; root = R2.root r2; r2; engine; planner; doc_version;
-      live = prev.live },
+  ( { name = prev.name; root = R2.root r2; r2; index; engine; planner;
+      doc_version; live = prev.live },
     Hashtbl.length areas )
 
 (* The stamp a successor of [t] must be published under: strictly above

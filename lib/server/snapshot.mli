@@ -9,23 +9,33 @@
     A numbering reaches a snapshot in one of three ways:
     - {e Hand-off} ({!host}).  A numbering that was just built or
       recovered — the service's startup documents, ADDDOC/ADDCHUNK, a
-      committed ADOPT — is published as is, with no copy; the caller
-      gives it up for good.  The service's writer makes its own copy with
-      {!Ruid.Ruid2.clone} on the document's first UPDATE
-      (copy-on-first-write), so a document nobody writes is resident
-      once, not twice.
-    - {e Derivation} ({!advance}).  A published copy's successor is a
-      {!Ruid.Ruid2.clone} of it plus a replay of the batch's operations —
-      bit-identical identifiers, so the paper's update locality is
-      preserved rather than renumbered away.
+      committed ADOPT, a replica's bootstrap — is published as is, with
+      no copy; the caller gives it up for good.  A writer takes an O(1)
+      {!Ruid.Ruid2.clone} of the published numbering, which shares its
+      tree and tables, so a document is resident about once whether or
+      not anybody writes it.
+    - {e Derivation} ({!advance}).  A published version's successor is a
+      clone of it plus a replay of the batch's operations — bit-identical
+      identifiers, so the paper's update locality is preserved rather
+      than renumbered away.  The replay copies only what the batch
+      touches: the renumbered areas (§3.2), the nodes on the path from
+      each change up to the root, the edited order keys and the postings
+      of the touched tags.  Everything else is shared with the previous
+      version.
     - {e Copy} ({!capture}, {!add_doc}, {!replace_doc}).  DOM clone plus
       the {!Ruid.Persist} sidecar round-trip, for callers that go on
-      mutating what they pass: a replica's writer copy, the service's
+      editing the tree they pass directly: the service's
       full-publication fallback, benchmark replays.
+
+    Sharing has one rule for readers: a node's [parent] pointer may name
+    an older version of its parent (same serial and tag, possibly other
+    children), so it serves identity and payload only; parents' children
+    are reached through the numbering ([rparent], §3.3) or the index.
 
     An update re-publishes only the document it touched; untouched
     documents are shared structurally between consecutive snapshots, so
-    publish cost is O(affected document), not O(collection).
+    publish cost is the touched areas and paths, not O(document) and not
+    O(collection).
 
     Several commit pipelines may publish concurrently: each derives a
     successor from the snapshot it re-reads, stamps it with {!next_stamp},
@@ -35,9 +45,10 @@
 
     A published snapshot is immutable and safe to read from any number of
     threads {e and domains} concurrently: every constituent structure
-    (numbering tables, document-order index, tag postings, per-tag lists)
-    is completed before publication, and evaluation never writes — the
-    invariant the parallel read executor relies on. *)
+    (numbering tables, document-order index, tag postings) is completed
+    before publication, later versions only add new records beside the
+    shared ones, and evaluation never writes — the invariant the parallel
+    read executor relies on. *)
 
 type doc = private {
   name : string;
@@ -45,6 +56,9 @@ type doc = private {
   r2 : Ruid.Ruid2.t;
       (** the published numbering: never written once published (a writer
           works on its own {!Ruid.Ruid2.clone}) *)
+  index : Rxpath.Doc_index.t;
+      (** document-order index and tag postings over [r2], shared by the
+          engine and the planner; {!advance} derives the successor's *)
   engine : Rxpath.Eval.engine;
   planner : Rxpath.Planner.t option;
       (** cost-based query planner over this copy, present when the service
@@ -80,8 +94,10 @@ val capture :
   ?planner:Rxpath.Planner.shared -> version:int ->
   (string * Ruid.Ruid2.t) list -> t
 (** Copy every master document (DOM clone + sidecar round-trip), every
-    cursor at [version]; the masters stay the caller's to mutate.  A
-    replica publishes its bootstrap this way.  With [?planner], every
+    cursor at [version]; the masters stay the caller's to mutate, even
+    through direct tree edits.  Callers that update only through
+    {!Ruid.Ruid2} hand off with {!host} and keep a clone instead, at no
+    copy (a replica's bootstrap).  With [?planner], every
     document gets a query planner built over the shared plan cache and
     strategy counters (one [shared] serves the whole collection across all
     publications).
@@ -104,18 +120,25 @@ val next_stamp : t -> floor:int -> int
 val advance :
   t -> version:int -> (int * Rstorage.Wal.op list * int) list -> t * int
 (** Incremental publication: for each [(doc_index, ops, doc_version)],
-    derive the new copy from {e this} snapshot's copy — {!Ruid.Ruid2.clone}
-    plus a replay of the batch's operations — instead of the sidecar
-    serialize + reparse of {!replace_doc}, leaving the document's cursor at
-    [doc_version].  [Rstorage.Wal.apply] is deterministic, so the result is
-    bit-identical to re-capturing the master that applied the same
-    operations, at the cost of the touched areas only.  Untouched documents
-    (cursors included) are shared as in {!replace_doc}.  Planner documents
-    advance their DataGuide incrementally: each operation's label-path
-    delta is computed against the pre-apply tree and folded into a clone
-    of the previous guide (readers of the previous snapshot keep theirs).  Returns the
-    snapshot and the total number of area renumberings performed (the
-    rebuilt surface).
+    derive the new version from {e this} snapshot's — an O(1)
+    {!Ruid.Ruid2.clone} plus a replay of the batch's operations — instead
+    of the sidecar serialize + reparse of {!replace_doc}, leaving the
+    document's cursor at [doc_version].  [Rstorage.Wal.apply] is
+    deterministic, so the result is bit-identical to re-capturing the
+    master that applied the same operations, at the cost of the touched
+    areas only: each operation resolves its ranks through the order index
+    (no tree walk), renumbers one area, path-copies the nodes from the
+    change up to the root, and edits O(depth) order keys; the index keeps
+    every posting array but the touched tags', which it copies
+    (O(their cardinality)); an engine over it is O(1).
+    The order index compacts — one O(nodes) rebuild — once its edits
+    outgrow an eighth of the document.  Untouched documents (cursors
+    included) are shared as in {!replace_doc}.  Planner documents advance
+    their DataGuide incrementally: each operation's label-path delta is
+    computed against the pre-apply version and folded into a clone of the
+    previous guide (readers of the previous snapshot keep theirs).
+    Returns the snapshot and the total number of area renumberings
+    performed (the rebuilt surface).
     @raise Rstorage.Wal.Replay_error if an operation does not apply —
     callers fall back to {!replace_doc}. *)
 
@@ -136,7 +159,7 @@ val host :
     {e without copying them} — each numbering becomes the published copy,
     and the planner (or engine) is built over it in place.  The caller
     must never write one of them again; a writer clones it
-    ({!Ruid.Ruid2.clone}) first.  Slots are assigned as by {!add_doc}
+    (an O(1) {!Ruid.Ruid2.clone}) first.  Slots are assigned as by {!add_doc}
     and returned in list order; every cursor is at [version].
     @raise Invalid_argument when a name is already live or repeats. *)
 

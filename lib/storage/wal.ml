@@ -54,13 +54,17 @@ let area_enumerating t parent =
   | Some g -> g
   | None -> replay_error "area root of node %d has no global index" r.Dom.serial
 
+(* Ranks resolve through the numbering's order index, never a tree walk.
+   A DELETE reads its node's parent pointer for identity only (in a shared
+   version it may name an older version of the parent): the area comes
+   from the cut set by serial, and [delete_subtree] resolves the rest. *)
 let apply t op =
-  let nodes = Dom.preorder (R2.root t) in
-  let total = List.length nodes in
   let nth rank =
-    match List.nth_opt nodes rank with
+    match R2.node_at_rank t rank with
     | Some n -> n
-    | None -> replay_error "rank %d out of range (%d nodes)" rank total
+    | None ->
+      replay_error "rank %d out of range (%d nodes)" rank
+        (Ruid.Order_index.size (R2.order t))
   in
   try
     match op with

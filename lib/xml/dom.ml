@@ -165,6 +165,13 @@ let rec clone n =
   append_children copy (List.map clone n.children);
   copy
 
+let version n = { n with children = n.children }
+
+let replace_child parent ~old by =
+  parent.children <-
+    List.map (fun c -> if equal c old then by else c) parent.children;
+  by.parent <- Some parent
+
 let pp_kind ppf n =
   match n.kind with
   | Document -> Format.pp_print_string ppf "#document"

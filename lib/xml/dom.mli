@@ -111,4 +111,24 @@ val equal : t -> t -> bool
 val clone : t -> t
 (** Deep copy of a subtree with fresh serials; the copy is detached. *)
 
+(** {1 Path copying}
+
+    A versioned tree ({!Ruid.Ruid2} after a clone) never edits a node that
+    an older version can reach.  It makes a new {e version} of each node
+    on the path from a change up to the root and leaves the rest shared.
+    A shared node's [parent] then names an older version of its parent:
+    same serial and payload, possibly other children.  Code that reads
+    such a tree may use [parent] for identity and payload only, and must
+    reach a parent's children through the version's own tables. *)
+
+val version : t -> t
+(** A new record for the same node: same serial, payload, parent and
+    child list.  The copy is the caller's to edit; the payload ([kind]) is
+    shared and must not be edited through either. *)
+
+val replace_child : t -> old:t -> t -> unit
+(** [replace_child parent ~old by] puts [by] where the child with [old]'s
+    serial stands and makes [parent] its parent.  For path copying:
+    [parent] must be a fresh {!version}. *)
+
 val pp_kind : Format.formatter -> t -> unit

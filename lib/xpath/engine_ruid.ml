@@ -40,21 +40,17 @@ let create ?(strategy = Auto) ?index r2 =
   let idx = match index with Some i -> i | None -> Doc_index.build r2 in
   let total = Doc_index.size idx in
   let id n = R2.id_of_node r2 n in
-  (* Posting lists for the arithmetic strategy, one per tag so forced Arith
-     runs do not pay an array-to-list conversion per step.  Built eagerly:
-     after [create] the engine closure captures only immutable state, so
-     one engine may serve concurrent reader domains without locking. *)
-  let post_lists = Hashtbl.create 16 in
-  List.iter
-    (fun tag ->
-      Hashtbl.replace post_lists tag
-        (Array.fold_right
-           (fun r acc -> Doc_index.node_at idx r :: acc)
-           (Doc_index.postings idx tag) []))
-    (Doc_index.tags idx);
+  (* Candidate lists for the arithmetic strategy, read from the shared
+     postings per step: the strategy visits every candidate anyway, and
+     [create] stays O(1), so a published version costs no per-tag copy.
+     The closure captures only immutable state, so one engine may serve
+     concurrent reader domains without locking. *)
   let by_tag tag =
-    match Hashtbl.find_opt post_lists tag with Some l -> l | None -> []
+    Array.fold_right
+      (fun k acc -> Ruid.Order_index.node (Doc_index.order idx) k :: acc)
+      (Doc_index.postings idx tag) []
   in
+  let pos k = Doc_index.approx_rank idx k in
   let compare_order a b = Doc_index.compare_order idx a b in
   let axis (a : Ast.axis) n =
     match a with
@@ -94,20 +90,19 @@ let create ?(strategy = Auto) ?index r2 =
     in
     match a with
     | Ast.Descendant -> (
-      let r, e = Doc_index.extent idx n in
-      match pick ~scope:(e - r) with
+      let k = Doc_index.key idx n in
+      match pick ~scope:(pos (Ruid.Order_index.last (Doc_index.order idx) k) - pos k) with
       | Range -> Some (Doc_index.descendants_by_tag idx n tag)
       | Arith -> Some (rel_filter Rel.Descendant)
       | Walk | Auto -> None)
     | Ast.Following -> (
-      let _, e = Doc_index.extent idx n in
-      match pick ~scope:(total - 1 - e) with
+      let e = Ruid.Order_index.last (Doc_index.order idx) (Doc_index.key idx n) in
+      match pick ~scope:(total - 1 - pos e) with
       | Range -> Some (Doc_index.following_by_tag idx n tag)
       | Arith -> Some (rel_filter Rel.After)
       | Walk | Auto -> None)
     | Ast.Preceding -> (
-      let r = Doc_index.rank idx n in
-      match pick ~scope:r with
+      match pick ~scope:(pos (Doc_index.key idx n)) with
       | Range -> Some (Doc_index.preceding_by_tag idx n tag)
       | Arith -> Some (List.rev (rel_filter Rel.Before))
       | Walk | Auto -> None)
@@ -125,5 +120,5 @@ let create ?(strategy = Auto) ?index r2 =
     compare_order;
     (* A node outside the snapshot is a hard error (Doc_index.rank raises),
        not a silent max_int sort key. *)
-    rank_of = (fun n -> Some (Doc_index.rank idx n));
+    rank_of = (fun n -> Some (Doc_index.key idx n));
   }

@@ -1,5 +1,6 @@
 module Dom = Rxml.Dom
 module R2 = Ruid.Ruid2
+module O = Ruid.Order_index
 module G = Rsummary.Dataguide
 
 (* ------------------------------------------------------------------ *)
@@ -111,7 +112,6 @@ let shared_stats sh =
 type t = {
   r2 : R2.t;
   index : Doc_index.t;
-  tags : Tag_index.t;
   engine : Eval.engine;
   guide : G.t;
   doc_rooted : bool;  (* numbering root is a document node, not an element *)
@@ -125,7 +125,6 @@ let create ?shared r2 =
   {
     r2;
     index;
-    tags = Tag_index.create r2;
     engine = Engine_ruid.create ~index r2;
     guide = G.build root;
     doc_rooted = not (Dom.is_element root);
@@ -133,6 +132,7 @@ let create ?shared r2 =
   }
 
 let engine t = t.engine
+let index t = t.index
 let shared_of t = t.shared
 let guide t = t.guide
 let guide_fingerprint t = G.fingerprint t.guide
@@ -157,12 +157,11 @@ let advance prev r2 ~deltas =
     end
     else G.build (R2.root r2)  (* deltas disagree with the guide: rebuild *)
   in
-  let index = Doc_index.build r2 in
+  let index = Doc_index.advance prev.index r2 in
   let root = R2.root r2 in
   {
     r2;
     index;
-    tags = Tag_index.create r2;
     engine = Engine_ruid.create ~index r2;
     guide;
     doc_rooted = not (Dom.is_element root);
@@ -684,17 +683,13 @@ let collected c =
     contents out
   end
 
-let has_tag idx r tag =
-  match (Doc_index.node_at idx r).Dom.kind with
-  | Dom.Element e -> String.equal e.Dom.tag tag
-  | _ -> false
-
 (* S_i going up, child edge: the [tag] parents of [lows]. *)
 let up_child idx ~tag lows =
+  let o = Doc_index.order idx in
   let c = collector lows.len in
   for i = 0 to lows.len - 1 do
-    let p = Doc_index.parent_rank idx lows.r.(i) in
-    if p >= 0 && has_tag idx p tag then collect c p
+    let p = O.parent o lows.r.(i) in
+    if p >= 0 && O.has_tag o p tag then collect c p
   done;
   collected c
 
@@ -714,17 +709,18 @@ let reverse a i j =
    no node is visited twice, and each walk's finds, reversed out of their
    deepest-first order, extend the output in rank order. *)
 let up_desc_probe idx ~tag lows =
+  let o = Doc_index.order idx in
   let b = buf lows.len in
   let prev = ref (-1) in
   for i = 0 to lows.len - 1 do
     let l = lows.r.(i) in
     let first = b.n in
-    let a = ref (Doc_index.parent_rank idx l) in
+    let a = ref (O.parent o l) in
     while !a > !prev do
-      if has_tag idx !a tag then push b !a;
-      a := Doc_index.parent_rank idx !a
+      if O.has_tag o !a tag then push b !a;
+      a := O.parent o !a
     done;
-    if !a >= 0 && !a = !prev && has_tag idx !a tag then push b !a;
+    if !a >= 0 && !a = !prev && O.has_tag o !a tag then push b !a;
     reverse b.a first (b.n - 1);
     prev := l
   done;
@@ -734,6 +730,7 @@ let up_desc_probe idx ~tag lows =
    [lows].  The first low past an upper is the only witness worth testing,
    and that pointer only moves forward: one linear sweep, no stack. *)
 let keep_desc idx ~uppers lows =
+  let o = Doc_index.order idx in
   let b = buf uppers.len in
   let i = ref 0 and j = ref 0 in
   while !i < uppers.len && !j < lows.len do
@@ -741,7 +738,7 @@ let keep_desc idx ~uppers lows =
     while !j < lows.len && lows.r.(!j) <= u do
       incr j
     done;
-    if !j < lows.len && lows.r.(!j) <= Doc_index.subtree_end idx u then
+    if !j < lows.len && lows.r.(!j) <= O.last o u then
       push b u;
     incr i
   done;
@@ -753,8 +750,9 @@ let keep_desc idx ~uppers lows =
    exactly when it tops the stack; [hit i l] then reports upper [i] and low
    [l]. *)
 let child_sweep idx ~uppers lows hit =
+  let o = Doc_index.order idx in
   let stack = buf 8 in
-  let top_end () = Doc_index.subtree_end idx uppers.r.(stack.a.(stack.n - 1)) in
+  let top_end () = O.last o uppers.r.(stack.a.(stack.n - 1)) in
   let i = ref 0 in
   for j = 0 to lows.len - 1 do
     let l = lows.r.(j) in
@@ -771,7 +769,7 @@ let child_sweep idx ~uppers lows hit =
     done;
     if stack.n > 0 then begin
       let top = stack.a.(stack.n - 1) in
-      if uppers.r.(top) = Doc_index.parent_rank idx l then hit top l
+      if uppers.r.(top) = O.parent o l then hit top l
     end
   done
 
@@ -798,18 +796,20 @@ let down_child_probe ?keep idx ~uppers lows =
   contents b
 
 (* D_i going down, child edge by walking: each upper's [tag] children.  A
-   first child's rank is its parent's plus one and each next sibling's
-   follows the previous subtree, so the walk reads ranks straight from the
-   index.  Children of an upper nested in an earlier one arrive late. *)
+   first child's key is the next after its parent's and each next
+   sibling's the next after the previous subtree, so the walk reads keys
+   straight from the index.  Children of an upper nested in an earlier one
+   arrive late. *)
 let down_child_walk idx ~uppers ~tag =
+  let o = Doc_index.order idx in
   let c = collector uppers.len in
   for i = 0 to uppers.len - 1 do
     let u = uppers.r.(i) in
-    let last = Doc_index.subtree_end idx u in
-    let k = ref (u + 1) in
-    while !k <= last do
-      if has_tag idx !k tag then collect c !k;
-      k := Doc_index.subtree_end idx !k + 1
+    let last = O.last o u in
+    let k = ref (O.next o u) in
+    while !k >= 0 && !k <= last do
+      if O.has_tag o !k tag then collect c !k;
+      k := O.next o (O.last o !k)
     done
   done;
   collected c
@@ -817,12 +817,13 @@ let down_child_walk idx ~uppers ~tag =
 (* D_i going down, descendant edge by merging: the lows below some upper —
    one sweep carrying the furthest subtree end of the uppers passed. *)
 let down_desc_merge ?keep idx ~uppers lows =
+  let o = Doc_index.order idx in
   let b = buf ?keep lows.len in
   let i = ref 0 and maxend = ref (-1) in
   for j = 0 to lows.len - 1 do
     let l = lows.r.(j) in
     while !i < uppers.len && uppers.r.(!i) < l do
-      let e = Doc_index.subtree_end idx uppers.r.(!i) in
+      let e = O.last o uppers.r.(!i) in
       if e > !maxend then maxend := e;
       incr i
     done;
@@ -837,13 +838,14 @@ let down_desc_merge ?keep idx ~uppers lows =
    the spans (up to [keep] ranks of them) are then copied out in one
    exact-size array. *)
 let down_desc_range ?(keep = max_int) idx ~uppers ~tag =
+  let o = Doc_index.order idx in
   let post = Doc_index.postings idx tag in
   let spans = buf (2 * uppers.len) in
   let covered = ref 0 and total = ref 0 in
   for i = 0 to uppers.len - 1 do
     let u = uppers.r.(i) in
     let lo = Doc_index.lower_bound post ~lo:!covered (u + 1) in
-    let hi = Doc_index.lower_bound post ~lo (Doc_index.subtree_end idx u + 1) in
+    let hi = Doc_index.lower_bound post ~lo (O.last o u + 1) in
     if lo < hi then begin
       push spans lo;
       push spans hi;
@@ -889,7 +891,7 @@ let op trace label est f = timed trace label est (fun rs -> rs.len) f
 let anchor ?keep t start edge s0 =
   if edge = Descendant && start == R2.root t.r2 && t.doc_rooted then s0
   else
-    let uppers = of_array [| Doc_index.rank t.index start |] in
+    let uppers = of_array [| Doc_index.key t.index start |] in
     match edge with
     | Child -> down_child_probe ?keep t.index ~uppers s0
     | Descendant -> down_desc_merge ?keep t.index ~uppers s0
@@ -1077,9 +1079,10 @@ let answer_count = function Ranks rs -> rs.len | Nodes l -> List.length l
 let answer_nodes t ?(k = max_int) = function
   | Nodes l -> if k = max_int then l else List.filteri (fun i _ -> i < k) l
   | Ranks rs ->
+    let o = Doc_index.order t.index in
     let acc = ref [] in
     for i = min k rs.len - 1 downto 0 do
-      acc := Doc_index.node_at t.index rs.r.(i) :: !acc
+      acc := O.node o rs.r.(i) :: !acc
     done;
     !acc
 

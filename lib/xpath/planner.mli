@@ -107,11 +107,13 @@ type t
 
 val create : ?shared:shared -> Ruid.Ruid2.t -> t
 (** Build every per-snapshot structure once: the {!Doc_index} (shared with
-    the fallback engine), the tag index, the evaluator, the DataGuide.
-    Fresh {!shared} state unless one is passed in. *)
+    the fallback engine), the evaluator, the DataGuide.  Fresh {!shared}
+    state unless one is passed in. *)
 
 val engine : t -> Eval.engine
 (** The fallback evaluator (shares the planner's {!Doc_index}). *)
+
+val index : t -> Doc_index.t
 
 val shared_of : t -> shared
 val guide : t -> Rsummary.Dataguide.t
@@ -122,11 +124,12 @@ val guide_fingerprint : t -> int
 type delta = Add of string list | Remove of string list
 
 val advance : t -> Ruid.Ruid2.t -> deltas:delta list -> t
-(** Planner for the next snapshot: clone the guide, apply the deltas and
-    prune (an inconsistent [Remove] forces a fresh guide build), rebuild
-    the per-snapshot indexes, carry {!shared} over.  The previous
-    planner's guide is untouched — readers still holding the old snapshot
-    keep a consistent view. *)
+(** Planner for the next snapshot, [r2] being a later version of the
+    numbering this planner reads: clone the guide, apply the deltas and
+    prune (an inconsistent [Remove] forces a fresh guide build), derive
+    the index with {!Doc_index.advance} (the postings of touched tags
+    only), carry {!shared} over.  The previous planner is untouched —
+    readers still holding the old snapshot keep a consistent view. *)
 
 (** {1 Planning and execution} *)
 

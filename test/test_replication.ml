@@ -18,12 +18,15 @@ let unique =
     incr n;
     Printf.sprintf "%d-%d" (Unix.getpid ()) !n
 
-let temp_dir () =
+(* Names carry the pid, and a directory an earlier run left behind can
+   hold the same name once the pid comes round again: take the next. *)
+let rec temp_dir () =
   let d =
     Filename.concat (Filename.get_temp_dir_name ()) ("ruid-repl-" ^ unique ())
   in
-  Unix.mkdir d 0o755;
-  d
+  match Unix.mkdir d 0o755 with
+  | () -> d
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> temp_dir ()
 
 let sock_path () = Filename.concat "/tmp" ("ruid-r" ^ unique () ^ ".sock")
 
@@ -288,6 +291,26 @@ let test_rotation_catch_up () =
   check_identical ~ctx:"rotation under a live follower"
     pcfg.Service.socket_path rcfg.Replica.socket_path;
   assert_fsck_clean ~ctx:"rotated mirror" rcfg.Replica.data_dir
+
+(* A primary that rotates after every commit while a writer runs: the
+   follower's STATE poll routinely names a generation the primary has
+   retired again by the time the follower fetches the active segment.
+   The follower installs that generation from its archive on the same
+   connection — no reconnect, no back-off — and converges byte for
+   byte. *)
+let test_rotation_race_no_reconnect () =
+  with_primary ~wal_segment_bytes:1 [ ("lib", lib_doc ()) ]
+  @@ fun pcfg _service ->
+  let psock = pcfg.Service.socket_path in
+  let rcfg = replica_config ~poll_ms:5 ~primary:psock () in
+  with_replica rcfg @@ fun r ->
+  let v = write_mix ~seed:47 ~ops:150 psock in
+  wait_version r v;
+  check_identical ~ctx:"rotation on every commit" psock
+    rcfg.Replica.socket_path;
+  Alcotest.(check int) "no reconnects" 0
+    (stats_kv rcfg.Replica.socket_path "repl_reconnects");
+  assert_fsck_clean ~ctx:"rotation race mirror" rcfg.Replica.data_dir
 
 (* ------------------------------------------------------------------ *)
 (* Commit pipelines: multi-group primary, byte-faithful mirror         *)
@@ -686,4 +709,6 @@ let suite =
       `Quick test_promoted_overflow;
     Alcotest.test_case "failed bootstrap leaves no socket behind" `Quick
       test_failed_bootstrap_cleans_up;
+    Alcotest.test_case "primary rotating on every commit: no reconnects"
+      `Quick test_rotation_race_no_reconnect;
   ]
