@@ -14,6 +14,12 @@
    - {b failover}: the primary stops; the clock runs from the moment the
      PROMOTE request is sent to the replica until a first QUERY has been
      served by the promoted node.
+   - {b catch-up across rotations}: a follower is stopped while its
+     primary rotates the journal k = 1, 4 and 16 times, then restarted
+     over its own data directory.  Reported per k: the time from restart
+     to convergence, the bytes the follower fetched (the primary's served
+     bytes over the catch-up) and the primary's journal-family bytes for
+     the document (active segment, checkpoint pairs, archives).
 
    Raw numbers go to BENCH_repl.json; the CI replication job uploads that
    file as an artifact. *)
@@ -76,6 +82,102 @@ let wait_for_version r v =
 
 let insert i =
   Rstorage.Wal.Insert { parent_rank = 0; pos = 0; tag = Printf.sprintf "m%d" i }
+
+let stats_int sock key =
+  Client.with_connection sock @@ fun c ->
+  match Client.request c Protocol.Stats with
+  | Protocol.Ok_ body -> Option.value ~default:0 (Client.kv_int body key)
+  | r -> failwith ("E17 STATS: " ^ Protocol.response_to_string r)
+
+(* (generation, active journal bytes) of [doc] from REPL STATE. *)
+let journal_state sock doc =
+  Client.with_connection sock @@ fun c ->
+  match Client.request c Protocol.Repl_state with
+  | Protocol.Ok_ body -> (
+    match Rserver.Replication.decode_state body with
+    | Ok st ->
+      let d =
+        List.find
+          (fun d -> d.Rserver.Replication.name = doc)
+          st.Rserver.Replication.s_docs
+      in
+      (d.Rserver.Replication.gen, d.Rserver.Replication.size)
+    | Error why -> failwith ("E17 REPL STATE: " ^ why))
+  | r -> failwith ("E17 REPL STATE: " ^ Protocol.response_to_string r)
+
+let segment_bytes = 1024
+
+type rotation_catchup = {
+  k : int;
+  seconds : float;
+  fetched_bytes : int;
+  family_bytes : int;
+}
+
+(* One k: primary and follower in step, the follower stops, the primary
+   rotates exactly k times (a write that fills the segment waits for its
+   rotation, which runs after the acks), the follower restarts. *)
+let rotation_catchup root k =
+  let tag = Printf.sprintf "e17k%d" k in
+  let pcfg =
+    { (service_config (tag ^ "p")) with
+      Service.wal_segment_bytes = segment_bytes }
+  in
+  let psock = pcfg.Service.socket_path in
+  let srv = Service.start pcfg [ ("bench", Rxml.Dom.clone root) ] in
+  let next = ref 0 in
+  let write c =
+    incr next;
+    match
+      Client.request c (Protocol.Update { doc = "bench"; op = insert !next })
+    with
+    | Protocol.Ok_ _ -> ()
+    | r -> failwith ("E17 rotation write: " ^ Protocol.response_to_string r)
+  in
+  Client.with_connection psock (fun c ->
+      for _ = 1 to 10 do
+        write c
+      done);
+  let rcfg = replica_config ~primary:psock (tag ^ "r") in
+  let rep = Replica.start rcfg in
+  wait_for_version rep (1 + !next);
+  Replica.stop rep;
+  let g0, _ = journal_state psock "bench" in
+  (Client.with_connection psock @@ fun c ->
+   let rec go () =
+     let g, size = journal_state psock "bench" in
+     if size >= segment_bytes then begin
+       Thread.delay 0.001;
+       go ()
+     end
+     else if g < g0 + k then begin
+       write c;
+       go ()
+     end
+   in
+   go ());
+  let served0 = stats_int psock "repl_served_bytes" in
+  let t0 = Unix.gettimeofday () in
+  let rep = Replica.start rcfg in
+  (* caught up = every record applied AND the live generation mirrored:
+     the last records can arrive before the last checkpoint pair *)
+  let live_gen = fst (journal_state psock "bench") in
+  wait_for_version rep (1 + !next);
+  while fst (journal_state rcfg.Replica.socket_path "bench") < live_gen do
+    Thread.delay 0.001
+  done;
+  let seconds = Unix.gettimeofday () -. t0 in
+  let fetched_bytes = stats_int psock "repl_served_bytes" - served0 in
+  (* the primary is quiescent by now: no rotation still trimming *)
+  let family_bytes =
+    List.fold_left
+      (fun acc (_, p) -> acc + (Unix.stat p).Unix.st_size)
+      0
+      (Rstorage.Wal.family (Filename.concat pcfg.Service.data_dir "bench.wal"))
+  in
+  Replica.stop rep;
+  Service.stop srv;
+  { k; seconds; fetched_bytes; family_bytes }
 
 let run () =
   Report.section
@@ -146,6 +248,9 @@ let run () =
   in
   Replica.stop rep;
 
+  (* --- catch-up across rotations ------------------------------------ *)
+  let rotations = List.map (rotation_catchup root) [ 1; 4; 16 ] in
+
   Report.table
     [ "metric"; "value" ]
     [
@@ -161,6 +266,18 @@ let run () =
     "lag is ack-to-visible from a reader's seat: it includes the replica's";
   Report.note
     "WAIT long-poll round trip, so poll-ms (25 here) is its natural floor.";
+  Report.subsection
+    (Printf.sprintf
+       "follower restarted after k rotations (segment %d B, %d-node document)"
+       segment_bytes (Rxml.Dom.size root));
+  Report.table
+    [ "k"; "catch-up"; "fetched"; "primary family" ]
+    (List.map
+       (fun r ->
+         [ string_of_int r.k; Printf.sprintf "%.1f ms" (r.seconds *. 1e3);
+           Printf.sprintf "%d B" r.fetched_bytes;
+           Printf.sprintf "%d B" r.family_bytes ])
+       rotations);
   let oc = open_out "BENCH_repl.json" in
   Printf.fprintf oc
     "{\n\
@@ -169,10 +286,19 @@ let run () =
     \  \"catchup\": {\"journal_bytes\": %d, \"versions\": %d, \"seconds\": \
      %.4f, \"bytes_per_s\": %.1f, \"versions_per_s\": %.1f},\n\
     \  \"lag\": {\"samples\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n\
-    \  \"failover\": {\"to_first_read_ms\": %.3f}\n\
+    \  \"failover\": {\"to_first_read_ms\": %.3f},\n\
+    \  \"rotation_catchup\": {\"segment_bytes\": %d, \"runs\": [%s]}\n\
      }\n"
     (Report.meta_json ()) wal_bytes backlog catchup_s catchup_bps catchup_vps
     samples (lag_p50 *. 1e3) (lag_p99 *. 1e3)
-    (first_read_s *. 1e3);
+    (first_read_s *. 1e3) segment_bytes
+    (String.concat ", "
+       (List.map
+          (fun r ->
+            Printf.sprintf
+              "{\"k\": %d, \"catchup_ms\": %.3f, \"fetched_bytes\": %d, \
+               \"family_bytes\": %d}"
+              r.k (r.seconds *. 1e3) r.fetched_bytes r.family_bytes)
+          rotations));
   close_out oc;
   Report.note "wrote BENCH_repl.json"

@@ -211,11 +211,18 @@ let root_kind_of_bytes bytes =
 (* ------------------------------------------------------------------ *)
 
 (* Atomic publication: write a sibling temp file, fsync (inside
-   [vfs.store]), rename over the destination. *)
+   [vfs.store]), rename over the destination.  A rename that fails takes
+   its temp file with it; a simulated crash leaves it, as a dead process
+   would. *)
 let store_atomic vfs ~attempts path bytes =
   let tmp = path ^ ".tmp" in
   Vfs.with_retries ~attempts (fun () -> vfs.Vfs.store tmp bytes);
-  Vfs.with_retries ~attempts (fun () -> vfs.Vfs.rename ~src:tmp ~dst:path)
+  try Vfs.with_retries ~attempts (fun () -> vfs.Vfs.rename ~src:tmp ~dst:path)
+  with
+  | Vfs.Crash _ as e -> raise e
+  | e ->
+    (try vfs.Vfs.remove tmp with _ -> ());
+    raise e
 
 let save ?(vfs = Vfs.real) ?(attempts = 5) t ~xml ~sidecar =
   let xml_bytes = Bytes.of_string (Rxml.Serializer.to_string (Ruid2.root t)) in

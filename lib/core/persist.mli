@@ -68,5 +68,6 @@ val of_bytes : xml:bytes -> sidecar:bytes -> Rxml.Dom.t * Ruid2.t
 
 val store_atomic : Vfs.t -> attempts:int -> string -> bytes -> unit
 (** Atomic single-file publication: write [path ^ ".tmp"], fsync, rename
-    over [path].  Exposed for the WAL's checkpoint files, which need the
+    over [path]; a failed rename removes the temp file (a {!Vfs.Crash}
+    leaves it).  Exposed for the WAL's checkpoint files, which need the
     same crash discipline as {!save}. *)

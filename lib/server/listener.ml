@@ -8,10 +8,14 @@ module Ivar = struct
 
   let create () = { m = Mutex.create (); c = Condition.create (); v = None }
 
+  (* The first fill decides: a later one (a failure handler reporting on
+     a batch whose replies were already given) is dropped. *)
   let fill t x =
     Mutex.lock t.m;
-    t.v <- Some x;
-    Condition.signal t.c;
+    if t.v = None then begin
+      t.v <- Some x;
+      Condition.signal t.c
+    end;
     Mutex.unlock t.m
 
   let read t =

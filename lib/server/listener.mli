@@ -35,6 +35,7 @@ module Ivar : sig
 
   val create : unit -> 'a t
   val fill : 'a t -> 'a -> unit
+  (** Set the value once; a cell already filled keeps its first value. *)
 
   val read : 'a t -> 'a
   (** Block until filled. *)

@@ -32,6 +32,7 @@ type write_stats = {
   publish_full : int;
   areas_rebuilt : int;
   rotations : int;
+  rotation_failures : int;
   private_masters : int;
 }
 
@@ -339,11 +340,11 @@ let render t =
   | Some w ->
     Buffer.add_string b
       (Printf.sprintf
-         "wal_batches=%d wal_records=%d wal_max_batch=%d wal_mean_batch=%.2f wal_flush_ms=%.1f wal_rotations=%d\n"
+         "wal_batches=%d wal_records=%d wal_max_batch=%d wal_mean_batch=%.2f wal_flush_ms=%.1f wal_rotations=%d wal_rotation_failures=%d\n"
          w.batches w.records w.max_batch
          (if w.batches = 0 then 0.
           else float_of_int w.records /. float_of_int w.batches)
-         (w.flush_ns /. 1e6) w.rotations);
+         (w.flush_ns /. 1e6) w.rotations w.rotation_failures);
     Buffer.add_string b
       (Printf.sprintf
          "publish_incremental=%d publish_full=%d areas_rebuilt=%d \

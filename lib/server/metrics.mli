@@ -65,6 +65,9 @@ type write_stats = {
   publish_full : int;  (** snapshots re-captured via the sidecar *)
   areas_rebuilt : int;  (** area renumberings across incremental publishes *)
   rotations : int;  (** WAL segment rotations (checkpoints cut) *)
+  rotation_failures : int;
+      (** rotations that raised before their commit: the old segment
+          stayed in force and a later batch retried *)
   private_masters : int;
       (** documents holding a writer copy of their numbering (made by a
           document's first UPDATE); every other document is resident once,

@@ -63,6 +63,12 @@ type t = {
   write_mu : Mutex.t;
       (** serializes stream application while following, and the write
           path once promoted *)
+  files_mu : Mutex.t;
+      (** makes each mirrored document's ([gen], [local_size], file bytes)
+          atomic between the REPL verbs served to chained followers and a
+          generation install, which replaces the active segment, moves
+          [gen] and trims the family as separate steps — the guarantee the
+          primary gets from [rotate_mu].  Never held across a fetch. *)
   epoch : int Atomic.t;  (** highest fencing epoch ever seen (persisted) *)
   mutable role : [ `Following | `Promoted ];
   reconnects : int Atomic.t;
@@ -108,6 +114,10 @@ let local_version t =
 
 let pull_stopped t =
   Atomic.get t.pull_stop || not (Listener.running t.listener)
+
+let with_mutex mu f =
+  Mutex.lock mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 (* ------------------------------------------------------------------ *)
 (* Epoch fencing                                                       *)
@@ -158,7 +168,14 @@ let repl_failure what = function
   | Protocol.Err m -> failwith (Printf.sprintf "%s: upstream ERR %s" what m)
   | Protocol.Busy m -> failwith (Printf.sprintf "%s: upstream BUSY %s" what m)
 
-let fetch_chunk t conn ~doc ~file ~offset =
+(* Upstream serves a newer generation than the one a fetch is for: that
+   generation's files may be gone already (a rotation trims its family).
+   The catch-up step restarts for the newer one on the same connection. *)
+exception Rotated of int
+
+(* With [?gen], the chunk must come from that generation: upstream makes
+   each reply's (generation, bytes) atomic against its rotations. *)
+let fetch_chunk t conn ?gen ~doc ~file ~offset () =
   let req =
     Protocol.Repl_file { doc; file; offset; limit = Replication.max_chunk }
   in
@@ -166,16 +183,24 @@ let fetch_chunk t conn ~doc ~file ~offset =
     repl_failure (Protocol.request_to_string req) (Client.request conn req)
   in
   check_epoch t c.Replication.epoch;
+  (match gen with
+  | Some g when c.Replication.gen > g -> raise (Rotated c.Replication.gen)
+  | Some g when c.Replication.gen < g ->
+    failwith
+      (Printf.sprintf "%s: upstream generation %d is behind %d"
+         (Protocol.request_to_string req) c.Replication.gen g)
+  | _ -> ());
   c
 
 (* The file's bytes as of the first reply's [size] — later growth (an
-   active segment under append) is left to the WAIT loop. *)
-let fetch_file t conn ~doc ~file =
+   active segment under append) is left to the WAIT loop.  A missing file
+   reads as empty. *)
+let fetch_file t conn ?gen ~doc ~file () =
   let buf = Buffer.create 8192 in
   let rec go offset total =
     if offset >= total then Buffer.contents buf
     else begin
-      let c = fetch_chunk t conn ~doc ~file ~offset in
+      let c = fetch_chunk t conn ?gen ~doc ~file ~offset () in
       if String.length c.Replication.data = 0 then Buffer.contents buf
       else begin
         Buffer.add_string buf c.Replication.data;
@@ -183,7 +208,7 @@ let fetch_file t conn ~doc ~file =
       end
     end
   in
-  let c0 = fetch_chunk t conn ~doc ~file ~offset:0 in
+  let c0 = fetch_chunk t conn ?gen ~doc ~file ~offset:0 () in
   Buffer.add_string buf c0.Replication.data;
   go (String.length c0.Replication.data) c0.Replication.size
 
@@ -324,108 +349,166 @@ let chaos_data t d data =
       raise Stream_torn)
 
 (* ------------------------------------------------------------------ *)
-(* Rotation catch-up                                                   *)
+(* Generation install and rotation catch-up                            *)
 (* ------------------------------------------------------------------ *)
 
-let copy_file src dst =
-  let ic = open_in_bin src in
-  let n = in_channel_length ic in
-  let b = really_input_string ic n in
-  close_in ic;
-  store_atomic dst b
+(* One generation of an upstream document, fetched whole: the
+   complete-frame prefix of its active segment and the frames in it, its
+   checkpoint pair (from generation 1 on), and the archive of the segment
+   it replaced when upstream holds one. *)
+type generation = {
+  number : int;
+  segment : string;
+  frames : Wal.entry list;
+  pair : (string * string) option;
+  archive : string option;
+}
 
-(* The primary rotated past us.  Each retired generation is fully
-   recoverable from immutable files: [seg<g+1>] is a byte-for-byte copy of
-   the generation-g segment, and the generation's checkpoint pair is
-   retained forever.  Walk forward one generation at a time, keeping the
-   local directory a faithful mirror at every step. *)
-let catch_up t conn d ~target_gen =
-  while d.gen < target_gen && not (pull_stopped t) do
-    let next = d.gen + 1 in
-    (* 1. Finish the retiring segment from its archive copy.  Our local
-       bytes are a validated prefix of it; the rest is complete frames. *)
-    let archive =
-      fetch_file t conn ~doc:d.name ~file:(Protocol.Segment next)
-    in
-    if String.length archive < d.local_size then
-      failwith
-        (Printf.sprintf "archive seg%d shorter than the mirrored prefix"
-           next);
-    d.tail <- "";
+let fetch_generation t conn ~doc ~gen ~archive =
+  let fetch file = fetch_file t conn ~gen ~doc ~file () in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> failwith (Printf.sprintf "%s gen %d: %s" doc gen m))
+      fmt
+  in
+  let bytes = fetch Protocol.Active_wal in
+  if not (segment_header_ok bytes) then fail "segment has no v2 header";
+  let entries, consumed, corrupt =
+    Wal.decode_stream (Bytes.of_string bytes) ~pos:Wal.header_length
+  in
+  Option.iter (fail "segment corrupt: %s") corrupt;
+  (* The segment names its own generation (the checkpoint frame a rotated
+     segment opens with), and the frame vouches for the pair's bytes. *)
+  let named = match entries with Wal.Ckpt c :: _ -> Some c | _ -> None in
+  let pair =
+    match named with
+    | None when gen = 0 -> None
+    | Some c when c.Wal.gen = gen ->
+      let x = fetch (Protocol.Ckpt_xml gen)
+      and s = fetch (Protocol.Ckpt_sidecar gen) in
+      if Ruid.Crc32.string x <> c.Wal.xml_crc
+         || Ruid.Crc32.string s <> c.Wal.sidecar_crc
+      then fail "checkpoint pair fails its checkpoint frame's checksums";
+      Some (x, s)
+    | _ -> fail "segment names another generation"
+  in
+  let archive =
+    if archive && gen > 0 then
+      match fetch (Protocol.Segment gen) with "" -> None | a -> Some a
+    else None
+  in
+  { number = gen; segment = String.sub bytes 0 consumed; frames = entries;
+    pair; archive }
+
+(* Install a fetched generation under [wal_path] in the rotation's own
+   order: the pair and the archive first, at names nothing served refers
+   to yet; then, under [files_mu] with [commit] (which moves what is
+   served), the active segment by rename — no instant with a torn or
+   empty journal on disk — and the trim to the new generation. *)
+let store_generation t ~wal_path g ~commit =
+  Option.iter
+    (fun (x, s) ->
+      let cx, cs = Wal.checkpoint_files wal_path g.number in
+      store_atomic cx x;
+      store_atomic cs s)
+    g.pair;
+  Option.iter (store_atomic (Wal.segment_archive wal_path g.number)) g.archive;
+  with_mutex t.files_mu (fun () ->
+      store_atomic wal_path g.segment;
+      commit ();
+      Wal.trim wal_path ~gen:g.number)
+
+(* The live generation, whichever it is by the time it is fetched. *)
+let rec install_generation t conn ~doc ~wal_path ~gen ~commit =
+  match fetch_generation t conn ~doc ~gen ~archive:true with
+  | g -> store_generation t ~wal_path g ~commit:(fun () -> commit g)
+  | exception Rotated newer ->
+    install_generation t conn ~doc ~wal_path ~gen:newer ~commit
+
+(* What the local files hold, by the ordinary recovery path: the
+   numbering, the last applied sequence number, the generation and the
+   journal's valid size. *)
+let recover ~xml ~sidecar ~wal =
+  let r = Wal.replay ~xml ~sidecar ~wal () in
+  let j = r.Wal.journal in
+  let base_seq, gen =
+    match j.Wal.checkpoint with
+    | Some c -> (c.Wal.base_seq, c.Wal.gen)
+    | None -> (0, 0)
+  in
+  let applied_seq =
+    match List.rev r.Wal.replayed with x :: _ -> x.Wal.seq | [] -> base_seq
+  in
+  (r.Wal.r2, applied_seq, gen, j.Wal.valid_bytes)
+
+(* More than one generation behind, or nothing upstream to bridge with:
+   install the live generation as bootstrap does and hand the recovered
+   numbering to the snapshot without a copy. *)
+let reinstall t conn idx d ~gen =
+  install_generation t conn ~doc:d.name ~wal_path:d.wal_path ~gen
+    ~commit:(fun g ->
+      d.gen <- g.number;
+      d.local_size <- String.length g.segment;
+      d.tail <- "");
+  let r2, applied_seq, _, _ =
+    recover ~xml:d.xml_path ~sidecar:d.sidecar_path ~wal:d.wal_path
+  in
+  (* no new record: the published version already is this state *)
+  if applied_seq <> d.applied_seq then begin
+    d.applied_seq <- applied_seq;
+    let version = local_version t in
+    install t idx d
+      (Snapshot.rehost (Atomic.get t.current) ~version ~doc_version:version
+         ~doc_index:idx r2)
+  end
+
+(* Exactly one generation behind: [seg<gen>] is a byte-for-byte copy of
+   the segment we mirror a prefix of.  Finish it from there, then take
+   the generation's pair and the active prefix, and keep folding the
+   stream into the numbering.  [false] when upstream holds no archive to
+   bridge with (a follower that reinstalled, an adopted document). *)
+let bridge t conn idx d ~gen =
+  let archive =
+    fetch_file t conn ~gen ~doc:d.name ~file:(Protocol.Segment gen) ()
+  in
+  if String.length archive < d.local_size then false
+  else begin
     d.tail <-
       String.sub archive d.local_size (String.length archive - d.local_size);
-    drain t (fst (Option.get (find_doc t d.name))) d;
+    drain t idx d;
     if d.tail <> "" then failwith "archived segment ends in a torn frame";
-    (* 2. Mirror the archive itself (our active file is now identical). *)
-    copy_file d.wal_path (Wal.segment_archive d.wal_path next);
-    (* 3. The generation's checkpoint pair. *)
-    let ckpt_xml, ckpt_side = Wal.checkpoint_files d.wal_path next in
-    store_atomic ckpt_xml
-      (fetch_file t conn ~doc:d.name ~file:(Protocol.Ckpt_xml next));
-    store_atomic ckpt_side
-      (fetch_file t conn ~doc:d.name ~file:(Protocol.Ckpt_sidecar next));
-    (* 4. Install the new active segment: its current complete-frame
-       prefix, published over the journal path by rename so there is no
-       instant where the directory holds a torn or empty journal. *)
-    let fetch_segment source =
-      let bytes = fetch_file t conn ~doc:d.name ~file:source in
-      if not (segment_header_ok bytes) then
-        failwith (Printf.sprintf "segment of gen %d has no v2 header" next);
-      let entries, consumed, corrupt =
-        Wal.decode_stream (Bytes.of_string bytes) ~pos:Wal.header_length
-      in
-      (match corrupt with
-      | Some why ->
-        failwith (Printf.sprintf "segment of gen %d corrupt: %s" next why)
-      | None -> ());
-      (bytes, entries, consumed)
-    in
-    let gen_of = function Wal.Ckpt c :: _ -> Some c.Wal.gen | _ -> None in
-    let bytes, entries, consumed =
-      if next < target_gen then fetch_segment (Protocol.Segment (next + 1))
-      else
-        let (_, entries, _) as active = fetch_segment Protocol.Active_wal in
-        (* The segment names its own generation (the checkpoint frame
-           every rotated segment opens with).  The active segment is
-           NEWER than [next] when the primary rotated again after the
-           STATE poll that set [target_gen] — commit pipelines rotate from
-           their own domains, so back-to-back rotations are routine.  Then
-           generation [next] is retired and its archive holds the whole
-           segment: install it from there, on this connection. *)
-        match gen_of entries with
-        | Some g when g <> next -> fetch_segment (Protocol.Segment (next + 1))
-        | _ -> active
-    in
-    (* Installing bytes of another generation as [next] would poison the
-       mirror — the next drain would see a checkpoint cutting past the
-       locally applied sequence and every later resume would misalign —
-       so any mismatch left fails before touching local state. *)
-    (match gen_of entries with
-    | Some g when g <> next ->
-      failwith
-        (Printf.sprintf "fetched segment is gen %d, expected %d" g next)
-    | _ -> ());
-    store_atomic d.wal_path (String.sub bytes 0 consumed);
-    d.gen <- next;
-    d.local_size <- consumed;
-    d.tail <- "";
-    let idx = fst (Option.get (find_doc t d.name)) in
-    let ops = apply_entries d entries in
-    publish t idx d ops
-  done
+    let g = fetch_generation t conn ~doc:d.name ~gen ~archive:false in
+    store_generation t ~wal_path:d.wal_path { g with archive = Some archive }
+      ~commit:(fun () ->
+        d.gen <- gen;
+        d.local_size <- String.length g.segment);
+    publish t idx d (apply_entries d g.frames);
+    true
+  end
+
+(* Upstream rotated past us.  The pairs of the generations in between are
+   gone (a rotation keeps one), and walking them cost a copy of the
+   document each: bridge one generation, reinstall past more.  A fetch
+   that meets a newer generation restarts the step for it on the same
+   connection — no reconnect, no back-off. *)
+let rec catch_up t conn idx d ~gen =
+  if gen > d.gen && not (pull_stopped t) then
+    match
+      if gen = d.gen + 1 && bridge t conn idx d ~gen then ()
+      else reinstall t conn idx d ~gen
+    with
+    | () -> ()
+    | exception Rotated newer -> catch_up t conn idx d ~gen:newer
 
 (* ------------------------------------------------------------------ *)
 (* The pull loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One mirrored document's share of a pull round: catch up through the
-   archives when upstream rotated past us, then long-poll the live tail. *)
+(* One mirrored document's share of a pull round: catch up when upstream
+   rotated past us, then long-poll the live tail. *)
 let pull_doc t conn idx d (u : Replication.doc_state) =
-  if u.gen > d.gen then begin
-    Mutex.lock t.write_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu) @@ fun () ->
-    catch_up t conn d ~target_gen:u.gen
-  end;
+  if u.gen > d.gen then
+    with_mutex t.write_mu (fun () -> catch_up t conn idx d ~gen:u.gen);
   (* live tail: long-poll for growth of the active segment *)
   let offset = d.local_size + String.length d.tail in
   let req =
@@ -434,14 +517,14 @@ let pull_doc t conn idx d (u : Replication.doc_state) =
   in
   let c = repl_failure "REPL WAIT" (Client.request conn req) in
   check_epoch t c.Replication.epoch;
-  if c.Replication.gen = d.gen && String.length c.Replication.data > 0 then begin
-    Mutex.lock t.write_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.write_mu) @@ fun () ->
-    let data = chaos_data t d c.Replication.data in
-    d.tail <- d.tail ^ data;
-    drain t idx d
-  end
-  (* a different gen: the next round's STATE sees it and catches up *)
+  if c.Replication.gen = d.gen && String.length c.Replication.data > 0 then
+    with_mutex t.write_mu (fun () ->
+        let data = chaos_data t d c.Replication.data in
+        d.tail <- d.tail ^ data;
+        drain t idx d)
+  else if c.Replication.gen > d.gen then
+    with_mutex t.write_mu (fun () ->
+        catch_up t conn idx d ~gen:c.Replication.gen)
 
 let pull_round t conn =
   let st = get_state t conn in
@@ -536,12 +619,13 @@ let ensure_dir dir =
     invalid_arg (Printf.sprintf "Replica.start: %s is not a directory" dir)
 
 (* Build one document's mirror: resume from intact local files when they
-   exist (a restart), otherwise fetch the base pair, the live segment's
-   checkpoint pair, and the segment's current complete-frame prefix.
-   Either way the document finishes in the invariant state: local files a
-   primary-shaped, fsck-clean mirror; [r2]/[applied_seq] the replay of
-   exactly those bytes. *)
-let bootstrap_doc t conn name =
+   exist (a restart), otherwise fetch the base pair and install the live
+   generation — the same install a follower further behind than one
+   rotation uses.  Either way the document finishes in the invariant
+   state: local files a primary-shaped, fsck-clean mirror; [r2]/
+   [applied_seq] the replay of exactly those bytes. *)
+let bootstrap_doc t conn (u : Replication.doc_state) =
+  let name = u.name in
   let base = Filename.concat t.cfg.data_dir name in
   let xml_path = base ^ ".xml" in
   let sidecar_path = base ^ ".ruid" in
@@ -549,80 +633,22 @@ let bootstrap_doc t conn name =
   if not (Sys.file_exists xml_path && Sys.file_exists sidecar_path) then begin
     (* fresh mirror: base pair first *)
     store_atomic xml_path
-      (fetch_file t conn ~doc:name ~file:Protocol.Base_xml);
+      (fetch_file t conn ~doc:name ~file:Protocol.Base_xml ());
     store_atomic sidecar_path
-      (fetch_file t conn ~doc:name ~file:Protocol.Base_sidecar);
-    (* the live segment's current bytes; keep the complete-frame prefix *)
-    let bytes = fetch_file t conn ~doc:name ~file:Protocol.Active_wal in
-    if not (segment_header_ok bytes) then
-      failwith
-        (Printf.sprintf "document %s: upstream journal has no v2 header"
-           name);
-    let _, consumed, corrupt =
-      Wal.decode_stream (Bytes.of_string bytes) ~pos:Wal.header_length
-    in
-    (match corrupt with
-    | Some why ->
-      failwith (Printf.sprintf "document %s: upstream journal: %s" name why)
-    | None -> ());
-    let prefix = String.sub bytes 0 consumed in
-    (* a checkpoint-headed segment replays from its checkpoint pair *)
-    let local_scan_gen =
-      if String.length prefix >= 4 && String.sub prefix 0 4 = "RWAC" then begin
-        let entries, _, _ =
-          Wal.decode_stream (Bytes.of_string prefix) ~pos:Wal.header_length
-        in
-        match entries with
-        | Wal.Ckpt c :: _ -> c.Wal.gen
-        | _ ->
-          failwith
-            (Printf.sprintf
-               "document %s: checkpoint segment without a surviving \
-                checkpoint frame" name)
-      end
-      else 0
-    in
-    if local_scan_gen > 0 then begin
-      let ckpt_xml, ckpt_side = Wal.checkpoint_files wal_path local_scan_gen in
-      store_atomic ckpt_xml
-        (fetch_file t conn ~doc:name ~file:(Protocol.Ckpt_xml local_scan_gen));
-      store_atomic ckpt_side
-        (fetch_file t conn ~doc:name
-           ~file:(Protocol.Ckpt_sidecar local_scan_gen))
-    end;
-    store_atomic wal_path prefix
+      (fetch_file t conn ~doc:name ~file:Protocol.Base_sidecar ());
+    install_generation t conn ~doc:name ~wal_path ~gen:u.gen ~commit:ignore
   end
   else
     (* restart: a kill between our append and fsync can leave a torn
        tail; drop it, then replay resumes from the durable prefix *)
     ignore (Wal.repair wal_path);
-  let recovery =
-    Wal.replay ~xml:xml_path ~sidecar:sidecar_path ~wal:wal_path ()
+  let r2, applied_seq, gen, local_size =
+    recover ~xml:xml_path ~sidecar:sidecar_path ~wal:wal_path
   in
-  let journal = recovery.Wal.journal in
-  let applied_seq =
-    match List.rev recovery.Wal.replayed with
-    | r :: _ -> r.Wal.seq
-    | [] -> (
-      match journal.Wal.checkpoint with
-      | Some c -> c.Wal.base_seq
-      | None -> 0)
-  in
-  let gen =
-    match journal.Wal.checkpoint with Some c -> c.Wal.gen | None -> 0
-  in
-  {
-    name;
-    xml_path;
-    sidecar_path;
-    wal_path;
-    r2 = recovery.Wal.r2;
-    applied_seq;
-    gen;
-    local_size = journal.Wal.valid_bytes;
-    tail = "";
-    writer = None;
-  }
+  (* a kill inside an earlier install can leave older members behind *)
+  Wal.trim wal_path ~gen;
+  { name; xml_path; sidecar_path; wal_path; r2; applied_seq; gen; local_size;
+    tail = ""; writer = None }
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -642,6 +668,7 @@ let repl_reply t chunk =
 let run_repl_state t =
   Atomic.incr t.repl_requests;
   let s_docs =
+    with_mutex t.files_mu @@ fun () ->
     Array.to_list t.docs
     |> List.map (fun d ->
            { Replication.name = d.name; gen = d.gen; seq = d.applied_seq;
@@ -652,6 +679,8 @@ let run_repl_state t =
        { Replication.s_epoch = Atomic.get t.epoch;
          s_version = local_version t; s_docs })
 
+(* A chunk is bytes of the generation its reply names: [files_mu]
+   excludes a generation install in between. *)
 let run_repl_file t doc file offset limit =
   match find_doc t doc with
   | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
@@ -660,6 +689,7 @@ let run_repl_file t doc file offset limit =
       Replication.resolve_path ~xml:d.xml_path ~sidecar:d.sidecar_path
         ~wal:d.wal_path file
     in
+    with_mutex t.files_mu @@ fun () ->
     let limit =
       (* never serve past the validated prefix of the active journal *)
       match file with
@@ -682,28 +712,28 @@ let run_repl_wait t doc want_gen offset timeout_ms =
       +. (float_of_int (min timeout_ms Replication.max_wait_ms) /. 1000.)
     in
     let rec loop () =
-      if d.gen <> want_gen then
-        repl_reply t
-          { Replication.epoch = Atomic.get t.epoch; gen = d.gen;
-            size = d.local_size; data = "" }
-      else if d.local_size > offset then begin
-        let data, _ =
-          Replication.read_chunk d.wal_path ~offset
-            ~limit:(min Replication.max_chunk (d.local_size - offset))
+      let reply =
+        with_mutex t.files_mu @@ fun () ->
+        let chunk data =
+          Some
+            { Replication.epoch = Atomic.get t.epoch; gen = d.gen;
+              size = d.local_size; data }
         in
-        repl_reply t
-          { Replication.epoch = Atomic.get t.epoch; gen = d.gen;
-            size = d.local_size; data }
-      end
-      else if (not (Listener.running t.listener))
-              || Unix.gettimeofday () > deadline then
-        repl_reply t
-          { Replication.epoch = Atomic.get t.epoch; gen = d.gen;
-            size = d.local_size; data = "" }
-      else begin
+        if d.gen <> want_gen then chunk ""
+        else if d.local_size > offset then
+          chunk
+            (fst
+               (Replication.read_chunk d.wal_path ~offset
+                  ~limit:(min Replication.max_chunk (d.local_size - offset))))
+        else if (not (Listener.running t.listener))
+                || Unix.gettimeofday () > deadline then chunk ""
+        else None
+      in
+      match reply with
+      | Some c -> repl_reply t c
+      | None ->
         Thread.delay 0.005;
         loop ()
-      end
     in
     loop ()
 
@@ -900,6 +930,7 @@ let start ?chaos cfg =
       docs = [||];
       current = Atomic.make (Snapshot.capture ~version:1 []);
       write_mu = Mutex.create ();
+      files_mu = Mutex.create ();
       epoch = Atomic.make (max 1 upstream_epoch);
       role = `Following;
       reconnects = Atomic.make 0;
@@ -925,7 +956,7 @@ let start ?chaos cfg =
       Array.of_list
         (List.map
            (fun (u : Replication.doc_state) ->
-             try bootstrap_doc t conn u.name
+             try bootstrap_doc t conn u
              with Dropped_upstream msg -> failwith msg)
            docs.Replication.s_docs)
     with

@@ -3,11 +3,22 @@
     replayed numbering.
 
     The replica's data directory is a byte-for-byte mirror of the
-    primary's — base pair, checkpoint pairs, archived segments, and an
-    active journal holding only complete checksum-valid frames — so
-    [ruidtool fsck] passes on it at all times and a restart recovers
-    through the ordinary {!Rstorage.Wal.replay} path, resuming the stream
-    from the durable byte offset.
+    primary's — base pair, the live generation's checkpoint pair and
+    archive, and an active journal holding only complete checksum-valid
+    frames — so [ruidtool fsck] passes on it at all times and a restart
+    recovers through the ordinary {!Rstorage.Wal.replay} path, resuming
+    the stream from the durable byte offset.
+
+    {b Rotations.}  Upstream keeps one generation per document (the
+    journal family is bounded, {!Rstorage.Wal.trim}), so a follower that
+    fell one generation behind finishes its segment from the archive
+    [seg<g>] and takes the new pair and active prefix; one further
+    behind reinstalls the document from the live generation, as
+    bootstrap does, and publishes the recovered numbering without a
+    copy.  A fetched chunk that names a newer generation restarts the
+    step on the same connection.  Each install trims the mirror by the
+    same rule, and the [REPL *] verbs it serves to chained followers see
+    every install whole.
 
     {b Staleness contract.}  Reads are served from the latest locally
     {e published} snapshot, which may trail the primary; its [v=] stamp

@@ -139,8 +139,9 @@ let file_size path = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ ->
 (* [offset, offset + limit) of the file, plus its current size.  The
    journal files this serves are append-only (the active segment) or
    immutable (checkpoints, archives), so a plain positional read is
-   consistent; rotation replaces the active path by rename, which callers
-   detect by re-checking the generation around the read. *)
+   consistent; rotation replaces the active path by rename and deletes
+   the previous generation's files, which callers exclude by reading
+   under the lock the rotation (or a follower's install) holds. *)
 let read_chunk path ~offset ~limit =
   let limit = max 0 (min limit max_chunk) in
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with

@@ -4,10 +4,14 @@
     property (Section 3.2) makes {!Rstorage.Wal.apply} deterministic, so a
     follower that replays the same journal bytes reproduces the primary's
     numbering byte for byte.  The primary therefore serves nothing but its
-    own on-disk artifacts — base snapshot pair, checkpoint pairs, archived
-    segments, and the live journal — over the [REPL *] protocol verbs, and
-    a follower mirrors them verbatim into its own data directory (which
-    consequently passes [ruidtool fsck] like a primary's).
+    own on-disk artifacts — base snapshot pair, the live generation's
+    checkpoint pair, the archive of the segment it replaced, and the live
+    journal — over the [REPL *] protocol verbs, and a follower mirrors
+    them verbatim into its own data directory (which consequently passes
+    [ruidtool fsck] like a primary's).  A rotation deletes the previous
+    generation's files, so every chunk reply names the generation its
+    bytes belong to, atomically: a follower that reads a newer one than it
+    asked for knows the files it wanted may be gone.
 
     {b Fencing rule.}  Every node serves under a monotonic {e epoch}
     (persisted in [<data-dir>/EPOCH]).  Each REPL reply carries the

@@ -505,11 +505,21 @@ let forward_doc t doc req =
    snapshot, commit the adoption, drop the source copy and flip the
    map.  Clients that route through the router can never see two
    copies; a client talking to a shard directly is outside the
-   contract. *)
+   contract.
+
+   A rotation retires the shipped generation's pair (the source keeps
+   one), so every chunk of the pair and the journal must come from the
+   generation phase A read; one from a newer generation retries.  The
+   last two attempts hold the gate from phase A on: no routed write
+   lands, and only a rotation already under way (it runs after its
+   batch's acks) can still move the generation — once. *)
 
 let rebalance_attempts = 3
 
 exception Move_failed of string
+
+(* The source rotated past the generation being shipped. *)
+exception Rotated_away
 
 let move_err fmt = Printf.ksprintf (fun m -> raise (Move_failed m)) fmt
 
@@ -533,8 +543,9 @@ let source_state t source doc =
 
 (* Fetch [file] bytes [from, upto) from [source] and stage them on
    [target], one REPL FILE chunk per ADOPT.  [upto = max_int] means "to
-   the end as currently reported". *)
-let ship_file t ~source ~target ~doc ~file ~from ~upto =
+   the end as currently reported".  With [?gen], a chunk the source
+   labels with another generation raises [Rotated_away]. *)
+let ship_file ?gen t ~source ~target ~doc ~file ~from ~upto =
   let rec go offset =
     if offset < upto then begin
       let limit = min Replication.max_chunk (upto - offset) in
@@ -546,6 +557,9 @@ let ship_file t ~source ~target ~doc ~file ~from ~upto =
       match Replication.decode_chunk body with
       | Error msg -> move_err "REPL FILE: undecodable chunk: %s" msg
       | Ok chunk ->
+        (match gen with
+        | Some g when chunk.Replication.gen <> g -> raise Rotated_away
+        | _ -> ());
         if chunk.Replication.data <> "" then
           ignore
             (call_ok t target
@@ -577,55 +591,62 @@ let run_rebalance t doc target =
       try
         (* clear any staging a crashed predecessor left behind *)
         ignore (call_ok t target (Protocol.Adopt_abort doc) ~what:"ADOPTABORT");
+        let held = ref false in
+        let enter () =
+          gate_enter_write t;
+          held := true;
+          Unix.gettimeofday ()
+        and leave () =
+          if !held then begin
+            held := false;
+            gate_exit_write t
+          end
+        in
         let rec attempt tries =
           if tries = 0 then
             move_err "journal kept rotating; gave up after %d attempts"
               rebalance_attempts;
-          (* Phase A: bulk transfer while traffic flows *)
-          let gen_a, size_a = source_state t source doc in
-          let ship file ~from ~upto =
-            ship_file t ~source ~target ~doc ~file ~from ~upto
-          in
-          ship Protocol.Base_xml ~from:0 ~upto:max_int;
-          ship Protocol.Base_sidecar ~from:0 ~upto:max_int;
-          if gen_a > 0 then begin
-            ship (Protocol.Ckpt_xml gen_a) ~from:0 ~upto:max_int;
-            ship (Protocol.Ckpt_sidecar gen_a) ~from:0 ~upto:max_int
-          end;
-          ship Protocol.Active_wal ~from:0 ~upto:size_a;
-          (* Phase B: the measured pause *)
-          gate_enter_write t;
-          let t0 = Unix.gettimeofday () in
+          let gated = tries <= 2 in
+          let t0 = ref (if gated then enter () else 0.) in
           match
+            (* Phase A: bulk transfer (while traffic flows, ungated) *)
+            let gen_a, size_a = source_state t source doc in
+            let ship ?gen file ~from ~upto =
+              ship_file ?gen t ~source ~target ~doc ~file ~from ~upto
+            in
+            ship Protocol.Base_xml ~from:0 ~upto:max_int;
+            ship Protocol.Base_sidecar ~from:0 ~upto:max_int;
+            if gen_a > 0 then begin
+              ship ~gen:gen_a (Protocol.Ckpt_xml gen_a) ~from:0 ~upto:max_int;
+              ship ~gen:gen_a (Protocol.Ckpt_sidecar gen_a) ~from:0
+                ~upto:max_int
+            end;
+            ship ~gen:gen_a Protocol.Active_wal ~from:0 ~upto:size_a;
+            (* Phase B: the measured pause *)
+            if not gated then t0 := enter ();
             let gen_b, size_b = source_state t source doc in
-            if gen_b <> gen_a then `Rotated
-            else begin
-              if size_b > size_a then
-                ship Protocol.Active_wal ~from:size_a ~upto:size_b;
-              let body =
-                call_ok t target
-                  (Protocol.Adopt
-                     { doc; file = Protocol.Active_wal; last = true;
-                       bytes = "" })
-                  ~what:"ADOPT commit"
-              in
-              let dropped =
-                match shard_call t source (Protocol.Drop_doc doc) with
-                | Some (Protocol.Ok_ _) -> true
-                | _ -> false
-              in
-              Shard_map.move t.map doc target;
-              known_add t doc;
-              `Committed (body, dropped)
-            end
+            if gen_b <> gen_a then raise Rotated_away;
+            if size_b > size_a then
+              ship ~gen:gen_a Protocol.Active_wal ~from:size_a ~upto:size_b;
+            let body =
+              call_ok t target
+                (Protocol.Adopt
+                   { doc; file = Protocol.Active_wal; last = true;
+                     bytes = "" })
+                ~what:"ADOPT commit"
+            in
+            let dropped =
+              match shard_call t source (Protocol.Drop_doc doc) with
+              | Some (Protocol.Ok_ _) -> true
+              | _ -> false
+            in
+            Shard_map.move t.map doc target;
+            known_add t doc;
+            (body, dropped)
           with
-          | `Rotated ->
-            gate_exit_write t;
-            abort_staging t target doc;
-            attempt (tries - 1)
-          | `Committed (body, dropped) ->
-            let pause_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-            gate_exit_write t;
+          | body, dropped ->
+            let pause_ms = (Unix.gettimeofday () -. !t0) *. 1000. in
+            leave ();
             Mutex.lock t.stat_mu;
             t.rebalances <- t.rebalances + 1;
             t.rebalance_pause_ms <- t.rebalance_pause_ms +. pause_ms;
@@ -634,8 +655,12 @@ let run_rebalance t doc target =
               (Printf.sprintf "doc=%s from=%d to=%d pause_ms=%.1f %s%s" doc
                  source target pause_ms body
                  (if dropped then "" else " warn=source-drop-failed"))
+          | exception Rotated_away ->
+            leave ();
+            abort_staging t target doc;
+            attempt (tries - 1)
           | exception e ->
-            gate_exit_write t;
+            leave ();
             raise e
         in
         attempt rebalance_attempts

@@ -102,14 +102,16 @@ type master = {
   sidecar_path : string;
   wal_path : string;
   rotate_mu : Mutex.t;
-      (** makes ([Wal.generation], active-segment bytes) reads atomic
-          against {!Wal.rotate}: rotation swaps the file and bumps the
-          writer's generation as two steps, and it runs on the group's
-          pipeline {e domain} — a replication session reading the pair
-          unsynchronized could serve new-generation bytes labeled with
-          the old generation, which a follower would splice into the
-          wrong mirror.  Held only across rotation itself and across
-          each replication chunk read, never across a wait. *)
+      (** makes ([Wal.generation], file bytes) reads atomic against
+          {!Wal.rotate}: rotation swaps the active file, bumps the
+          writer's generation and deletes the previous generation's
+          files as separate steps, and it runs on the group's pipeline
+          {e domain} — a replication session reading unsynchronized
+          could serve new-generation bytes labeled with the old
+          generation, which a follower would splice into the wrong
+          mirror.  Held only across rotation itself (not the document's
+          serialization) and across each replication chunk read, never
+          across a wait. *)
 }
 
 (* One applied-but-not-yet-durable update, parked in the commit queue. *)
@@ -129,6 +131,7 @@ type write_counters = {
   mutable w_pub_full : int;
   mutable w_areas : int;
   mutable w_rotations : int;
+  mutable w_rotation_failures : int;
 }
 
 (* One independent commit pipeline.  Documents hash to a group by name;
@@ -410,8 +413,17 @@ let take_batch t (g : group) =
    would checkpoint operations no journal holds yet; such a document just
    skips rotation this round and retries on a later batch.  The snapshot
    copy is already isolated from the master, so serializing it races with
-   nothing. *)
+   nothing — and it runs before [rotate_mu] is taken, so replication reads
+   wait for the file swap only.  A rotation that raises (a full disk, a
+   path it cannot write) left the old segment in force: it is counted and
+   retried on a later batch, never reported as a commit failure — the
+   batch's records are durable and acknowledged by then. *)
 let maybe_rotate t (g : group) snap by_doc =
+  let count f =
+    Mutex.lock g.g_mu;
+    f g.g_writes;
+    Mutex.unlock g.g_mu
+  in
   if t.cfg.wal_segment_bytes > 0 then
     List.iter
       (fun (idx, _) ->
@@ -421,21 +433,23 @@ let maybe_rotate t (g : group) snap by_doc =
           | None -> ()
           | Some (_, d) when d.Snapshot.doc_version <> m.durable_version ->
             ()
-          | Some (_, d) ->
+          | Some (_, d) -> (
             let r2 = d.Snapshot.r2 in
-            (* Under [rotate_mu]: rotation swaps the segment file and
-               bumps the writer's generation as two steps, and we are on
-               the pipeline domain — a replication session must never
-               read the pair in between. *)
+            let xml = Ruid.Persist.xml_to_bytes r2
+            and sidecar = Ruid.Persist.sidecar_to_bytes r2 in
+            (* Under [rotate_mu]: rotation swaps the segment file, bumps
+               the writer's generation and trims the family as separate
+               steps, and we are on the pipeline domain — a replication
+               session must never read in between. *)
             Mutex.lock m.rotate_mu;
-            ignore
-              (Wal.rotate m.wal
-                 ~xml:(Ruid.Persist.xml_to_bytes r2)
-                 ~sidecar:(Ruid.Persist.sidecar_to_bytes r2));
-            Mutex.unlock m.rotate_mu;
-            Mutex.lock g.g_mu;
-            g.g_writes.w_rotations <- g.g_writes.w_rotations + 1;
-            Mutex.unlock g.g_mu)
+            match
+              Fun.protect ~finally:(fun () -> Mutex.unlock m.rotate_mu)
+                (fun () -> Wal.rotate m.wal ~xml ~sidecar)
+            with
+            | _ -> count (fun w -> w.w_rotations <- w.w_rotations + 1)
+            | exception _ ->
+              count (fun w ->
+                  w.w_rotation_failures <- w.w_rotation_failures + 1)))
       by_doc
 
 let quarantine_reply why =
@@ -659,8 +673,8 @@ let leader_loop t (g : group) =
           these records.  Such documents are quarantined — updates refused
           explicitly — until a restart re-derives state from the journal.
           A document whose journal and snapshot both caught up before the
-          failure (e.g. the exception came from a segment rotation after
-          the acks) stays live.  Only this group's documents are in the
+          failure stays live, and a reply already given stands (an ivar
+          keeps its first value).  Only this group's documents are in the
           batch, so only this group pauses to quarantine — other pipelines
           keep committing. *)
        let msg =
@@ -889,18 +903,12 @@ let run_repl_state t =
 
 (* A chunk must be bytes of the generation the reply names.  [rotate_mu]
    excludes the rotation in the group's pipeline domain, making the
-   (generation, file bytes) pair atomic; the generation re-check is kept
-   as a cheap invariant (it can no longer fail under the lock). *)
+   (generation, file bytes) pair atomic. *)
 let read_stable_chunk m path ~offset ~limit =
   Mutex.lock m.rotate_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock m.rotate_mu) @@ fun () ->
-  let rec go tries =
-    let g0 = Wal.generation m.wal in
-    let data, size = Replication.read_chunk path ~offset ~limit in
-    let g1 = Wal.generation m.wal in
-    if g0 = g1 || tries = 0 then (data, size, g1) else go (tries - 1)
-  in
-  go 3
+  let data, size = Replication.read_chunk path ~offset ~limit in
+  (data, size, Wal.generation m.wal)
 
 let run_repl_file t doc file offset limit =
   match find_master t doc with
@@ -990,9 +998,19 @@ let with_quiesced t f =
   in
   go ()
 
+(* A name holding ".wal.ckpt" is refused: document [x.wal.ckpt1] would
+   keep its base pair at [x.wal.ckpt1.xml]/[.ruid], which document [x]'s
+   journal family counts as a checkpoint pair and deletes on a trim. *)
 let valid_doc_name name =
+  let reserved = ".wal.ckpt" in
+  let n = String.length reserved in
+  let rec reserved_at i =
+    i + n <= String.length name
+    && (String.sub name i n = reserved || reserved_at (i + 1))
+  in
   name <> "" && name.[0] <> '.'
   && String.for_all (fun c -> c > ' ' && c <> '/') name
+  && not (reserved_at 0)
 
 let master_paths t name =
   let base = Filename.concat t.cfg.data_dir name in
@@ -1356,8 +1374,7 @@ let start cfg docs =
     List.split
       (List.map
          (fun (name, root) ->
-           if not (String.for_all (fun c -> c > ' ' && c <> '/') name)
-              || name = "" || name.[0] = '.' then
+           if not (valid_doc_name name) then
              invalid_arg
                (Printf.sprintf "Service.start: bad document name %S" name);
            if Hashtbl.mem seen name then
@@ -1372,6 +1389,9 @@ let start cfg docs =
            let wal_path = base ^ ".wal" in
            Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
            let wal = Wal.create wal_path in
+           (* generation 0: an earlier run's pairs and archives of the
+              same name describe nothing this journal will replay *)
+           Wal.trim wal_path ~gen:0;
            (* version 1 is the startup snapshot's stamp; every cursor
               starts there, matching the hand-off at [~version:1] below *)
            ( { name; group = Shard_map.hash ~shards:n_groups name;
@@ -1443,7 +1463,7 @@ let start cfg docs =
               g_writes =
                 { w_batches = 0; w_records = 0; w_max_batch = 0;
                   w_flush_ns = 0.; w_pub_inc = 0; w_pub_full = 0;
-                  w_areas = 0; w_rotations = 0 };
+                  w_areas = 0; w_rotations = 0; w_rotation_failures = 0 };
               g_handoffs = 0;
               g_lock_wait = Array.make Metrics.hist_buckets 0;
               g_fsync_wait = Array.make Metrics.hist_buckets 0;
@@ -1528,6 +1548,8 @@ let start cfg docs =
               publish_full = acc.Metrics.publish_full + w.w_pub_full;
               areas_rebuilt = acc.Metrics.areas_rebuilt + w.w_areas;
               rotations = acc.Metrics.rotations + w.w_rotations;
+              rotation_failures =
+                acc.Metrics.rotation_failures + w.w_rotation_failures;
             }
           in
           Mutex.unlock g.g_mu;
@@ -1535,7 +1557,7 @@ let start cfg docs =
         {
           Metrics.batches = 0; records = 0; max_batch = 0; flush_ns = 0.;
           publish_incremental = 0; publish_full = 0; areas_rebuilt = 0;
-          rotations = 0; private_masters;
+          rotations = 0; rotation_failures = 0; private_masters;
         }
         t.groups);
   Metrics.set_pipeline_probe metrics (fun () ->

@@ -7,9 +7,10 @@
     snapshot keep a consistent world until they drop it.
 
     A numbering reaches a snapshot in one of three ways:
-    - {e Hand-off} ({!host}).  A numbering that was just built or
-      recovered — the service's startup documents, ADDDOC/ADDCHUNK, a
-      committed ADOPT, a replica's bootstrap — is published as is, with
+    - {e Hand-off} ({!host}, {!rehost}).  A numbering that was just built
+      or recovered — the service's startup documents, ADDDOC/ADDCHUNK, a
+      committed ADOPT, a replica's bootstrap or checkpoint reinstall — is
+      published as is, with
       no copy; the caller gives it up for good.  A writer takes an O(1)
       {!Ruid.Ruid2.clone} of the published numbering, which shares its
       tree and tables, so a document is resident about once whether or
@@ -109,6 +110,13 @@ val replace_doc :
     [doc_index], which is re-captured from the (just-updated) master with
     its cursor at [doc_version] — the version of the last operation the
     master has applied, which may trail the global [version] stamp. *)
+
+val rehost :
+  t -> version:int -> doc_version:int -> doc_index:int -> Ruid.Ruid2.t -> t
+(** {!replace_doc} by hand-off, as {!host} publishes: slot [doc_index]
+    becomes this numbering as is, with no copy — a replica's reinstall of
+    a document from a checkpoint it just recovered.  The caller must never
+    write the numbering again. *)
 
 val next_stamp : t -> floor:int -> int
 (** The stamp a successor of this snapshot must carry: strictly above

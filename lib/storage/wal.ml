@@ -544,6 +544,26 @@ let family path =
          Option.map (fun m -> (m, Filename.concat dir f)) (parse f))
   |> List.sort (fun (a, _) (b, _) -> compare (key a) (key b))
 
+(* The deletion rule: a family at generation [gen] is its active segment
+   plus, past generation 0, the pair [ckpt<gen>] the segment replays from
+   and the archive [seg<gen>] of the segment it replaced.  Anything else
+   is a leftover — of a retired generation, a rotation cut short after its
+   commit, or an earlier run at the same path.  A removal that fails is
+   left for the next trim: recovery never reads a leftover. *)
+let trim ?(vfs = Vfs.real) ?(attempts = 5) path ~gen =
+  List.iter
+    (fun (m, p) ->
+      let live =
+        match m with
+        | Active -> true
+        | Checkpoint_xml g | Checkpoint_sidecar g | Segment g ->
+          gen > 0 && g = gen
+      in
+      if not live then
+        try Vfs.with_retries ~attempts (fun () -> vfs.Vfs.remove p)
+        with Sys_error _ | Vfs.Transient _ -> ())
+    (family path)
+
 let should_rotate w ~threshold =
   threshold > 0
   && (try w.vfs.Vfs.size w.path >= threshold with _ -> false)
@@ -552,13 +572,14 @@ let should_rotate w ~threshold =
    land atomically at paths the active segment does not reference; (2) the
    retiring segment is archived by copy (the active path stays untouched);
    (3) the new segment — header + checkpoint record — is published with one
-   atomic rename, the commit point.  A crash before (3) leaves the old
-   segment fully in force; after (3) the new one.  Every generation's
-   checkpoint pair is retained alongside its archived segment: the archive
-   [<wal>.seg<g>] is a copy of the generation-(g-1) segment, whose header
-   still binds replay to the generation-(g-1) checkpoint files, so removing
-   retired checkpoints would leave every archive unreplayable the moment it
-   was created. *)
+   atomic rename, the commit point; (4) the family is trimmed to the new
+   generation.  A crash before (3) leaves the old segment fully in force;
+   after (3) the new one, whose replay reads only its own pair, so a crash
+   inside (4) leaves leftovers and nothing else — the next trim takes
+   them.  The archive [<wal>.seg<g>] kept by (4) is a copy of the
+   generation-(g-1) segment; its header names the generation-(g-1) pair,
+   which (4) deletes, so the archive is no recovery artifact: it is the
+   bridge a follower still on generation g-1 finishes its segment from. *)
 let rotate w ~xml ~sidecar =
   let gen = w.gen + 1 in
   let xml_p, side_p = checkpoint_files w.path gen in
@@ -583,6 +604,7 @@ let rotate w ~xml ~sidecar =
   Ruid.Persist.store_atomic w.vfs ~attempts:w.attempts w.path
     (Buffer.to_bytes seg);
   w.gen <- gen;
+  trim ~vfs:w.vfs ~attempts:w.attempts w.path ~gen;
   gen
 
 (* ------------------------------------------------------------------ *)

@@ -86,7 +86,9 @@ type writer
 
 val create :
   ?vfs:Ruid.Vfs.t -> ?attempts:int -> string -> writer
-(** Start a fresh journal at the path (truncating any previous file). *)
+(** Start a fresh journal at the path (truncating any previous file).
+    Checkpoint pairs and archives an earlier journal left at the path stay
+    until a {!trim}. *)
 
 val open_append :
   ?vfs:Ruid.Vfs.t -> ?attempts:int -> ?repair:bool -> string -> writer
@@ -136,17 +138,19 @@ val should_rotate : writer -> threshold:int -> bool
     [threshold] of 0 disables rotation. *)
 
 val rotate : writer -> xml:bytes -> sidecar:bytes -> int
-(** Cut a checkpoint and start a fresh segment; returns the new generation.
-    [xml]/[sidecar] must serialize the exact state after the last appended
-    record ({!seq}).  Ordering is crash-safe: the generation's checkpoint
-    files are published atomically first, the retiring segment is archived
-    by copy (to [path ^ ".seg<gen>"]), and only then is the new segment —
-    header plus checkpoint frame — renamed over the journal path, which is
-    the commit point.  A crash anywhere before that rename leaves the old
-    segment fully in force.  Every generation's checkpoint pair is retained
-    alongside its archived segment (the archive's header references the
-    {e previous} generation's pair), so each archive remains independently
-    replayable. *)
+(** Cut a checkpoint and start a fresh segment; returns the new generation
+    [g].  [xml]/[sidecar] must serialize the exact state after the last
+    appended record ({!seq}).  Ordering is crash-safe: the generation's
+    checkpoint files are published atomically first, the retiring segment
+    is archived by copy (to [path ^ ".seg<g>"]), and only then is the new
+    segment — header plus checkpoint frame — renamed over the journal
+    path, which is the commit point.  A crash anywhere before that rename
+    leaves the old segment fully in force.  After the commit the family is
+    {!trim}med to [g]: the active segment, the pair [ckpt<g>] and the
+    archive [seg<g>] stay, every older pair and archive goes, so a
+    journal's disk use is bounded by one checkpoint pair and two segments
+    however often it rotates.  A crash inside the trim leaves only
+    leftovers, which the next rotation removes. *)
 
 val checkpoint_files : string -> int -> string * string
 (** [(xml, sidecar)] checkpoint paths for a journal path and generation:
@@ -155,8 +159,10 @@ val checkpoint_files : string -> int -> string * string
 val segment_archive : string -> int -> string
 (** Archive path of the segment retired when generation [gen] was cut:
     [path ^ ".seg<gen>"], a byte-for-byte copy of the generation-[gen-1]
-    segment.  Replication catch-up reads these when a follower is behind
-    the live generation. *)
+    segment.  Its header names the generation-[gen-1] pair, which the
+    rotation deletes, so the archive is not replayable on its own: it is
+    the bridge a replication follower still on generation [gen-1] finishes
+    its segment from (it holds that pair itself). *)
 
 type family_member =
   | Active  (** the live journal at the path itself *)
@@ -169,9 +175,20 @@ val family : string -> (family_member * string) list
     scanning the path's directory (not by re-deriving names from the live
     generation, which would miss leftovers of a crashed rotation): the
     active journal if present, then each generation's checkpoint pair and
-    archived segment in generation order.  Used by [DROPDOC] to delete a
-    document without guessing at its rotation history, and by tests to
+    archived segment in generation order.  After a rotation to [g] that is
+    the active journal, [ckpt<g>] and [seg<g>], plus whatever leftovers a
+    crash kept from {!trim}.  Used by [DROPDOC] to delete a document
+    without guessing at its rotation history, by {!trim}, and by tests to
     assert the family a run produced. *)
+
+val trim : ?vfs:Ruid.Vfs.t -> ?attempts:int -> string -> gen:int -> unit
+(** The deletion rule for a family at generation [gen]: remove every
+    member of {!family} except the active journal and, when [gen > 0], the
+    pair [ckpt<gen>] and the archive [seg<gen>].  Removals that fail are
+    skipped (the next trim retries them); recovery never reads what is
+    removed.  It reads the path's directory once.  {!rotate} applies it
+    after its commit; a server applies it at generation 0 to each journal
+    it starts afresh, and a replication follower to its mirror. *)
 
 (** {1 Reading and recovery} *)
 

@@ -160,6 +160,27 @@ let stats_kv sock key =
   | Some v -> v
   | None -> Alcotest.failf "STATS lacks %s=" key
 
+(* The live journal generation of [doc] as the node at [sock] reports it
+   in REPL STATE. *)
+let gen_of sock doc =
+  C.with_connection sock @@ fun c ->
+  match
+    Rserver.Replication.decode_state (ok_body (C.request c P.Repl_state))
+  with
+  | Error why -> Alcotest.failf "REPL STATE: %s" why
+  | Ok st -> (
+    match
+      List.find_opt
+        (fun d -> d.Rserver.Replication.name = doc)
+        st.Rserver.Replication.s_docs
+    with
+    | Some d -> d.Rserver.Replication.gen
+    | None -> Alcotest.failf "REPL STATE lacks %s" doc)
+
+(* The journal family of "lib" in a data directory, as member kinds. *)
+let members dir = Util.family_members (Filename.concat dir "lib.wal")
+let bound = Util.family_bound
+
 (* ------------------------------------------------------------------ *)
 (* Bootstrap + live stream                                             *)
 (* ------------------------------------------------------------------ *)
@@ -264,17 +285,7 @@ let test_rotation_catch_up () =
   with_primary ~wal_segment_bytes:256 [ ("lib", lib_doc ()) ]
   @@ fun pcfg _service ->
   let v1 = write_mix ~seed:31 ~ops:40 pcfg.Service.socket_path in
-  let gen_now () =
-    (* read the generation off the data dir: the highest ckpt pair *)
-    let rec probe g =
-      let x, _ =
-        Wal.checkpoint_files (Filename.concat pcfg.Service.data_dir "lib.wal")
-          (g + 1)
-      in
-      if Sys.file_exists x then probe (g + 1) else g
-    in
-    probe 0
-  in
+  let gen_now () = gen_of pcfg.Service.socket_path "lib" in
   Alcotest.(check bool)
     (Printf.sprintf "primary rotated (gen %d)" (gen_now ()))
     true
@@ -311,6 +322,97 @@ let test_rotation_race_no_reconnect () =
   Alcotest.(check int) "no reconnects" 0
     (stats_kv rcfg.Replica.socket_path "repl_reconnects");
   assert_fsck_clean ~ctx:"rotation race mirror" rcfg.Replica.data_dir
+
+(* After rotations under a live follower, the primary's journal family
+   and the follower's mirror of it are both the bound of the live
+   generation, and both fsck clean. *)
+let test_family_bound_follower () =
+  with_primary ~wal_segment_bytes:256 [ ("lib", lib_doc ()) ]
+  @@ fun pcfg _service ->
+  let psock = pcfg.Service.socket_path in
+  let rcfg = replica_config ~primary:psock () in
+  with_replica rcfg @@ fun r ->
+  let rsock = rcfg.Replica.socket_path in
+  let v = write_mix ~seed:51 ~ops:60 psock in
+  wait_version r v;
+  (* a rotation runs after its batch's acks: wait for both to settle *)
+  wait_until ~what:"primary and follower on one bounded generation"
+    (fun () ->
+      let g = gen_of psock "lib" in
+      g = gen_of rsock "lib"
+      && members pcfg.Service.data_dir = bound g
+      && members rcfg.Replica.data_dir = bound g);
+  let g = gen_of psock "lib" in
+  Alcotest.(check bool) (Printf.sprintf "rotated (gen %d)" g) true (g >= 2);
+  Alcotest.(check bool) "primary family is the bound" true
+    (members pcfg.Service.data_dir = bound g);
+  Alcotest.(check bool) "follower family is the bound" true
+    (members rcfg.Replica.data_dir = bound g);
+  check_identical ~ctx:"bounded families" psock rsock;
+  assert_fsck_clean ~ctx:"primary" pcfg.Service.data_dir;
+  assert_fsck_clean ~ctx:"follower" rcfg.Replica.data_dir
+
+(* A library of [n] books: large enough that a checkpoint pair outweighs
+   a journal segment many times over. *)
+let big_lib n =
+  doc_of_string
+    ("<lib>"
+    ^ String.concat ""
+        (List.init n (fun i ->
+             Printf.sprintf
+               "<book><title>t%d</title><author>a%d</author></book>" i i))
+    ^ "<journal><title>c</title></journal></lib>")
+
+let file_size p = (Unix.stat p).Unix.st_size
+
+(* A follower stopped while the primary rotates three times or more
+   restarts from its own files and converges through ONE checkpoint
+   install: the pairs of the generations it missed are gone, and walking
+   them cost a copy of the document each.  No reconnect either. *)
+let test_stopped_follower_one_install () =
+  with_primary ~wal_segment_bytes:512 [ ("lib", big_lib 400) ]
+  @@ fun pcfg _service ->
+  let psock = pcfg.Service.socket_path in
+  let rcfg = replica_config ~primary:psock () in
+  let v1 = write_mix ~seed:61 ~ops:10 psock in
+  (with_replica rcfg @@ fun r -> wait_version r v1);
+  let stopped_at =
+    let wal = Filename.concat rcfg.Replica.data_dir "lib.wal" in
+    match (Wal.scan wal).Wal.checkpoint with
+    | Some c -> c.Wal.gen
+    | None -> 0
+  in
+  let v2 = write_mix ~seed:62 ~ops:150 psock in
+  wait_until ~what:"the primary's family to settle" (fun () ->
+      members pcfg.Service.data_dir = bound (gen_of psock "lib"));
+  let g = gen_of psock "lib" in
+  Alcotest.(check bool)
+    (Printf.sprintf "primary rotated 3+ times while the follower was down \
+                     (gen %d -> %d)" stopped_at g)
+    true (g - stopped_at >= 3);
+  let pair =
+    let x, s =
+      Wal.checkpoint_files (Filename.concat pcfg.Service.data_dir "lib.wal") g
+    in
+    file_size x + file_size s
+  in
+  let served0 = stats_kv psock "repl_served_bytes" in
+  with_replica rcfg @@ fun r ->
+  let rsock = rcfg.Replica.socket_path in
+  wait_version r v2;
+  wait_until ~what:"the follower's family to settle" (fun () ->
+      gen_of rsock "lib" = g && members rcfg.Replica.data_dir = bound g);
+  check_identical ~ctx:"after the checkpoint install" psock rsock;
+  let fetched = stats_kv psock "repl_served_bytes" - served0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "one checkpoint install (fetched %d bytes, pair %d)"
+       fetched pair)
+    true
+    (fetched < 2 * pair);
+  Alcotest.(check int) "no reconnects" 0 (stats_kv rsock "repl_reconnects");
+  Alcotest.(check bool) "follower family is the bound" true
+    (members rcfg.Replica.data_dir = bound g);
+  assert_fsck_clean ~ctx:"reinstalled mirror" rcfg.Replica.data_dir
 
 (* ------------------------------------------------------------------ *)
 (* Commit pipelines: multi-group primary, byte-faithful mirror         *)
@@ -711,4 +813,8 @@ let suite =
       test_failed_bootstrap_cleans_up;
     Alcotest.test_case "primary rotating on every commit: no reconnects"
       `Quick test_rotation_race_no_reconnect;
+    Alcotest.test_case "family bound on primary and follower" `Quick
+      test_family_bound_follower;
+    Alcotest.test_case "stopped follower: one checkpoint install" `Quick
+      test_stopped_follower_one_install;
   ]

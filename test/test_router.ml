@@ -29,7 +29,7 @@ let sock_path () = Filename.concat "/tmp" ("ruid-" ^ unique () ^ ".sock")
 
 let doc_of_string s = Dom.root_element (Rxml.Parser.parse_string s)
 
-let shard_cfg () =
+let shard_cfg ?(wal_segment_bytes = 0) () =
   {
     Service.socket_path = sock_path ();
     data_dir = temp_dir ();
@@ -43,7 +43,7 @@ let shard_cfg () =
     commit_interval_us = 0;
     commit_max_batch = 64;
     commit_groups = 1;
-    wal_segment_bytes = 0;
+    wal_segment_bytes;
     planner = true;
     plan_cache = 64;
     epoch = 1;
@@ -52,8 +52,8 @@ let shard_cfg () =
 (* Three shards, one router.  [docs.(i)] is hosted by shard [i] from
    boot; the router's startup DOCS sweep catalogues every placement, so
    hash-disagreeing names still route. *)
-let with_tier ?(docs = [| []; []; [] |]) f =
-  let cfgs = Array.map (fun _ -> shard_cfg ()) docs in
+let with_tier ?(docs = [| []; []; [] |]) ?wal_segment_bytes f =
+  let cfgs = Array.map (fun _ -> shard_cfg ?wal_segment_bytes ()) docs in
   let shards = Array.map2 (fun cfg d -> Service.start cfg d) cfgs docs in
   let rcfg =
     Router.default_config ~socket_path:(sock_path ())
@@ -709,6 +709,58 @@ let test_rebalance () =
   Alcotest.(check bool) "shard points at the router" true
     (String.length msg > 0)
 
+(* A move while the source rotates: a writer inserts through the router
+   the whole time, and the source's journal rotates every few commits,
+   retiring the pair phase A ships.  The move still commits, and every
+   acknowledged insert is on the target. *)
+let test_rebalance_under_rotation () =
+  with_tier ~docs:(shard_docs ()) ~wal_segment_bytes:64
+  @@ fun ~cfgs ~rcfg ~shards:_ ~stop_shard:_ ->
+  let rsock = rcfg.Router.socket_path in
+  let insert_y =
+    P.Update
+      { doc = "beta"; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "y" } }
+  in
+  let stop = Atomic.make false and acked = Atomic.make 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        C.with_connection rsock @@ fun c ->
+        while not (Atomic.get stop) do
+          match C.request c insert_y with
+          | P.Ok_ _ -> Atomic.incr acked
+          | r -> Alcotest.failf "routed UPDATE: %s" (P.response_to_string r)
+        done)
+      ()
+  in
+  let rotations () =
+    get_kv (ok_body (ask cfgs.(1).Service.socket_path P.Stats)) "wal_rotations"
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while rotations () < 3 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let reply = ask rsock (P.Rebalance { doc = "beta"; target = 0 }) in
+  Atomic.set stop true;
+  Thread.join writer;
+  let body = ok_body reply in
+  Alcotest.(check bool) "the move committed" true
+    (C.kv body "from" = Some "1" && C.kv body "to" = Some "0");
+  Alcotest.(check bool) "the source rotated under the writer" true
+    (rotations () >= 3);
+  Alcotest.(check int) "every acknowledged insert on the target"
+    (3 + Atomic.get acked)
+    (get_kv
+       (ok_body
+          (ask cfgs.(0).Service.socket_path
+             (P.Count_doc { doc = "beta"; xpath = "//y" })))
+       "total");
+  let base = Filename.concat cfgs.(0).Service.data_dir "beta" in
+  Alcotest.(check int) "target fscks clean" 0
+    (Wal.exit_code
+       (Wal.fsck ~xml:(base ^ ".xml") ~sidecar:(base ^ ".ruid")
+          ~wal:(base ^ ".wal") ()))
+
 (* An ADOPTed document is published as recovered, with no copy.  Holding
    the target shard's snapshot across the document's first UPDATE there,
    the held snapshot must answer exactly as before and its numbering must
@@ -818,6 +870,8 @@ let suite =
     Alcotest.test_case "membership through the router" `Quick
       test_membership_via_router;
     Alcotest.test_case "online rebalance" `Quick test_rebalance;
+    Alcotest.test_case "rebalance while the source rotates" `Quick
+      test_rebalance_under_rotation;
     Alcotest.test_case "adopted document: first write isolated" `Quick
       test_adopt_first_write_isolated;
   ]

@@ -35,11 +35,11 @@ let with_server ?(workers = 2) ?(max_queue = 8) ?(deadline_ms = 0)
     ?(max_area_size = 8) ?(max_depth = 10_000) ?(domains = 0) ?(cache_mb = 0)
     ?(commit_interval_us = 0) ?(commit_max_batch = 64) ?(commit_groups = 0)
     ?(wal_segment_bytes = 0) ?(planner = true) ?(plan_cache = 256)
-    ?(epoch = 1) docs f =
+    ?(epoch = 1) ?data_dir docs f =
   let cfg =
     {
       Service.socket_path = sock_path ();
-      data_dir = temp_dir ();
+      data_dir = (match data_dir with Some d -> d | None -> temp_dir ());
       workers;
       max_queue;
       deadline_ms;
@@ -739,6 +739,108 @@ let test_segment_rotation_service () =
   in
   Alcotest.(check int) "recovered all thirty <m>" 30 (List.length ms)
 
+let members = Util.family_members
+
+let insert_m =
+  P.Update
+    { doc = "lib"; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "m" } }
+
+(* A rotation that cannot publish its checkpoint (a directory squats on
+   the pair's path) leaves the old segment in force.  It must cost no
+   reply: every UPDATE answers OK, replication reads answer, the attempt
+   leaves no temp file, and the rotation goes through once the path is
+   free.  A test that caught the service stuck fails without stopping
+   it. *)
+let test_failed_rotation_retries () =
+  let files = ref None in
+  (with_server ~wal_segment_bytes:64 [ ("lib", doc_of_string library) ]
+   @@ fun cfg t ->
+   files := Service.doc_files t "lib";
+   let _, _, wal = Option.get !files in
+   let squat = fst (Wal.checkpoint_files wal 1) in
+   Unix.mkdir squat 0o755;
+   C.with_connection cfg.Service.socket_path @@ fun c ->
+   let request what req =
+     match C.request_timeout c ~timeout_ms:10_000 req with
+     | r -> r
+     | exception C.Timeout -> raise (Wedged (what ^ " got no reply in 10 s"))
+   in
+   for i = 1 to 8 do
+     match request "UPDATE" insert_m with
+     | P.Ok_ _ -> ()
+     | r -> Alcotest.failf "UPDATE %d: %s" i (P.response_to_string r)
+   done;
+   let stats = ok_body (request "STATS" P.Stats) in
+   Alcotest.(check int) "no rotation committed" 0
+     (get_kv stats "wal_rotations");
+   Alcotest.(check bool) "failed rotations counted" true
+     (get_kv stats "wal_rotation_failures" >= 1);
+   (match
+      request "REPL FILE"
+        (P.Repl_file
+           { doc = "lib"; file = P.Active_wal; offset = 0; limit = 100 })
+    with
+   | P.Ok_ _ -> ()
+   | r -> Alcotest.failf "REPL FILE: %s" (P.response_to_string r));
+   Alcotest.(check bool) "no temp file left behind" false
+     (Sys.file_exists (squat ^ ".tmp"));
+   Unix.rmdir squat;
+   ignore (ok_body (request "UPDATE" insert_m));
+   (* the rotation runs after the batch's acks *)
+   let rotations () =
+     get_kv (ok_body (request "STATS" P.Stats)) "wal_rotations"
+   in
+   let deadline = Unix.gettimeofday () +. 10. in
+   while rotations () = 0 && Unix.gettimeofday () < deadline do
+     Thread.delay 0.01
+   done;
+   Alcotest.(check bool) "rotation succeeds once the path is free" true
+     (rotations () >= 1);
+   Alcotest.(check bool) "the family is the bound of generation 1" true
+     (members wal = Util.family_bound 1);
+   Alcotest.(check int) "every acknowledged insert visible" 9
+     (get_kv
+        (ok_body
+           (request "COUNTD" (P.Count_doc { doc = "lib"; xpath = "//m" })))
+        "total"));
+  let xml, sidecar, wal = Option.get !files in
+  Alcotest.(check int) "fsck clean" 0
+    (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()));
+  let recovery = Wal.replay ~xml ~sidecar ~wal () in
+  Alcotest.(check int) "recovered all nine <m>" 9
+    (List.length
+       (List.filter (fun n -> Dom.tag n = "m") (R2.all_nodes recovery.Wal.r2)))
+
+(* A second start over the same data directory writes a fresh base pair
+   and a generation-0 journal: the first run's checkpoint pairs and
+   archives go, so neither disk use nor recovery ever sees them. *)
+let test_restart_drops_stale_generations () =
+  let data_dir = temp_dir () in
+  let wal = Filename.concat data_dir "lib.wal" in
+  let run ~wal_segment_bytes ~writes =
+    with_server ~data_dir ~wal_segment_bytes
+      [ ("lib", doc_of_string library) ]
+    @@ fun cfg _ ->
+    C.with_connection cfg.Service.socket_path @@ fun c ->
+    for _ = 1 to writes do
+      ignore (ok_body (C.request c insert_m))
+    done
+  in
+  run ~wal_segment_bytes:64 ~writes:12;
+  Alcotest.(check bool) "the first run rotated" true
+    (List.exists (function Wal.Segment _ -> true | _ -> false) (members wal));
+  run ~wal_segment_bytes:0 ~writes:2;
+  Alcotest.(check bool) "only the active segment remains" true
+    (members wal = [ Wal.Active ]);
+  let xml = Filename.concat data_dir "lib.xml"
+  and sidecar = Filename.concat data_dir "lib.ruid" in
+  Alcotest.(check int) "fsck clean" 0
+    (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()));
+  let recovery = Wal.replay ~xml ~sidecar ~wal () in
+  Alcotest.(check int) "the second run's two inserts" 2
+    (List.length
+       (List.filter (fun n -> Dom.tag n = "m") (R2.all_nodes recovery.Wal.r2)))
+
 (* ------------------------------------------------------------------ *)
 (* Lifecycle, alike on every role                                      *)
 (* ------------------------------------------------------------------ *)
@@ -935,7 +1037,15 @@ let test_config_validation () =
   Alcotest.check_raises "dotfile name"
     (Invalid_argument "Service.start: bad document name \"../evil\"")
     (fun () ->
-      ignore (Service.start base [ ("../evil", doc_of_string library) ]))
+      ignore (Service.start base [ ("../evil", doc_of_string library) ]));
+  (* its base pair would pass for document "lib"'s checkpoint pair *)
+  Alcotest.check_raises "a journal family's name"
+    (Invalid_argument "Service.start: bad document name \"lib.wal.ckpt1\"")
+    (fun () ->
+      ignore
+        (Service.start base
+           [ ("lib", doc_of_string library);
+             ("lib.wal.ckpt1", doc_of_string library) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Thread pool and thread-safe counters                                *)
@@ -1440,6 +1550,10 @@ let suite =
     Alcotest.test_case "commit pipelines: 12 writers x 6 docs x 4 groups" `Quick
       test_commit_pipelines_concurrent_docs;
     Alcotest.test_case "segment rotation under live service" `Quick test_segment_rotation_service;
+    Alcotest.test_case "failed rotation: replies stand, retried later" `Quick
+      test_failed_rotation_retries;
+    Alcotest.test_case "restart drops an earlier run's generations" `Quick
+      test_restart_drops_stale_generations;
     Alcotest.test_case "SHUTDOWN verb" `Quick test_shutdown_verb;
     Alcotest.test_case "serve, replica, router stop on SIGTERM/SIGINT" `Quick
       test_stop_signals;

@@ -353,41 +353,49 @@ let test_checkpoint_rotation () =
     (encoded_ids r.Wal.r2 = encoded_ids replica);
   Alcotest.(check int) "fsck clean" 0
     (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()));
-  (* Reopen resumes sequence and generation; a second rotation retains the
-     first generation's checkpoint pair — the just-cut archive (<wal>.seg2,
-     a copy of the generation-1 segment) still binds replay to it, so
-     retiring the pair would make the archive unreplayable at birth. *)
+  (* Reopen resumes sequence and generation.  A follower still on
+     generation 1 holds the pair [ckpt1] and a prefix of the generation-1
+     segment; keep that much aside before the second rotation retires
+     both here. *)
   let w2 = Wal.open_append wal in
   Alcotest.(check int) "resume seq" 12 (Wal.seq w2);
   Alcotest.(check int) "resume generation" 1 (Wal.generation w2);
-  ignore
-    (Wal.rotate w2 ~xml:(P.xml_to_bytes live)
-       ~sidecar:(P.sidecar_to_bytes live));
-  Alcotest.(check bool) "previous generation's checkpoints retained" true
-    (Sys.file_exists cx && Sys.file_exists cs);
-  Alcotest.(check int) "still clean" 0
-    (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()));
-  (* The archived generation-1 segment must recover on its own: copied to a
-     scratch journal path together with the checkpoint pair its header
-     references, it replays records 8..12 over checkpoint 1. *)
-  let copy src dst =
-    let ic = open_in_bin src in
-    let n = in_channel_length ic in
-    let b = really_input_string ic n in
+  let read f =
+    let ic = open_in_bin f in
+    let b = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    let oc = open_out_bin dst in
+    b
+  in
+  let write f b =
+    let oc = open_out_bin f in
     output_string oc b;
     close_out oc
   in
-  let scratch = path "ckpt-archive.wal" in
-  copy (wal ^ ".seg2") scratch;
-  let sx, ss = Wal.checkpoint_files scratch 1 in
-  copy cx sx;
-  copy cs ss;
-  let ra = Wal.replay ~xml ~sidecar ~wal:scratch () in
-  Alcotest.(check int) "archive replays its tail over its checkpoint" 5
+  let follower = path "ckpt-follower.wal" in
+  let fx, fs = Wal.checkpoint_files follower 1 in
+  write fx (read cx);
+  write fs (read cs);
+  let gen1_segment = read wal in
+  ignore
+    (Wal.rotate w2 ~xml:(P.xml_to_bytes live)
+       ~sidecar:(P.sidecar_to_bytes live));
+  (* The bound: the second rotation keeps its own pair and archive only. *)
+  Alcotest.(check bool) "previous generation's pair retired" false
+    (Sys.file_exists cx || Sys.file_exists cs);
+  Alcotest.(check bool) "previous generation's archive retired" false
+    (Sys.file_exists (wal ^ ".seg1"));
+  Alcotest.(check int) "still clean" 0
+    (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()));
+  (* The archive is the follower's bridge, not a recovery artifact: it is
+     the generation-1 segment byte for byte, and over the pair the
+     follower kept it replays records 8..12 to the live state. *)
+  Alcotest.(check bool) "archive is the retired segment" true
+    (read (wal ^ ".seg2") = gen1_segment);
+  write follower (read (wal ^ ".seg2"));
+  let ra = Wal.replay ~xml ~sidecar ~wal:follower () in
+  Alcotest.(check int) "bridge replays its tail over the follower's pair" 5
     (List.length ra.Wal.replayed);
-  Alcotest.(check bool) "archive replay byte-identical to the live state"
+  Alcotest.(check bool) "bridge replay byte-identical to the live state"
     true
     (encoded_ids ra.Wal.r2 = encoded_ids live)
 
@@ -513,11 +521,15 @@ let test_cross_group_crash_independence () =
     (Crashsim.group_of ~groups:4 "doc3")
     (Crashsim.group_of ~groups:4 "doc3")
 
+let members = Util.family_members
+let bound = Util.family_bound
+
 let test_family_enumeration () =
   (* Wal.family discovers every on-disk artifact of a journal — active
      segment, checkpoint pairs, archived segments — in generation order,
      from the directory alone.  DROPDOC relies on this list to remove a
-     document without leaking archives. *)
+     document without leaking archives.  After two rotations it is the
+     bound: the active segment, the second pair and the second archive. *)
   let root, live, _xml, _sidecar, wal = snapshot "fam" in
   let w = Wal.create wal in
   let ops = script root ~seed:26 ~ops:9 in
@@ -531,19 +543,12 @@ let test_family_enumeration () =
     (Wal.rotate w ~xml:(P.xml_to_bytes live)
        ~sidecar:(P.sidecar_to_bytes live));
   List.iter (fun op -> ignore (Wal.log_update w live op)) (chunk 2);
-  let fam = Wal.family wal in
-  let members = List.map fst fam in
-  Alcotest.(check bool) "active + 2 checkpoint pairs + 2 archives" true
-    (members
-    = [
-        Wal.Active;
-        Wal.Checkpoint_xml 1; Wal.Checkpoint_sidecar 1; Wal.Segment 1;
-        Wal.Checkpoint_xml 2; Wal.Checkpoint_sidecar 2; Wal.Segment 2;
-      ]);
+  Alcotest.(check bool) "active + the second pair + the second archive" true
+    (members wal = bound 2);
   List.iter
     (fun (_, p) ->
       Alcotest.(check bool) (p ^ " exists") true (Sys.file_exists p))
-    fam;
+    (Wal.family wal);
   (* A sibling journal's family is untouched by ours. *)
   let _, _, _, _, wal2 = snapshot "famsib" in
   let w2 = Wal.create wal2 in
@@ -551,6 +556,82 @@ let test_family_enumeration () =
     (Wal.log_update w2 live (Wal.Insert { parent_rank = 0; pos = 0; tag = "s" }));
   Alcotest.(check int) "sibling family is just its active segment" 1
     (List.length (Wal.family wal2))
+
+(* However often a journal rotates, its family stays one pair and two
+   segments, and recovery reads none of what the rotations removed. *)
+let test_family_bound () =
+  let root, live, xml, sidecar, wal = snapshot "bound" in
+  let w = Wal.create wal in
+  let ops = script root ~seed:27 ~ops:24 in
+  List.iteri
+    (fun i op ->
+      ignore (Wal.log_update w live op);
+      if i mod 3 = 2 then
+        ignore
+          (Wal.rotate w ~xml:(P.xml_to_bytes live)
+             ~sidecar:(P.sidecar_to_bytes live)))
+    ops;
+  Alcotest.(check int) "eight rotations" 8 (Wal.generation w);
+  Alcotest.(check bool) "family is the bound of generation 8" true
+    (members wal = bound 8);
+  let r = Wal.replay ~xml ~sidecar ~wal () in
+  Alcotest.(check bool) "recovery byte-identical to the live state" true
+    (encoded_ids r.Wal.r2 = encoded_ids live);
+  (* A fresh journal at the same path starts generation 0: trimmed to it,
+     an earlier run's pair and archive go. *)
+  ignore (Wal.create wal);
+  Wal.trim wal ~gen:0;
+  Alcotest.(check bool) "generation 0 keeps the active segment only" true
+    (members wal = [ Wal.Active ])
+
+(* A crash after a rotation's commit rename but before its trim: the
+   new segment is in force and recovers the same state, the leftovers
+   are only leftovers, and the next rotation removes them. *)
+let test_crash_before_trim () =
+  let root, live, xml, sidecar, wal = snapshot "trimcrash" in
+  let w = Wal.create wal in
+  let ops = script root ~seed:28 ~ops:12 in
+  let rotate w =
+    ignore
+      (Wal.rotate w ~xml:(P.xml_to_bytes live)
+         ~sidecar:(P.sidecar_to_bytes live))
+  in
+  List.iteri
+    (fun i op ->
+      ignore (Wal.log_update w live op);
+      if i = 3 then rotate w)
+    (List.filteri (fun i _ -> i < 8) ops);
+  (* power fails at the first removal of the second rotation's trim *)
+  let dying =
+    { Vfs.real with Vfs.remove = (fun _ -> raise (Vfs.Crash "power")) }
+  in
+  let wd = Wal.open_append ~vfs:dying wal in
+  (match rotate wd with
+  | () -> Alcotest.fail "the trim should have crashed"
+  | exception Vfs.Crash _ -> ());
+  Alcotest.(check int) "the rotation committed" 2
+    (match (Wal.scan wal).Wal.checkpoint with
+    | Some c -> c.Wal.gen
+    | None -> 0);
+  Alcotest.(check bool) "leftovers of generation 1 remain" true
+    (List.mem (Wal.Checkpoint_xml 1) (members wal)
+    && List.mem (Wal.Segment 1) (members wal));
+  let r = Wal.replay ~xml ~sidecar ~wal () in
+  Alcotest.(check bool) "recovery equals the state at the commit" true
+    (encoded_ids r.Wal.r2 = encoded_ids live);
+  Alcotest.(check int) "fsck clean" 0
+    (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()));
+  (* after the restart: more records, and the next rotation trims *)
+  let w3 = Wal.open_append wal in
+  List.iter
+    (fun op -> ignore (Wal.log_update w3 live op))
+    (List.filteri (fun i _ -> i >= 8) ops);
+  rotate w3;
+  Alcotest.(check bool) "the next rotation removes the leftovers" true
+    (members wal = bound 3);
+  let r = Wal.replay ~xml ~sidecar ~wal () in
+  Alcotest.(check bool) "and recovers the live state" true
+    (encoded_ids r.Wal.r2 = encoded_ids live)
 
 let test_transient_faults_absorbed () =
   (* The whole pipeline — save, journaling, recovery — under a transient
@@ -605,6 +686,10 @@ let suite =
     Alcotest.test_case "cross-group crash independence (10 seeds)" `Quick
       test_cross_group_crash_independence;
     Alcotest.test_case "family enumeration" `Quick test_family_enumeration;
+    Alcotest.test_case "family bound across rotations" `Quick
+      test_family_bound;
+    Alcotest.test_case "crash between commit and trim" `Quick
+      test_crash_before_trim;
     Alcotest.test_case "transient faults absorbed" `Quick
       test_transient_faults_absorbed;
   ]

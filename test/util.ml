@@ -46,3 +46,11 @@ let rid = Alcotest.testable Ruid.Ruid2.pp_id Ruid.Ruid2.id_equal
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* A journal's family reduced to its member kinds, and the family a
+   rotation to generation [g] leaves: the active segment, the pair
+   [ckpt<g>] and the archive [seg<g>]. *)
+let family_members wal = List.map fst (Rstorage.Wal.family wal)
+
+let family_bound g =
+  Rstorage.Wal.[ Active; Checkpoint_xml g; Checkpoint_sidecar g; Segment g ]
