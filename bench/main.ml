@@ -24,6 +24,7 @@ let experiments =
     ("E19", E19.run);
     ("E20", E20.run);
     ("E21", E21.run);
+    ("E22", E22.run);
   ]
 
 let () =

@@ -1106,9 +1106,10 @@ let client_cmd =
       value & opt int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "Retry a one-shot request up to N times on a BUSY reply or a \
-             transient connect failure, with exponential backoff and \
-             jitter.  0 (the default) keeps the client strictly one-shot.")
+            "Retry the connection (in both forms) up to N times on a \
+             transient connect failure, and a one-shot request on a BUSY \
+             reply, with exponential backoff and jitter.  0 (the default) \
+             keeps the client strictly one-shot.")
   in
   let retry_budget_ms =
     Arg.(
@@ -1129,9 +1130,20 @@ let client_cmd =
       | Rserver.Protocol.Busy _ -> exit 3
       | Rserver.Protocol.Err _ -> exit 1
     in
+    (* A missing or refusing socket is an answer of its own, not a
+       crash: scripts polling for a server that is not up yet test for
+       it by status. *)
+    let c =
+      match Rserver.Client.connect_retry ~retries ~budget_ms socket with
+      | c -> c
+      | exception Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "cannot connect to %s: %s\n%!" socket
+          (Unix.error_message e);
+        exit 6
+    in
+    Fun.protect ~finally:(fun () -> Rserver.Client.close c) @@ fun () ->
     match words with
     | [] ->
-      Rserver.Client.with_connection socket @@ fun c ->
       let rec loop failed partial =
         match input_line stdin with
         | exception End_of_file ->
@@ -1149,10 +1161,6 @@ let client_cmd =
       in
       loop false false
     | words ->
-      let c =
-        Rserver.Client.connect_retry ~retries ~budget_ms:budget_ms socket
-      in
-      Fun.protect ~finally:(fun () -> Rserver.Client.close c) @@ fun () ->
       print_reply
         (Rserver.Client.request_raw_retry ~retries ~budget_ms:budget_ms c
            (String.concat " " words))
@@ -1162,7 +1170,9 @@ let client_cmd =
        ~doc:
          "Send requests to a running server.  Exit status: 0 on OK, 1 on \
           ERR, 3 on BUSY, 5 on an OK reply flagged $(b,partial=) (a \
-          degraded router scatter: some shard did not contribute).")
+          degraded router scatter: some shard did not contribute), 6 when \
+          nothing accepts connections at the socket (missing or refusing, \
+          once any retries are spent; the reason goes to stderr).")
     Term.(const run $ socket_arg $ retries $ retry_budget_ms $ words)
 
 (* ------------------------------------------------------------------ *)

@@ -5,28 +5,34 @@ let varint_size n =
 
 let write_varint buf n =
   if n < 0 then invalid_arg "Codec.write_varint: negative";
-  let rec go n =
-    if n < 128 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (128 lor (n land 127)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n >= 128 do
+    Buffer.add_char buf (Char.unsafe_chr (128 lor (!n land 127)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !n)
+
+(* At most nine groups: max_int is 63 bits = 9 groups of 7, and a
+   continuation past shift 56 would feed bits OCaml's int cannot hold.
+   Top-level, so a read allocates nothing. *)
+let rec varint_from bytes pos p shift acc =
+  if p >= Bytes.length bytes then invalid_arg "Codec.read_varint: truncated input";
+  if shift > 56 then invalid_arg "Codec.read_varint: over-long varint";
+  let b = Char.code (Bytes.get bytes p) in
+  let acc = acc lor ((b land 127) lsl shift) in
+  if acc < 0 then invalid_arg "Codec.read_varint: varint overflows int";
+  if b < 128 then begin
+    pos := p + 1;
+    acc
+  end
+  else varint_from bytes pos (p + 1) (shift + 7) acc
+
+let read_varint_at bytes pos = varint_from bytes pos !pos 0 0
 
 let read_varint bytes ~pos =
-  let len = Bytes.length bytes in
-  let rec go pos shift acc =
-    if pos >= len then invalid_arg "Codec.read_varint: truncated input";
-    (* max_int is 63 bits = 9 groups of 7; a continuation past shift 56
-       would feed bits OCaml's int cannot hold. *)
-    if shift > 56 then invalid_arg "Codec.read_varint: over-long varint";
-    let b = Char.code (Bytes.get bytes pos) in
-    let acc = acc lor ((b land 127) lsl shift) in
-    if acc < 0 then invalid_arg "Codec.read_varint: varint overflows int";
-    if b < 128 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
+  let p = ref pos in
+  let v = read_varint_at bytes p in
+  (v, !p)
 
 (* ruid2 identifier: the root flag rides in the low bit of the first
    varint; then global, then local. *)

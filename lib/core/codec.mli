@@ -17,6 +17,11 @@ val read_varint : bytes -> pos:int -> int * int
     and on over-long encodings whose value would not fit a native [int]
     (continuation past the ninth byte, or bits above bit 62). *)
 
+val read_varint_at : bytes -> int ref -> int
+(** {!read_varint} at a cursor: reads at [!pos] and advances [pos] past
+    the varint, allocating nothing (decoders calling it per node).
+    @raise Invalid_argument as {!read_varint}, leaving [pos] unchanged. *)
+
 val encode_ruid2 : Ruid2.id -> bytes
 val decode_ruid2 : bytes -> Ruid2.id
 (** @raise Invalid_argument on malformed input. *)

@@ -100,153 +100,6 @@ let of_cut_set root nodes =
     nodes;
   { root; cut; dropped = ISet.empty }
 
-(* Greedy top-down partition: grow the current area in document order; when
-   it would exceed the size budget — or a path would exceed the depth
-   budget — the next child starts a new area (and is still counted as a
-   leaf of the current one, per Definition 2). *)
-let greedy_cut ~max_area_size ~max_area_depth root =
-  let cut = Hashtbl.create 64 in
-  Hashtbl.replace cut root.Dom.serial ();
-  let rec fill_area area_root =
-    (* budget counts enumerated nodes: the area root plus members. *)
-    let budget = ref (max_area_size - 1) in
-    let next_areas = ref [] in
-    let rec go depth n =
-      List.iter
-        (fun c ->
-          decr budget;
-          if !budget >= 0 && depth < max_area_depth then go (depth + 1) c
-          else begin
-            (* [c] still consumed a slot as a leaf of this area, but its
-               own children start a fresh area rooted at [c]. *)
-            Hashtbl.replace cut c.Dom.serial ();
-            next_areas := c :: !next_areas
-          end)
-        n.Dom.children
-    in
-    go 1 area_root;
-    List.iter fill_area (List.rev !next_areas)
-  in
-  fill_area root;
-  { root; cut; dropped = ISet.empty }
-
-let adjust_fanout t =
-  let tree_fanout =
-    Dom.fold_preorder (fun acc n -> max acc (Dom.degree n)) 1 t.root
-  in
-  (* One pass computes every area root's frame children; promotions then
-     touch only the offender's children, so the whole adjustment is
-     near-linear instead of rescanning the tree per promotion. *)
-  let children : (int, Dom.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let kids r =
-    match Hashtbl.find_opt children r.Dom.serial with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace children r.Dom.serial l;
-      l
-  in
-  let rec collect area_root n =
-    List.iter
-      (fun c ->
-        if is_area_root t c then begin
-          let l = kids area_root in
-          l := c :: !l;
-          collect c c
-        end
-        else collect area_root c)
-      n.Dom.children
-  in
-  collect t.root t.root;
-  (* Path from a frame child up to (excluding) its frame parent — bounded
-     by the area depth. *)
-  let path_to_parent ~stop n =
-    let rec go acc n =
-      match n.Dom.parent with
-      | Some p when Dom.equal p stop -> acc
-      | Some p -> go (p :: acc) p
-      | None -> assert false
-    in
-    go [] n
-  in
-  let worklist = Queue.create () in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt children r.Dom.serial with
-      | Some l when List.length !l > tree_fanout -> Queue.add r worklist
-      | _ -> ())
-    (area_roots t);
-  while not (Queue.is_empty worklist) do
-    let u = Queue.pop worklist in
-    let l = kids u in
-    if List.length !l > tree_fanout then begin
-      (* Group u's frame children by the T-child of u they sit under. *)
-      let groups = Hashtbl.create 8 in
-      List.iter
-        (fun fc ->
-          let branch =
-            match path_to_parent ~stop:u fc with
-            | b :: _ -> b
-            | [] -> fc (* fc is a direct T-child of u *)
-          in
-          let cur =
-            match Hashtbl.find_opt groups branch.Dom.serial with
-            | Some (_, members) -> members
-            | None -> []
-          in
-          Hashtbl.replace groups branch.Dom.serial (branch, fc :: cur))
-        !l;
-      (* Largest group wins; ties break on the branch's position among u's
-         children.  Never on hash order of serials — that would make the
-         cut depend on node-allocation history, so two parses of the same
-         bytes could partition (and number) differently. *)
-      let best =
-        Hashtbl.fold (fun _ bg acc -> bg :: acc) groups []
-        |> List.filter (fun (_, g) -> List.length g >= 2)
-        |> List.sort (fun (b1, g1) (b2, g2) ->
-               match compare (List.length g2) (List.length g1) with
-               | 0 -> compare (Dom.child_index b1) (Dom.child_index b2)
-               | c -> c)
-        |> function
-        | [] -> None
-        | (_, g) :: _ -> Some g
-      in
-      match best with
-      | None ->
-        (* Impossible while the fan-out exceeds the tree's: some branch
-           must hold two frame children. *)
-        assert false
-      | Some group ->
-        (* Promote the LCA (within u's area) of the group. *)
-        let paths = List.map (fun fc -> path_to_parent ~stop:u fc @ [ fc ]) group in
-        let rec common prefix ps =
-          let heads = List.map (function x :: _ -> Some x | [] -> None) ps in
-          match heads with
-          | Some h :: rest
-            when List.for_all
-                   (function Some x -> Dom.equal x h | None -> false)
-                   rest ->
-            common (h :: prefix)
-              (List.map (function _ :: tl -> tl | [] -> []) ps)
-          | _ -> prefix
-        in
-        let lca =
-          match common [] paths with
-          | lca :: _ -> lca
-          | [] -> assert false
-        in
-        assert (not (Hashtbl.mem t.cut lca.Dom.serial));
-        Hashtbl.replace t.cut lca.Dom.serial ();
-        (* Move the group under the new frame node. *)
-        l := List.filter (fun fc -> not (List.exists (Dom.equal fc) group)) !l;
-        l := lca :: !l;
-        let ll = kids lca in
-        ll := group;
-        if List.length !l > tree_fanout then Queue.add u worklist;
-        if List.length group > tree_fanout then Queue.add lca worklist
-    end
-  done
-
 let uncut t n =
   if Dom.equal n t.root then invalid_arg "Frame.uncut: tree root";
   Hashtbl.remove t.cut n.Dom.serial
@@ -261,90 +114,247 @@ let default_area_size = 64
    under ~48 bits, leaving headroom for fan-out growth under updates. *)
 let default_area_depth ~max_fanout = max 4 (48 / bits (max_fanout + 1))
 
-let partition ?(max_area_size = default_area_size) ?max_area_depth
+(* ------------------------------------------------------------------ *)
+(* The enumeration kernel's frame side                                 *)
+(* ------------------------------------------------------------------ *)
+
+module O = Order_index
+
+type layout = {
+  pre : O.preorder;
+  cut : Bytes.t;
+  aroot : int array;
+  fslot : int array;
+  fprev : int array;
+  fanout : int array;
+  members : int array;
+  kappa : int;
+}
+
+let is_cut cut i = Bytes.unsafe_get cut i <> '\000'
+
+(* The passes below visit positions in preorder beside a stack of the
+   open ones, indexed by depth: position [i]'s parent is the top once
+   every open subtree that ends before [i] is popped. *)
+
+(* One pass over a cut: areas numbered in preorder of their roots; each
+   area's frame slot and previous frame sibling, fan-out and member
+   count; the frame fan-out. *)
+let describe (pre : O.preorder) cut =
+  let n = Array.length pre.nodes and last = pre.last in
+  let areas = ref 0 in
+  for i = 0 to n - 1 do
+    if is_cut cut i then incr areas
+  done;
+  let aroot = Array.make !areas 0 and fslot = Array.make !areas 0 in
+  let fprev = Array.make !areas (-1) and fanout = Array.make !areas 1 in
+  let members = Array.make !areas 1 and children = Array.make !areas 0 in
+  let youngest = Array.make !areas (-1) in
+  (* per open position: where its subtree ends, the area enumerating its
+     children and the children seen so far *)
+  let depth = pre.height + 1 in
+  let ends = Array.make depth 0 and area = Array.make depth 0 in
+  let seen = Array.make depth 0 in
+  let close t =
+    let a = area.(t) in
+    if seen.(t) > fanout.(a) then fanout.(a) <- seen.(t)
+  in
+  ends.(0) <- last.(0);
+  let top = ref 0 and next = ref 1 and kappa = ref 1 in
+  for i = 1 to n - 1 do
+    while ends.(!top) < i do
+      close !top;
+      decr top
+    done;
+    let p = !top in
+    seen.(p) <- seen.(p) + 1;
+    let a = area.(p) in
+    members.(a) <- members.(a) + 1;
+    let t = p + 1 in
+    top := t;
+    ends.(t) <- last.(i);
+    seen.(t) <- 0;
+    if is_cut cut i then begin
+      let b = !next in
+      next := b + 1;
+      aroot.(b) <- i;
+      area.(t) <- b;
+      fslot.(b) <- children.(a);
+      fprev.(b) <- youngest.(a);
+      youngest.(a) <- b;
+      children.(a) <- children.(a) + 1;
+      if children.(a) > !kappa then kappa := children.(a)
+    end
+    else area.(t) <- a
+  done;
+  for t = !top downto 0 do
+    close t
+  done;
+  { pre; cut; aroot; fslot; fprev; fanout; members; kappa = !kappa }
+
+(* The greedy cut by the rule of an online builder over start and end
+   tags: each node spends one slot of the budget of the area enumerating
+   it and joins that area while the budget and the area's depth budget
+   last; otherwise it becomes an area root — still a leaf of the upper
+   area — whose children start a fresh area.  A decision depends only on
+   nodes before it in document order, so a stack of open-area budgets
+   suffices. *)
+let greedy_cut (pre : O.preorder) ~max_area_size ~max_area_depth =
+  let n = Array.length pre.nodes and last = pre.last in
+  let cut = Bytes.make n '\000' in
+  (* per open position: where its subtree ends, the stack level of the
+     root of the area enumerating its children and the depth inside that
+     area at which they are checked; at a level rooting an area, the
+     slots it has left *)
+  let depth = pre.height + 1 in
+  let ends = Array.make depth 0 and area = Array.make depth 0 in
+  let inner = Array.make depth 1 and budget = Array.make depth 0 in
+  Bytes.unsafe_set cut 0 '\001';
+  ends.(0) <- last.(0);
+  budget.(0) <- max_area_size - 1;
+  let top = ref 0 in
+  for i = 1 to n - 1 do
+    while ends.(!top) < i do
+      decr top
+    done;
+    let p = !top in
+    let a = area.(p) in
+    let b = budget.(a) - 1 in
+    budget.(a) <- b;
+    let t = p + 1 in
+    top := t;
+    ends.(t) <- last.(i);
+    if b >= 0 && inner.(p) < max_area_depth then begin
+      area.(t) <- a;
+      inner.(t) <- inner.(p) + 1
+    end
+    else begin
+      Bytes.unsafe_set cut i '\001';
+      area.(t) <- t;
+      inner.(t) <- 1;
+      budget.(t) <- max_area_size - 1
+    end
+  done;
+  cut
+
+(* Section 2.3: while an area root has more frame children than the tree
+   has fan-out, group its frame children by the tree child of the area
+   root they sit under, and promote the lowest common ancestor of the
+   largest group (ties: the earlier tree child — never hash order, so two
+   parses of the same bytes cut alike).  Marks the promoted nodes in
+   [lay.cut].  Entered only when the frame's fan-out exceeds the tree's. *)
+let promote lay ~tree_fanout =
+  let last = lay.pre.last and cut = lay.cut in
+  let n = Array.length last in
+  (* parents, and the frame children of each area root by position *)
+  let parent = Array.make n (-1) and kids = Array.make n [] in
+  let open_ = Array.make (lay.pre.height + 1) 0 in
+  let owner = Array.make (lay.pre.height + 1) 0 in
+  let top = ref 0 in
+  for i = 1 to n - 1 do
+    while last.(open_.(!top)) < i do
+      decr top
+    done;
+    parent.(i) <- open_.(!top);
+    let u = owner.(!top) in
+    incr top;
+    open_.(!top) <- i;
+    if is_cut cut i then begin
+      kids.(u) <- i :: kids.(u);
+      owner.(!top) <- i
+    end
+    else owner.(!top) <- u
+  done;
+  let worklist = Queue.create () in
+  Array.iter
+    (fun u -> if List.length kids.(u) > tree_fanout then Queue.add u worklist)
+    lay.aroot;
+  while not (Queue.is_empty worklist) do
+    let u = Queue.pop worklist in
+    if List.length kids.(u) > tree_fanout then begin
+      let rec branch x = if parent.(x) = u then x else branch parent.(x) in
+      let groups = Hashtbl.create 8 in
+      List.iter
+        (fun fc ->
+          let b = branch fc in
+          let g = Option.value ~default:[] (Hashtbl.find_opt groups b) in
+          Hashtbl.replace groups b (fc :: g))
+        kids.(u);
+      let best =
+        Hashtbl.fold (fun b g acc -> (b, g) :: acc) groups []
+        |> List.filter (fun (_, g) -> List.length g >= 2)
+        |> List.sort (fun (b1, g1) (b2, g2) ->
+               match compare (List.length g2) (List.length g1) with
+               | 0 -> compare b1 b2
+               | c -> c)
+      in
+      match best with
+      | [] ->
+        (* Impossible while the fan-out exceeds the tree's: some branch
+           must hold two frame children. *)
+        assert false
+      | (_, group) :: _ ->
+        (* The group spans positions [lo .. hi]; its lowest common
+           ancestor is the nearest ancestor of [lo] whose subtree reaches
+           [hi] (no group member is an ancestor of another). *)
+        let lo = List.fold_left min max_int group
+        and hi = List.fold_left max 0 group in
+        let rec lca x = if last.(x) >= hi then x else lca parent.(x) in
+        let l = lca parent.(lo) in
+        assert (not (is_cut cut l));
+        Bytes.set cut l '\001';
+        kids.(u) <- l :: List.filter (fun fc -> not (List.mem fc group)) kids.(u);
+        kids.(l) <- group;
+        if List.length kids.(u) > tree_fanout then Queue.add u worklist;
+        if List.length group > tree_fanout then Queue.add l worklist
+    end
+  done
+
+let frame_of lay =
+  let nodes = lay.pre.nodes in
+  let cut = Hashtbl.create 64 in
+  Array.iter (fun i -> Hashtbl.replace cut nodes.(i).Dom.serial ()) lay.aroot;
+  { root = nodes.(0); cut; dropped = ISet.empty }
+
+let partition_layout ?(max_area_size = default_area_size) ?max_area_depth
     ?(adjust = true) root =
   if max_area_size < 2 then invalid_arg "Frame.partition: max_area_size < 2";
+  (match max_area_depth with
+  | Some d when d < 1 -> invalid_arg "Frame.partition: max_area_depth < 1"
+  | _ -> ());
+  let pre = O.preorder root in
+  let tree_fanout = pre.max_degree in
   let max_area_depth =
     match max_area_depth with
-    | Some d ->
-      if d < 1 then invalid_arg "Frame.partition: max_area_depth < 1";
-      d
-    | None ->
-      let max_fanout =
-        Dom.fold_preorder (fun acc n -> max acc (Dom.degree n)) 1 root
-      in
-      default_area_depth ~max_fanout
+    | Some d -> d
+    | None -> default_area_depth ~max_fanout:tree_fanout
   in
-  let t = greedy_cut ~max_area_size ~max_area_depth root in
-  if adjust then adjust_fanout t;
-  t
+  let cut = greedy_cut pre ~max_area_size ~max_area_depth in
+  let lay = describe pre cut in
+  let lay =
+    if adjust && lay.kappa > tree_fanout then begin
+      promote lay ~tree_fanout;
+      describe pre cut
+    end
+    else lay
+  in
+  (frame_of lay, lay)
 
-(* The greedy cut as an online algorithm over a preorder enter/leave walk:
-   the decision for a node depends only on the budget its enumerating area
-   has already spent on earlier nodes (all before it in document order) and
-   its depth inside that area, so a stack of open areas suffices — the cut
-   set is computed during a single streaming pass, with no tree in hand.
-   Produces exactly the cut of [greedy_cut] (tested equivalent). *)
-module Cut_builder = struct
-  type area = { mutable budget : int }
+let partition ?max_area_size ?max_area_depth ?adjust root =
+  fst (partition_layout ?max_area_size ?max_area_depth ?adjust root)
 
-  type builder = {
-    max_area_size : int;
-    max_area_depth : int;
-    cut : (int, unit) Hashtbl.t;
-    (* per open node: the area enumerating its children and the greedy
-       depth those children are checked at *)
-    mutable stack : (area * int) list;
-    mutable root_serial : int;
-  }
+let layout t =
+  let pre = O.preorder t.root in
+  let cut =
+    Bytes.init (Array.length pre.nodes) (fun i ->
+        if i = 0 || is_area_root t pre.nodes.(i) then '\001' else '\000')
+  in
+  describe pre cut
 
-  let create ?(max_area_size = default_area_size) ~max_area_depth () =
-    if max_area_size < 2 then
-      invalid_arg "Frame.Cut_builder.create: max_area_size < 2";
-    if max_area_depth < 1 then
-      invalid_arg "Frame.Cut_builder.create: max_area_depth < 1";
-    {
-      max_area_size;
-      max_area_depth;
-      cut = Hashtbl.create 64;
-      stack = [];
-      root_serial = -1;
-    }
-
-  let enter b ~serial =
-    match b.stack with
-    | [] ->
-      (* tree root: always an area root, children checked at greedy depth 1 *)
-      Hashtbl.replace b.cut serial ();
-      b.root_serial <- serial;
-      b.stack <- ({ budget = b.max_area_size - 1 }, 1) :: b.stack;
-      true
-    | (area, gdepth) :: _ ->
-      area.budget <- area.budget - 1;
-      if area.budget >= 0 && gdepth < b.max_area_depth then begin
-        b.stack <- (area, gdepth + 1) :: b.stack;
-        false
-      end
-      else begin
-        (* the node still consumed a slot as a leaf of the upper area, but
-           its own children start a fresh area rooted here *)
-        Hashtbl.replace b.cut serial ();
-        b.stack <- ({ budget = b.max_area_size - 1 }, 1) :: b.stack;
-        true
-      end
-
-  let leave b =
-    match b.stack with
-    | _ :: rest -> b.stack <- rest
-    | [] -> invalid_arg "Frame.Cut_builder.leave: empty stack"
-
-  let finish b ~root =
-    if b.stack <> [] then
-      invalid_arg "Frame.Cut_builder.finish: unbalanced enter/leave";
-    if root.Dom.serial <> b.root_serial then
-      invalid_arg "Frame.Cut_builder.finish: root is not the first entered node";
-    { root; cut = b.cut; dropped = ISet.empty }
-end
+let of_cut_bits pre cut =
+  Bytes.set cut 0 '\001';
+  let lay = describe pre cut in
+  (frame_of lay, lay)
 
 let check_invariants t =
   let fail fmt = Format.kasprintf failwith fmt in
@@ -364,14 +374,15 @@ let check_invariants t =
               fail "node %d enumerated in two areas" m.Dom.serial;
             Hashtbl.replace seen m.Dom.serial r.Dom.serial
           end;
-          (* Induced subtree: every member's parent is in the same area
-             (or the member is the area root). *)
+          (* Induced subtree: every member's parent is the area root or
+             a member recorded before it (members come in preorder). *)
           if not (Dom.equal m r) then
             match m.Dom.parent with
             | None -> fail "non-root member without parent"
             | Some p ->
-              if not (Dom.equal p r || List.exists (Dom.equal p) members) then
-                fail "area is not an induced subtree")
+              if not (Dom.equal p r
+                      || Hashtbl.find_opt seen p.Dom.serial = Some r.Dom.serial)
+              then fail "area is not an induced subtree")
         members)
     (area_roots t);
   (* Coverage: every node except the tree root appears exactly once. *)

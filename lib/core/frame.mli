@@ -22,7 +22,8 @@ val partition :
     [max_area_size] enumerated nodes (default 64; minimum 2).  With [adjust]
     (default [true]), apply the Section 2.3 refinement: promote branching
     nodes to area roots until the frame's maximal fan-out does not exceed
-    the source tree's maximal fan-out.
+    the source tree's maximal fan-out.  The cut is taken in one pass over
+    the tree's preorder arrays ({!partition_layout}).
 
     [max_area_depth] additionally cuts any root path longer than that many
     edges inside one area.  Because a local index can reach [k{^d}] for an
@@ -39,41 +40,6 @@ val default_area_depth : max_fanout:int -> int
 (** The depth budget {!partition} derives when none is given: keeps every
     local index under roughly 48 bits for a tree of the given maximal
     fan-out. *)
-
-val adjust_fanout : t -> unit
-(** The Section 2.3 refinement in isolation: promote branching nodes to
-    area roots until the frame's maximal fan-out does not exceed the source
-    tree's.  {!partition} applies it when [adjust] is set; exposed so the
-    streaming builder ({!Stream_build}) can run it over an online-computed
-    cut. *)
-
-(** The greedy cut of {!partition} as an online algorithm: feed it a
-    preorder enter/leave walk — e.g. SAX start/end events — and it decides
-    each node's area-root status the moment the node starts, from a stack
-    of open-area budgets alone.  State is O(tree depth); the resulting cut
-    is exactly the one [greedy_cut] inside {!partition} produces (tested
-    equivalent). *)
-module Cut_builder : sig
-  type builder
-
-  val create : ?max_area_size:int -> max_area_depth:int -> unit -> builder
-  (** Defaults [max_area_size] to {!default_area_size}.  The depth budget
-      is required: deriving it needs the tree's maximal fan-out, which a
-      stream only knows at the end ({!default_area_depth}). *)
-
-  val enter : builder -> serial:int -> bool
-  (** Called at each node start in document order with the node's DOM
-      serial; returns whether the node becomes an area root.  The first
-      node entered is the tree root (always an area root). *)
-
-  val leave : builder -> unit
-  (** Called at each node end. *)
-
-  val finish : builder -> root:Rxml.Dom.t -> t
-  (** The completed frame over the tree rooted at [root] (which must carry
-      the serial of the first entered node).
-      @raise Invalid_argument on an unbalanced walk or a foreign root. *)
-end
 
 val of_cut_set : Rxml.Dom.t -> Rxml.Dom.t list -> t
 (** Build a frame from an explicit cut set (the tree root is added
@@ -136,6 +102,50 @@ val reroot : t -> Rxml.Dom.t -> t
 val drop : t -> Rxml.Dom.t -> t
 (** The frame without the given area root; the argument is unchanged.
     O(log dropped). *)
+
+(** {1 The enumeration kernel}
+
+    Numbering (Sections 2.1-2.2) reads a tree through the preorder arrays
+    of one walk ({!Order_index.preorder}) and a cut marked by position,
+    not through the DOM and serial-keyed tables: the greedy cut, the
+    fan-out refinement, each area's root, size and fan-out and the frame
+    slots are a few linear passes over those arrays.
+    {!Ruid2} enumerates the areas from a layout, and restores a persisted
+    numbering by re-deriving every identifier over one. *)
+
+type layout = {
+  pre : Order_index.preorder;
+  cut : Bytes.t;  (** ['\001'] at the positions of area roots *)
+  aroot : int array;
+      (** per area: the position of its root.  Areas are numbered in
+          preorder of their roots; the tree root's is area 0. *)
+  fslot : int array;
+      (** per area other than 0: its index among its frame parent's frame
+          children, in document order *)
+  fprev : int array;
+      (** per area: the frame sibling just before it, [-1] for a first
+          frame child (and area 0) *)
+  fanout : int array;
+      (** per area: the maximal degree over the nodes whose children it
+          enumerates, at least 1 (what {!area_fanout} computes) *)
+  members : int array;  (** per area: nodes enumerated in it, root included *)
+  kappa : int;  (** frame fan-out, at least 1 (what {!frame_fanout} computes) *)
+}
+
+val partition_layout :
+  ?max_area_size:int -> ?max_area_depth:int -> ?adjust:bool ->
+  Rxml.Dom.t -> t * layout
+(** {!partition} together with the layout of its cut: one walk, the
+    greedy cut in one pass over its arrays, and the Section 2.3 promotion
+    loop only when a frame-child count taken in that pass exceeds the
+    tree's fan-out. *)
+
+val layout : t -> layout
+(** The layout of an explicit frame (one walk of its tree). *)
+
+val of_cut_bits : Order_index.preorder -> Bytes.t -> t * layout
+(** The frame whose area roots are the marked positions of a walk (the
+    tree root always among them), and its layout.  Marks position 0. *)
 
 val check_invariants : t -> unit
 (** Validate Definitions 1-2: cut set covers the tree, areas are induced

@@ -12,6 +12,13 @@ let is_built k = k land mask = 0
 
 type 'a entry = { node : Dom.t; last : int; pay : 'a }
 
+type preorder = {
+  nodes : Dom.t array;
+  last : int array;
+  height : int;
+  max_degree : int;
+}
+
 (* The keys that move a preorder position off its built key — inserted
    keys (+1) and dead built keys (-1) — in an AVL tree that keeps each
    subtree's sum of moves, so a position and a key convert into each
@@ -111,25 +118,46 @@ let same_build a b = a.nodes == b.nodes
 let log t = t.log
 let log_len t = t.log_len
 
-(* Index [n] nodes of [root] in preorder.  Serials in [base .. base +
-   len - 1] address their built positions through an array, any others
-   through [far]. *)
-let build ~pay ~base ~len ~n root =
-  let pos_of_serial = Array.make len (-1) and far = Hashtbl.create 16 in
-  let nodes = Array.make n root and lasts = Array.make n 0 in
-  let pays = Array.make n pay in
-  let next = ref 0 in
-  let rec walk x =
+(* The bulk-build walk: one preorder pass over the tree records each node
+   and its subtree's last position — the arrays the numbering kernel
+   reads (Frame.layout) and the index is built from — and the tree's
+   height and maximal degree. *)
+let preorder root =
+  let rec count acc x = List.fold_left count (acc + 1) x.Dom.children in
+  let n = count 0 root in
+  let nodes = Array.make n root and last = Array.make n 0 in
+  let next = ref 0 and height = ref 0 and max_degree = ref 1 in
+  let rec walk depth x =
     let i = !next in
-    incr next;
-    let s = x.Dom.serial - base in
-    if s >= 0 && s < len then pos_of_serial.(s) <- i
-    else Hashtbl.replace far x.Dom.serial i;
+    next := i + 1;
     nodes.(i) <- x;
-    List.iter walk x.Dom.children;
-    lasts.(i) <- (!next - 1) lsl shift
+    if depth > !height then height := depth;
+    let d = kids depth 0 x.Dom.children in
+    if d > !max_degree then max_degree := d;
+    last.(i) <- !next - 1
+  and kids depth d = function
+    | [] -> d
+    | c :: cs ->
+      walk (depth + 1) c;
+      kids depth (d + 1) cs
   in
-  walk root;
+  walk 0 root;
+  { nodes; last; height = !height; max_degree = !max_degree }
+
+(* The index over a walk's arrays, taking over [nodes], [last] (whose
+   positions become keys in place) and [pays].  Serials in [base .. base
+   + len - 1] address their built positions through an array, any others
+   through [far]. *)
+let index ~base ~len (pre : preorder) pays =
+  let nodes = pre.nodes and lasts = pre.last in
+  let n = Array.length nodes in
+  let pos_of_serial = Array.make len (-1) and far = Hashtbl.create 16 in
+  for i = 0 to n - 1 do
+    let s = nodes.(i).Dom.serial in
+    if s >= base && s - base < len then pos_of_serial.(s - base) <- i
+    else Hashtbl.replace far s i;
+    lasts.(i) <- lasts.(i) lsl shift
+  done;
   {
     n; nodes; lasts; pays; serial_base = base; pos_of_serial; far;
     versions = IMap.empty; ends = IMap.empty; pays' = IMap.empty;
@@ -137,25 +165,22 @@ let build ~pay ~base ~len ~n root =
     live = n; log = []; log_len = 0;
   }
 
-let create ~pay root =
-  let lo = ref max_int and hi = ref min_int and n = ref 0 in
-  Dom.iter_preorder
+let of_preorder (pre : preorder) pays =
+  if Array.length pays <> Array.length pre.nodes then
+    invalid_arg "Order_index.of_preorder: one payload per node";
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
     (fun x ->
-      incr n;
       if x.Dom.serial < !lo then lo := x.Dom.serial;
       if x.Dom.serial > !hi then hi := x.Dom.serial)
-    root;
-  build ~pay ~base:!lo ~len:(!hi - !lo + 1) ~n:!n root
-
-let set_built_pay t i p = t.pays.(i) <- p
+    pre.nodes;
+  index ~base:!lo ~len:(!hi - !lo + 1) pre pays
 
 let built_pos_of_serial t s =
   let i = s - t.serial_base in
   if i >= 0 && i < Array.length t.pos_of_serial then t.pos_of_serial.(i)
   else if Hashtbl.length t.far = 0 then -1
   else match Hashtbl.find_opt t.far s with Some p -> p | None -> -1
-
-let built_pos t node = built_pos_of_serial t node.Dom.serial
 
 (* ------------------------------------------------------------------ *)
 (* Lookups                                                             *)
@@ -264,6 +289,11 @@ let fold f t acc =
   iter_range t ~lo:0 ~hi:max_int (fun k -> acc := f k !acc);
   !acc
 
+(* Unedited payloads are the build's array, in document order. *)
+let iter_pay f t =
+  if t.moves == Moves.E && t.pays' == IMap.empty then Array.iter f t.pays
+  else iter_range t ~lo:0 ~hi:max_int (fun k -> f (pay t k))
+
 (* Built keys before [k]: its built position, plus one when [k] is an
    inserted key (it follows the built key of its gap). *)
 let built_before k = (k asr shift) + if is_built k then 0 else 1
@@ -361,11 +391,6 @@ let remove t k =
    replaces and puts the others in [far], so the index stays O(nodes)
    however long the process has run. *)
 let compact t root =
-  let n = ref 0 in
-  Dom.iter_preorder (fun _ -> incr n) root;
-  let fresh =
-    build ~pay:(pay t 0) ~base:t.serial_base
-      ~len:(Array.length t.pos_of_serial) ~n:!n root
-  in
-  Array.iteri (fun i x -> fresh.pays.(i) <- pay t (key t x)) fresh.nodes;
-  fresh
+  let pre = preorder root in
+  let pays = Array.map (fun x -> pay t (key t x)) pre.nodes in
+  index ~base:t.serial_base ~len:(Array.length t.pos_of_serial) pre pays

@@ -28,21 +28,32 @@ type 'a entry = {
 val shift : int
 (** Built keys are [i lsl shift]. *)
 
-val create : pay:'a -> Rxml.Dom.t -> 'a t
-(** Index a tree in preorder, every payload [pay]
-    ({!set_built_pay} fills them in before the index is shared). *)
+(** {1 Bulk build} *)
 
-val set_built_pay : 'a t -> int -> 'a -> unit
-(** [set_built_pay t i p]: the payload of built position [i], in place.
-    Construction only: the index must not be shared yet. *)
+type preorder = {
+  nodes : Rxml.Dom.t array;  (** position -> node, in document order *)
+  last : int array;  (** position of the last node of the node's subtree *)
+  height : int;  (** edges on the longest path from the root *)
+  max_degree : int;  (** the maximal number of children, at least 1 *)
+}
+(** The arrays of one preorder walk: what the numbering kernel
+    ({!Frame.layout}) reads and what {!of_preorder} builds the index
+    from.  The parent of position [i] is the nearest [j < i] with
+    [last.(j) >= i]: a stack of open positions, at most [height + 1]
+    deep, recovers it in passing. *)
 
-val built_pos : 'a t -> Rxml.Dom.t -> int
-(** Built position of a node, [-1] if it was not in the built tree.
-    Serials address the built positions through an array over the serial
-    range of the first build and a table for the rest (the leaves
-    inserted since, whose serials come from anywhere in the process-global
-    counter), so the index stays O(nodes) however long the process has
-    run. *)
+val preorder : Rxml.Dom.t -> preorder
+(** The bulk-build walk: one pass over the tree. *)
+
+val of_preorder : preorder -> 'a array -> 'a t
+(** The index over a walk's arrays, with the payload of each position.
+    Takes over [nodes], [last] (rewritten in place) and the payload
+    array: none of them may be used or shared afterwards.  Serials
+    address the built positions through an array over the serial range
+    of the walk and a table for the rest (the leaves inserted since,
+    whose serials come from anywhere in the process-global counter), so
+    the index stays O(nodes) however long the process has run.
+    @raise Invalid_argument unless there is one payload per node. *)
 
 val size : 'a t -> int
 (** Live nodes. *)
@@ -88,6 +99,10 @@ val iter_range : 'a t -> lo:int -> hi:int -> (int -> unit) -> unit
 
 val fold : (int -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** Every live key, ascending. *)
+
+val iter_pay : ('a -> unit) -> 'a t -> unit
+(** Every live payload, in document order: a pass over the build's array
+    while no key moved and no payload changed. *)
 
 val nth : 'a t -> int -> int
 (** Key of the node at a preorder position, [-1] out of range:

@@ -30,13 +30,18 @@ let ktable_payload t =
     rows;
   buf
 
+(* Varints straight from the order index's payloads, in document order
+   (the layout of Codec.encode_ruid2). *)
 let ids_payload t =
-  let buf = Buffer.create 4096 in
-  let nodes = Ruid2.all_nodes t in
-  Codec.write_varint buf (List.length nodes);
-  List.iter
-    (fun n -> Buffer.add_bytes buf (Codec.encode_ruid2 (Ruid2.id_of_node t n)))
-    nodes;
+  let o = Ruid2.order t in
+  let buf = Buffer.create ((4 * Order_index.size o) + 8) in
+  Codec.write_varint buf (Order_index.size o);
+  Order_index.iter_pay
+    (fun (i : Ruid2.id) ->
+      Buffer.add_char buf (if i.is_root then '\001' else '\000');
+      Codec.write_varint buf i.global;
+      Codec.write_varint buf i.local)
+    o;
   buf
 
 let add_u32_le buf v =
@@ -68,26 +73,24 @@ let sidecar_to_bytes_v2 t =
 (* Reader with section/offset context on every failure                 *)
 (* ------------------------------------------------------------------ *)
 
-type reader = { bytes : bytes; mutable pos : int; mutable section : string }
+type reader = { bytes : bytes; pos : int ref; mutable section : string }
 
 let reject r msg =
   invalid_arg
-    (Printf.sprintf "Persist: %s (%s section, byte %d)" msg r.section r.pos)
+    (Printf.sprintf "Persist: %s (%s section, byte %d)" msg r.section !(r.pos))
 
 let rd_varint r =
-  match Codec.read_varint r.bytes ~pos:r.pos with
-  | v, p ->
-    r.pos <- p;
-    v
+  match Codec.read_varint_at r.bytes r.pos with
+  | v -> v
   | exception Invalid_argument _ -> reject r "truncated or over-long varint"
 
 let rd_u32_le r =
-  if r.pos + 4 > Bytes.length r.bytes then reject r "truncated checksum";
+  if !(r.pos) + 4 > Bytes.length r.bytes then reject r "truncated checksum";
   let v = ref 0 in
   for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.get r.bytes (r.pos + i))
+    v := (!v lsl 8) lor Char.code (Bytes.get r.bytes (!(r.pos) + i))
   done;
-  r.pos <- r.pos + 4;
+  r.pos := !(r.pos) + 4;
   !v
 
 let version_of_bytes bytes =
@@ -106,26 +109,26 @@ let section_readers bytes =
   | 2 ->
     (* One unframed stream: all three sections share the reader; the
        section label advances as parsing proceeds. *)
-    let r = { bytes; pos = String.length magic_v2; section = "header" } in
+    let r = { bytes; pos = ref (String.length magic_v2); section = "header" } in
     `Unframed r
   | _ ->
-    let r = { bytes; pos = String.length magic_v3; section = "" } in
+    let r = { bytes; pos = ref (String.length magic_v3); section = "" } in
     let sections =
       List.map
         (fun name ->
           r.section <- name;
-          let frame_start = r.pos in
+          let frame_start = !(r.pos) in
           let len = rd_varint r in
-          let payload_start = r.pos in
+          let payload_start = !(r.pos) in
           if len < 0 || payload_start + len > Bytes.length bytes then begin
-            r.pos <- frame_start;
+            r.pos := frame_start;
             reject r "section length exceeds sidecar size"
           end;
-          r.pos <- payload_start + len;
+          r.pos := payload_start + len;
           let stored = rd_u32_le r in
           let actual = Crc32.bytes bytes ~pos:payload_start ~len in
           if stored <> actual then begin
-            r.pos <- payload_start;
+            r.pos := payload_start;
             reject r
               (Printf.sprintf "checksum mismatch (stored %08x, computed %08x)"
                  stored actual)
@@ -133,7 +136,7 @@ let section_readers bytes =
           (name, payload_start, len))
         [ "header"; "ktable"; "ids" ]
     in
-    if r.pos <> Bytes.length bytes then begin
+    if !(r.pos) <> Bytes.length bytes then begin
       r.section <- "trailer";
       reject r "trailing bytes after ids section"
     end;
@@ -147,7 +150,7 @@ let parse_payloads ~header ~ktable ~ids bytes =
     let k = ktable r in
     r.section <- "ids";
     let i = ids r in
-    if r.pos <> Bytes.length bytes then begin
+    if !(r.pos) <> Bytes.length bytes then begin
       r.section <- "trailer";
       reject r "trailing bytes in sidecar"
     end;
@@ -157,9 +160,9 @@ let parse_payloads ~header ~ktable ~ids bytes =
       let _, start, len =
         List.find (fun (n, _, _) -> n = name) sections
       in
-      let r = { bytes; pos = start; section = name } in
+      let r = { bytes; pos = ref start; section = name } in
       let v = f r in
-      if r.pos <> start + len then reject r "trailing bytes in section";
+      if !(r.pos) <> start + len then reject r "trailing bytes in section";
       v
     in
     (sub "header" header, sub "ktable" ktable, sub "ids" ids)
@@ -181,11 +184,17 @@ let read_ktable r =
 let read_ids r =
   let nnodes = rd_varint r in
   if nnodes < 0 then reject r "negative node count";
-  List.init nnodes (fun _ ->
-      let flag = rd_varint r in
-      let global = rd_varint r in
-      let local = rd_varint r in
-      { Ruid2.global; local; is_root = flag = 1 })
+  (* an identifier takes at least three bytes *)
+  if nnodes > (Bytes.length r.bytes - !(r.pos)) / 3 then
+    reject r "node count exceeds the section";
+  let ids = Array.make nnodes { Ruid2.global = 0; local = 0; is_root = false } in
+  for j = 0 to nnodes - 1 do
+    let flag = rd_varint r in
+    let global = rd_varint r in
+    let local = rd_varint r in
+    ids.(j) <- { Ruid2.global; local; is_root = flag = 1 }
+  done;
+  ids
 
 let sidecar_of_bytes root bytes =
   let (_is_document, kappa), rows, ids =
@@ -202,7 +211,7 @@ let sidecar_of_bytes root bytes =
    first varint of the header payload, which in v3 sits after the section's
    length varint. *)
 let root_kind_of_bytes bytes =
-  let r = { bytes; pos = String.length magic_v2; section = "header" } in
+  let r = { bytes; pos = ref (String.length magic_v2); section = "header" } in
   if version_of_bytes bytes = 3 then ignore (rd_varint r);
   rd_varint r = 1
 

@@ -137,7 +137,7 @@ let total_label_bits t =
 let enumerate_area frame ~k r =
   (* Locals of the nodes enumerated in the area of [r] (members), [r]
      itself taking local index 1; enumeration stops at child-area roots,
-     which are leaves here. *)
+     which are leaves here.  The per-area rule of structural updates. *)
   let acc = ref [] in
   let rec go local n =
     acc := (n, local) :: !acc;
@@ -153,54 +153,129 @@ let area_of_members members =
   { locals = Array.map snd a;
     serials = Array.map (fun (n, _) -> n.Dom.serial) a }
 
-let number_with_frame frame =
-  let root = Frame.root frame in
-  let kappa = max 1 (Frame.frame_fanout frame) in
-  let global_of_root = Hashtbl.create 64 in
-  let rec assign_frame g r =
-    Hashtbl.replace global_of_root r.Dom.serial g;
-    List.iteri
-      (fun j c -> assign_frame (U.child ~k:kappa g j) c)
-      (Frame.frame_children frame r)
+let restore_error fmt =
+  Format.kasprintf (fun s -> invalid_arg ("Ruid2.restore: " ^ s)) fmt
+
+(* The area number of an area root, by its position ([aroot] ascends). *)
+let area_at (lay : Frame.layout) c =
+  let lo = ref 0 and hi = ref (Array.length lay.aroot - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if lay.aroot.(mid) < c then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The enumeration kernel (Sections 2.1-2.2) over a layout: areas in
+   preorder of their roots, each breadth first from its root — which
+   makes an area's locals come out ascending, the order of its table.  A
+   child of the node at local [l] in an area of fan-out [k] takes local
+   [(l - 1) * k + 2 + j].  The tree root's identifier sits in [ids]
+   already, and [fan] holds area 0's fan-out; [kappa] is the frame's.
+
+   Writing ([ktable = None]), every other identifier goes into [ids]: an
+   area root's global is the kappa-ary child of its frame parent's at its
+   frame slot, and [fan] is the layout's.  Verifying ([Some ktable]), each
+   identifier is compared with the one [ids] holds instead: an area root
+   keeps its stored global, which must be a frame child of the area
+   enumerating it, and brings its K row, whose leaf index must be its
+   local and whose fan-out — the area's [fan] — must cover the area's
+   degrees.  Returns the area tables. *)
+let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~ktable =
+  let nodes = lay.pre.nodes and last = lay.pre.last and cut = lay.cut in
+  let verify = ktable <> None in
+  let overflow g =
+    if verify then restore_error "local index overflows in area %d" g
+    else raise Uid.Overflow
   in
-  assign_frame 1 root;
-  (* The order index is built in one preorder pass; the enumeration below
-     fills in each node's identifier in place before anything shares it. *)
-  let order = O.create ~pay:{ global = 1; local = 1; is_root = true } root in
-  let set n i = O.set_built_pay order (O.built_pos order n) i in
+  let q = Array.make (Array.fold_left max 1 lay.members) 0 in
   let areas = ref IMap.empty in
-  (* Area roots in document order: upper areas come before lower ones, so
-     each area root's own identifier is known before its K row is built. *)
-  let krows = ref [] in
-  List.iter
-    (fun r ->
-      let g = Hashtbl.find global_of_root r.Dom.serial in
-      let k = max 1 (Frame.area_fanout frame r) in
-      let members = enumerate_area frame ~k r in
-      List.iter
-        (fun (n, local) ->
-          if not (Dom.equal n r) then
-            set n
-              (if Frame.is_area_root frame n then
-                 { global = Hashtbl.find global_of_root n.Dom.serial;
-                   local; is_root = true }
-               else { global = g; local; is_root = false }))
-        members;
-      areas := IMap.add g (area_of_members members) !areas;
-      let root_local =
-        if Dom.equal r root then 1 else (O.pay order (O.key order r)).local
-      in
-      krows := { Ktable.global = g; root_local; fanout = k } :: !krows)
-    (Frame.area_roots frame);
+  for a = 0 to Array.length lay.aroot - 1 do
+    let r = lay.aroot.(a) and k = fan.(a) and m = lay.members.(a) in
+    let g = ids.(r).global in
+    let locals = Array.make m 1 and serials = Array.make m 0 in
+    q.(0) <- r;
+    let tail = ref 1 in
+    for h = 0 to m - 1 do
+      let x = q.(h) in
+      let e = last.(x) in
+      if e > x && (h = 0 || Bytes.unsafe_get cut x = '\000') then begin
+        let l = locals.(h) in
+        if l - 1 > (max_int - 2) / k then overflow g;
+        let base = ((l - 1) * k) + 2 in
+        let c = ref (x + 1) and j = ref 0 in
+        while !c <= e do
+          if base > max_int - !j then overflow g;
+          q.(!tail) <- !c;
+          locals.(!tail) <- base + !j;
+          incr tail;
+          incr j;
+          c := last.(!c) + 1
+        done
+      end
+    done;
+    serials.(0) <- nodes.(r).Dom.serial;
+    for h = 1 to m - 1 do
+      let c = q.(h) and l = locals.(h) in
+      serials.(h) <- nodes.(c).Dom.serial;
+      let root = Bytes.unsafe_get cut c <> '\000' in
+      match ktable with
+      | None ->
+        if root then begin
+          let slot = lay.fslot.(area_at lay c) in
+          if g - 1 > (max_int - 2 - slot) / kappa then raise Uid.Overflow;
+          ids.(c) <- { global = ((g - 1) * kappa) + 2 + slot; local = l; is_root = true }
+        end
+        else ids.(c) <- { global = g; local = l; is_root = false }
+      | Some ktable ->
+        let i = ids.(c) in
+        if i.local <> l || ((not root) && (i.is_root || i.global <> g)) then
+          restore_error "node at preorder position %d carries %s, enumerated as %s"
+            c (id_to_string i)
+            (id_to_string
+               { global = (if root then i.global else g); local = l; is_root = root });
+        if root then begin
+          if i.global < 2 || ((i.global - 2) / kappa) + 1 <> g then
+            restore_error "area root %s is not a frame child of area %d"
+              (id_to_string i) g;
+          let b = area_at lay c in
+          match Ktable.find ktable i.global with
+          | None -> restore_error "area %d has no K row" i.global
+          | Some row ->
+            if row.Ktable.root_local <> l then
+              restore_error
+                "K row %d records root_local %d but the root's leaf index is %d"
+                i.global row.Ktable.root_local l;
+            if row.Ktable.fanout < lay.fanout.(b) then
+              restore_error "area %d has fan-out %d below a degree of %d"
+                i.global row.Ktable.fanout lay.fanout.(b);
+            fan.(b) <- row.Ktable.fanout
+        end
+    done;
+    areas := IMap.add g { locals; serials } !areas
+  done;
+  !areas
+
+let of_layout frame (lay : Frame.layout) =
+  let ids =
+    Array.make (Array.length lay.pre.nodes) { global = 1; local = 1; is_root = true }
+  in
+  let areas = enumerate lay ~kappa:lay.kappa ~fan:lay.fanout ~ids ~ktable:None in
+  let krows =
+    List.init (Array.length lay.aroot) (fun a ->
+        let i = ids.(lay.aroot.(a)) in
+        { Ktable.global = i.global; root_local = i.local; fanout = lay.fanout.(a) })
+  in
   {
-    kappa;
-    st =
-      { ktable = Ktable.make !krows; frame; order; areas = !areas };
+    kappa = lay.kappa;
+    st = { ktable = Ktable.make krows; frame; order = O.of_preorder lay.pre ids; areas };
     exclusive = true;
   }
 
+let number_with_frame frame = of_layout frame (Frame.layout frame)
+
 let number ?max_area_size ?max_area_depth ?adjust root =
-  number_with_frame (Frame.partition ?max_area_size ?max_area_depth ?adjust root)
+  let frame, lay = Frame.partition_layout ?max_area_size ?max_area_depth ?adjust root in
+  of_layout frame lay
 
 (* ------------------------------------------------------------------ *)
 (* Derivation routines — kappa and K only                              *)
@@ -789,47 +864,54 @@ let clone t =
   t.exclusive <- false;
   { kappa = t.kappa; st = t.st; exclusive = false }
 
+(* Restore re-derives the numbering the identifiers describe and accepts
+   them only if they are that numbering.  The root flags give the cut;
+   the enumeration kernel then re-derives every local from K's fan-outs
+   and compares, checking on the way that each area root's stored global
+   is a frame child of the area enumerating it and that its K row fits
+   (see [enumerate]); last, frame siblings must be numbered in document
+   order and K must hold no other rows.  What passes is a numbering
+   [check] accepts. *)
 let restore ~kappa ~ktable ~ids root =
-  let nodes = Dom.preorder root in
-  if List.length nodes <> List.length ids then
-    invalid_arg "Ruid2.restore: identifier count does not match the tree";
-  (* The cut set is exactly the nodes carrying root-form identifiers. *)
-  let cut_nodes =
-    List.filter_map
-      (fun (n, i) -> if i.is_root && not (Dom.equal n root) then Some n else None)
-      (List.combine nodes ids)
-  in
-  let frame = Frame.of_cut_set root cut_nodes in
-  let order = O.create ~pay:unset root in
-  let t =
-    { kappa;
-      st = { ktable; frame; order; areas = IMap.empty };
-      exclusive = true }
-  in
-  (* Identifiers in preorder, and the per-area occupancy tables rebuilt
-     from enumeration positions. *)
-  let members = Hashtbl.create 64 in
-  let add g l n =
-    match Hashtbl.find_opt members g with
-    | Some r -> r := (n, l) :: !r
-    | None -> Hashtbl.replace members g (ref [ (n, l) ])
-  in
-  List.iteri
-    (fun j (n, i) ->
-      O.set_built_pay order j i;
-      let g, l = pos t i in
-      add g l n;
-      if i.is_root then add i.global 1 n)
-    (List.combine nodes ids);
-  let areas =
-    Hashtbl.fold (fun g r acc -> IMap.add g (area_of_members !r) acc) members
-      IMap.empty
-  in
-  t.st <- { t.st with areas };
-  (* A corrupted identifier stream can surface as a consistency failure or
-     as a missing K row / unresolvable position inside the checker. *)
-  (try check_consistency t with
-  | Failure msg -> invalid_arg ("Ruid2.restore: " ^ msg)
-  | Not_found -> invalid_arg "Ruid2.restore: identifier references a missing area"
-  | Invalid_argument msg -> invalid_arg ("Ruid2.restore: " ^ msg));
-  t
+  let pre = O.preorder root in
+  let n = Array.length pre.nodes in
+  if Array.length ids <> n then
+    restore_error "identifier count does not match the tree";
+  if kappa < 1 then restore_error "kappa %d < 1" kappa;
+  if not (id_equal ids.(0) { global = 1; local = 1; is_root = true }) then
+    restore_error "tree root carries %s" (id_to_string ids.(0));
+  let cut = Bytes.make n '\000' in
+  for i = 1 to n - 1 do
+    if ids.(i).is_root then Bytes.unsafe_set cut i '\001'
+  done;
+  let frame, lay = Frame.of_cut_bits pre cut in
+  let count = Array.length lay.aroot in
+  if count <> Ktable.size ktable then
+    restore_error "K has %d rows for %d area roots" (Ktable.size ktable) count;
+  let fan = Array.make count 1 in
+  (match Ktable.find ktable 1 with
+  | None -> restore_error "area 1 has no K row"
+  | Some row ->
+    if row.Ktable.root_local <> 1 then
+      restore_error "K row 1 records root_local %d" row.Ktable.root_local;
+    if row.Ktable.fanout < lay.fanout.(0) then
+      restore_error "area 1 has fan-out %d below a degree of %d" row.Ktable.fanout
+        lay.fanout.(0);
+    fan.(0) <- row.Ktable.fanout);
+  let areas = enumerate lay ~kappa ~fan ~ids ~ktable:(Some ktable) in
+  (* Globals ascend along frame siblings, so no two areas share one (nor
+     a K row: there are as many rows as areas). *)
+  Array.iteri
+    (fun b p ->
+      if p >= 0 then begin
+        let gp = ids.(lay.aroot.(p)).global and gb = ids.(lay.aroot.(b)).global in
+        if gp >= gb then
+          restore_error "area %d follows area %d in the frame but precedes it \
+                         in the document" gp gb
+      end)
+    lay.fprev;
+  {
+    kappa;
+    st = { ktable; frame; order = O.of_preorder pre ids; areas };
+    exclusive = true;
+  }

@@ -35,15 +35,23 @@ val number :
     {!Mruid}. *)
 
 val number_with_frame : Frame.t -> t
-(** Enumerate with an explicit partition (tests, ablations). *)
+(** Enumerate with an explicit partition (tests, ablations).  {!number}
+    and this share one kernel: a walk's preorder arrays
+    ({!Frame.layout}), then each area enumerated breadth first. *)
 
 val restore :
-  kappa:int -> ktable:Ktable.t -> ids:id list -> Rxml.Dom.t -> t
-(** Rebuild a numbering from persisted state: [ids] lists the identifier of
-    every node of the tree in document order.  The partition is recovered
-    from the root indicators.  Used by {!Persist.load}.
-    @raise Invalid_argument if the identifier list does not match the tree
-    or is internally inconsistent (checked via {!check_consistency}). *)
+  kappa:int -> ktable:Ktable.t -> ids:id array -> Rxml.Dom.t -> t
+(** Rebuild a numbering from persisted state: [ids] holds the identifier
+    of every node of the tree in document order (and becomes the order
+    index's payloads).  The partition is recovered from the root
+    indicators; the area roots' globals must form a kappa-ary frame in
+    document order, K must hold exactly one row per area, with the area
+    root's leaf index and a fan-out no smaller than any degree the area
+    enumerates, and every identifier must equal the one the enumeration
+    kernel derives from the root indicators, the globals and K's
+    fan-outs — one linear pass.  A numbering it accepts passes {!check}.
+    Used by {!Persist.load}.
+    @raise Invalid_argument on the first mismatch. *)
 
 val clone : t -> t
 (** O(1): a second handle on the same version.  Every table is persistent

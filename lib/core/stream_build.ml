@@ -1,11 +1,10 @@
 (* Streaming ingest: one SAX pass from a chunked feed straight to a
    numbered document.  The DOM is assembled incrementally from events (the
-   source text is never materialized as a string), per-node statistics and
-   — when the area-depth budget is known up front — the greedy cut are
-   computed during the same pass (Frame.Cut_builder), and the numbering is
-   produced by the ordinary enumeration over the finished frame.  The
-   result is bit-identical to the read-string / parse / number round-trip
-   (tested: sidecar and serialized XML byte-equal). *)
+   source text is never materialized as a string), per-node statistics are
+   computed during the same pass, and the numbering is the ordinary one
+   over the finished tree (Ruid2.number).  The result is bit-identical to
+   the read-string / parse / number round-trip (tested: sidecar and
+   serialized XML byte-equal). *)
 
 module Dom = Rxml.Dom
 module Sax = Rxml.Sax
@@ -20,13 +19,12 @@ type stats = {
 type built = { doc : Dom.t; r2 : Ruid2.t; stats : stats }
 
 let of_source ?keep_whitespace ?max_depth ?max_area_size ?max_area_depth
-    ?(adjust = true) ?(at = `Document) src =
+    ?adjust ?(at = `Document) src =
   let doc = Dom.document () in
   (* Children collect in reverse per open node and attach with one bulk
      append at close — per-event [Dom.append_child] is O(degree) and makes
      wide elements quadratic. *)
   let stack = ref [ (doc, ref []) ] in
-  let top () = match !stack with (t, _) :: _ -> t | [] -> assert false in
   let add n =
     match !stack with
     | (_, kids) :: _ -> kids := n :: !kids
@@ -35,20 +33,6 @@ let of_source ?keep_whitespace ?max_depth ?max_area_size ?max_area_depth
   let nodes = ref 1 and elements = ref 0 in
   let fanout_below = ref 1 in
   let depth = ref 0 and deepest = ref 0 in
-  let builder =
-    Option.map
-      (fun d -> Frame.Cut_builder.create ?max_area_size ~max_area_depth:d ())
-      max_area_depth
-  in
-  let enter n =
-    Option.iter (fun b -> ignore (Frame.Cut_builder.enter b ~serial:n.Dom.serial)) builder
-  and leave () = Option.iter Frame.Cut_builder.leave builder in
-  (* With the numbering rooted at the document node the online cut walks
-     every assembled node; rooted at the root element it must skip the
-     document node and any top-level comments/PIs, which sit outside the
-     numbered tree. *)
-  let leaf_in_scope () = at = `Document || not (Dom.equal (top ()) doc) in
-  if at = `Document then enter doc;
   Sax.iter_source ?keep_whitespace ?max_depth src ~f:(function
     | Sax.Start_element { tag; attrs } ->
       let e = Dom.element ~attrs tag in
@@ -57,7 +41,6 @@ let of_source ?keep_whitespace ?max_depth ?max_area_size ?max_area_depth
       incr elements;
       incr depth;
       if !depth > !deepest then deepest := !depth;
-      enter e;
       stack := (e, ref []) :: !stack
     | Sax.End_element _ -> (
       match !stack with
@@ -65,56 +48,28 @@ let of_source ?keep_whitespace ?max_depth ?max_area_size ?max_area_depth
         Dom.append_children e (List.rev !kids);
         let d = List.length !kids in
         if d > !fanout_below then fanout_below := d;
-        leave ();
         decr depth;
         stack := rest
       | [] -> assert false)
     | Sax.Text s ->
-      let n = Dom.text s in
-      add n;
-      incr nodes;
-      enter n;
-      leave ()
+      add (Dom.text s);
+      incr nodes
     | Sax.Comment s ->
-      let n = Dom.comment s in
-      add n;
-      incr nodes;
-      if leaf_in_scope () then begin
-        enter n;
-        leave ()
-      end
+      add (Dom.comment s);
+      incr nodes
     | Sax.Pi (t, d) ->
-      let n = Dom.pi t d in
-      add n;
-      incr nodes;
-      if leaf_in_scope () then begin
-        enter n;
-        leave ()
-      end);
+      add (Dom.pi t d);
+      incr nodes);
   (match !stack with
   | [ (_, kids) ] -> Dom.append_children doc (List.rev !kids)
   | _ -> assert false);
-  if at = `Document then leave ();
   let root = match at with `Document -> doc | `Root_element -> Dom.root_element doc in
   let max_fanout =
     match at with
     | `Document -> max !fanout_below (Dom.degree doc)
     | `Root_element -> !fanout_below
   in
-  let r2 =
-    match builder with
-    | Some b ->
-      let frame = Frame.Cut_builder.finish b ~root in
-      if adjust then Frame.adjust_fanout frame;
-      Ruid2.number_with_frame frame
-    | None ->
-      (* The depth budget defaults from the maximal fan-out, which the pass
-         just measured — hand it to the ordinary partition so the cut needs
-         no extra statistics sweep. *)
-      Ruid2.number ?max_area_size
-        ~max_area_depth:(Frame.default_area_depth ~max_fanout)
-        ~adjust root
-  in
+  let r2 = Ruid2.number ?max_area_size ?max_area_depth ?adjust root in
   {
     doc;
     r2;

@@ -3,15 +3,14 @@
     The ingest path of the collection tier used to materialize each
     document twice — the full source text as one string, then a DOM — with
     a separate well-formedness scan in front.  This module folds the event
-    stream of a {!Rxml.Sax.source} directly into the DOM, the per-node
-    statistics (node count, maximal fan-out and nesting depth) and — when
-    the area-depth budget is known up front — the greedy area cut
-    ({!Frame.Cut_builder}), all during the single pass; the numbering is
-    then produced by the ordinary enumeration.  Peak memory is the finished
-    document plus one feed chunk, never document text + DOM, and the output
-    is bit-identical to [Parser.parse_string] + {!Ruid2.number} (tested:
-    sidecar and serialized XML byte-equal, equal {!Rxpath.Doc_index}
-    ranks — so [Doc_index.build] consumes the result directly). *)
+    stream of a {!Rxml.Sax.source} directly into the DOM and the per-node
+    statistics (node count, maximal fan-out and nesting depth), all during
+    the single pass; {!Ruid2.number} then numbers the finished tree.  Peak
+    memory is the finished document plus one feed chunk, never document
+    text + DOM, and the output is bit-identical to [Parser.parse_string] +
+    {!Ruid2.number} (tested: sidecar and serialized XML byte-equal, equal
+    {!Rxpath.Doc_index} ranks — so [Doc_index.build] consumes the result
+    directly). *)
 
 type stats = {
   nodes : int;  (** DOM nodes assembled, document node included *)
@@ -37,9 +36,7 @@ val of_source :
     10000, as {!Rxml.Parser}); the numbering knobs are those of
     {!Ruid2.number}.  [at] picks the numbering root (default [`Document],
     the server's convention; [`Root_element] matches [ruidtool]'s file
-    commands).  When [max_area_depth] is given the greedy cut is computed
-    online during the pass; otherwise its depth budget defaults from the
-    fan-out the pass measured and the cut runs over the finished tree.
+    commands).
     @raise Rxml.Parser.Parse_error on malformed input. *)
 
 val of_channel :

@@ -75,6 +75,194 @@ let test_sidecar_fuzz () =
     | exception Not_found -> Alcotest.fail "leaked Not_found"
   done
 
+(* Sidecars past the checksum: valid v2 or re-framed v3 bytes (correct
+   CRCs) whose identifiers, K rows or kappa are perturbed.  Restore must
+   reject each with Invalid_argument or return a numbering that passes
+   the deep checker; any other outcome fails. *)
+let encode_sidecar ~version ~kappa ~rows ~ids =
+  let module C = Ruid.Codec in
+  let header = Buffer.create 8 and ktable = Buffer.create 64
+  and idb = Buffer.create 256 in
+  C.write_varint header 0;
+  C.write_varint header kappa;
+  C.write_varint ktable (List.length rows);
+  List.iter
+    (fun (g, l, f) ->
+      C.write_varint ktable g;
+      C.write_varint ktable l;
+      C.write_varint ktable f)
+    rows;
+  C.write_varint idb (Array.length ids);
+  Array.iter
+    (fun (flag, g, l) ->
+      C.write_varint idb flag;
+      C.write_varint idb g;
+      C.write_varint idb l)
+    ids;
+  let out = Buffer.create 512 in
+  Buffer.add_string out (if version = 2 then "RUID2\x02" else "RUID2\x03");
+  List.iter
+    (fun b ->
+      let s = Buffer.contents b in
+      if version = 2 then Buffer.add_string out s
+      else begin
+        C.write_varint out (String.length s);
+        Buffer.add_string out s;
+        let crc = Ruid.Crc32.string s in
+        for i = 0 to 3 do
+          Buffer.add_char out (Char.chr ((crc lsr (8 * i)) land 0xFF))
+        done
+      end)
+    [ header; ktable; idb ];
+  Buffer.to_bytes out
+
+let perturbed_sidecar seed =
+  let module R2 = Ruid.Ruid2 in
+  let rng = Rng.create seed in
+  let profile =
+    if seed mod 2 = 0 then
+      Rworkload.Shape.Uniform { fanout_lo = 0; fanout_hi = 4 }
+    else Rworkload.Shape.Deep { fanout = 3; bias = 0.6 }
+  in
+  let root =
+    Rworkload.Shape.generate ~seed ~target:(Rng.int_in rng 10 120) profile
+  in
+  let r2 = R2.number ~max_area_size:(Rng.int_in rng 3 10) root in
+  (* a few updates leave K fan-out slack and gaps in the area globals *)
+  if seed mod 3 = 0 then
+    List.iter
+      (fun op ->
+        ignore
+          (Rworkload.Updates.apply (R2.root r2)
+             ~insert:(fun ~parent ~pos n -> R2.insert_node ~slack:1 r2 ~parent ~pos n)
+             ~delete:(fun n -> R2.delete_subtree r2 n)
+             op))
+      (Rworkload.Updates.script ~seed ~ops:8 (R2.root r2));
+  let root = R2.root r2 in
+  let nodes = Array.of_list (Rxml.Dom.preorder root) in
+  let ids =
+    Array.map
+      (fun n ->
+        let i = R2.id_of_node r2 n in
+        ((if i.R2.is_root then 1 else 0), i.R2.global, i.R2.local))
+      nodes
+  in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun r -> Ruid.Ktable.(r.global, r.root_local, r.fanout))
+         (Ruid.Ktable.rows (R2.ktable r2)))
+  in
+  let kappa = ref (R2.kappa r2) in
+  let n = Array.length ids in
+  let near v = max 1 (Rng.int_in rng (max 0 (v - 2)) (v + 2)) in
+  let kind = Rng.int rng 6 in
+  (match kind with
+  | 0 ->
+    (* an identifier's global or local changed, or both *)
+    let i = Rng.int rng n in
+    let f, g, l = ids.(i) in
+    ids.(i) <-
+      (match Rng.int rng 3 with
+      | 0 -> (f, near g, l)
+      | 1 -> (f, g, near l)
+      | _ -> (f, Rng.int_in rng 0 (2 * g + 2), Rng.int_in rng 0 (2 * l + 2)))
+  | 1 ->
+    (* two identifiers swapped *)
+    let i = Rng.int rng n and j = Rng.int rng n in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  | 2 ->
+    (* a root flag flipped *)
+    let i = Rng.int rng n in
+    let f, g, l = ids.(i) in
+    ids.(i) <- (1 - f, g, l)
+  | 3 -> (
+    (* a fan-out lowered below the degree of a node it enumerates *)
+    let wide =
+      List.filter (fun j -> Rxml.Dom.degree nodes.(j) >= 2) (List.init n Fun.id)
+    in
+    match wide with
+    | [] -> ()
+    | _ ->
+      let j = List.nth wide (Rng.int rng (List.length wide)) in
+      let _, g, _ = ids.(j) in
+      Array.iteri
+        (fun r (rg, rl, _) ->
+          if rg = g then
+            rows.(r) <-
+              (rg, rl, Rng.int_in rng 1 (Rxml.Dom.degree nodes.(j) - 1)))
+        rows)
+  | 4 ->
+    (* one K field changed *)
+    let r = Rng.int rng (Array.length rows) in
+    let g, l, f = rows.(r) in
+    rows.(r) <-
+      (match Rng.int rng 3 with
+      | 0 -> (near g, l, f)
+      | 1 -> (g, near l, f)
+      | _ -> (g, l, near f))
+  | _ -> kappa := near !kappa);
+  (root, encode_sidecar ~version:(2 + (seed mod 2)) ~kappa:!kappa
+           ~rows:(Array.to_list rows) ~ids)
+
+let prop_sidecar_perturbations =
+  Util.qtest ~count:400 "sidecar perturbations past the checksum"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let root, bytes = perturbed_sidecar seed in
+      match Ruid.Persist.sidecar_of_bytes (Rxml.Dom.clone root) bytes with
+      | exception Invalid_argument _ -> true
+      | r2 -> (
+        match Ruid.Ruid2.check r2 with
+        | () -> true
+        | exception Failure msg ->
+          QCheck.Test.fail_reportf "seed %d: accepted, but check fails: %s"
+            seed msg))
+
+(* A zero fan-out or kappa cannot come from a writer; restore must still
+   reject it as malformed input rather than divide by it. *)
+let test_sidecar_zero_fanout () =
+  let module R2 = Ruid.Ruid2 in
+  let root =
+    Rworkload.Shape.generate ~seed:3 ~target:60
+      (Rworkload.Shape.Uniform { fanout_lo = 1; fanout_hi = 3 })
+  in
+  let r2 = R2.number ~max_area_size:6 root in
+  let ids =
+    Array.of_list
+      (List.map
+         (fun n ->
+           let i = R2.id_of_node r2 n in
+           ((if i.R2.is_root then 1 else 0), i.R2.global, i.R2.local))
+         (Rxml.Dom.preorder root))
+  in
+  let rows =
+    List.map
+      (fun r -> Ruid.Ktable.(r.global, r.root_local, r.fanout))
+      (Ruid.Ktable.rows (R2.ktable r2))
+  in
+  let rejects what ~kappa ~rows =
+    List.iter
+      (fun version ->
+        match
+          Ruid.Persist.sidecar_of_bytes (Rxml.Dom.clone root)
+            (encode_sidecar ~version ~kappa ~rows ~ids)
+        with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s (v%d) accepted" what version)
+      [ 2; 3 ]
+  in
+  List.iter
+    (fun (g, _, _) ->
+      rejects
+        (Printf.sprintf "fan-out 0 in area %d" g)
+        ~kappa:(R2.kappa r2)
+        ~rows:(List.map (fun (g', l, f) -> (g', l, if g' = g then 0 else f)) rows))
+    rows;
+  rejects "kappa 0" ~kappa:0 ~rows
+
 (* QCheck-driven hardening: on ANY byte string the parser returns a tree or
    raises its one documented exception — Failure / Invalid_argument /
    Stack_overflow all fail the property (qcheck reports unexpected
@@ -145,5 +333,8 @@ let suite =
     Alcotest.test_case "sax random bytes" `Quick test_sax_fuzz;
     Alcotest.test_case "codec random bytes" `Quick test_codec_fuzz;
     Alcotest.test_case "sidecar garbage and mutations" `Quick test_sidecar_fuzz;
+    prop_sidecar_perturbations;
+    Alcotest.test_case "sidecar with a zero fan-out or kappa" `Quick
+      test_sidecar_zero_fanout;
     Alcotest.test_case "xpath random strings" `Quick test_xpath_fuzz;
   ]

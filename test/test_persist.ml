@@ -212,6 +212,98 @@ let test_atomic_save () =
   Sys.remove xml;
   Sys.remove sidecar
 
+(* ---- golden numbering bytes ---- *)
+
+(* Length and CRC-32 of the sidecar and the XML [save] writes, for
+   fixed-seed documents numbered at several area sizes — several of them
+   cut with the Section 2.3 promotion — plus a document-rooted numbering
+   and one after 200 seeded inserts and deletes.  Any change to the cut,
+   the frame or area enumeration, K or either file format shows here.
+   The values were computed with the tree-walking construction that the
+   linear-pass kernel replaced. *)
+let golden_docs =
+  [
+    ("xmark-2k", fun () -> Rworkload.Xmark.generate ~seed:7 ~scale:0.5);
+    ("xmark-33k", fun () -> Rworkload.Xmark.generate ~seed:7 ~scale:8.0);
+    ("dblp", fun () -> Rworkload.Dblp.generate ~seed:7 ~publications:400);
+    ( "uniform",
+      fun () ->
+        Shape.generate ~seed:7 ~target:1500
+          (Shape.Uniform { fanout_lo = 0; fanout_hi = 5 }) );
+    ( "skewed",
+      fun () ->
+        Shape.generate ~seed:7 ~target:1500
+          (Shape.Skewed { max_fanout = 60; s = 1.1 }) );
+    ( "deep",
+      fun () ->
+        Shape.generate ~seed:7 ~target:1500 (Shape.Deep { fanout = 3; bias = 0.8 }) );
+  ]
+
+let golden =
+  [
+    ("xmark-2k", 4, (13488, 0xbb532d0b), (43818, 0x3fc5e857));
+    ("xmark-2k", 8, (11177, 0x9575b95b), (43818, 0x3fc5e857));
+    ("xmark-2k", 64, (10307, 0x46ee75bc), (43818, 0x3fc5e857));
+    ("xmark-33k", 4, (298611, 0x76f74768), (681998, 0x7a8384b1));
+    ("xmark-33k", 8, (241795, 0x49e7c055), (681998, 0x7a8384b1));
+    ("xmark-33k", 64, (215371, 0x300f685d), (681998, 0x7a8384b1));
+    ("dblp", 4, (32154, 0x1426a20d), (69562, 0x6b34cc55));
+    ("dblp", 8, (26290, 0xb05e3d13), (69562, 0x6b34cc55));
+    ("dblp", 64, (19654, 0x975f8528), (69562, 0x6b34cc55));
+    ("uniform", 4, (9235, 0xee83ea01), (9680, 0x69d6050e));
+    ("uniform", 8, (7856, 0x42c418e9), (9680, 0x69d6050e));
+    ("uniform", 64, (5969, 0x7aad8c22), (9680, 0x69d6050e));
+    ("skewed", 4, (12911, 0xf91871dd), (8307, 0x139395d5));
+    ("skewed", 8, (11698, 0xbcdadd2f), (8307, 0x139395d5));
+    ("skewed", 64, (6412, 0x9985e12e), (8307, 0x139395d5));
+    ("deep", 4, (10764, 0xff3b041a), (13285, 0x97aa2ad0));
+    ("deep", 8, (8488, 0xff3adacb), (13285, 0x97aa2ad0));
+    ("deep", 64, (7182, 0x0e9337bb), (13285, 0x97aa2ad0));
+  ]
+
+let digest b = (Bytes.length b, Ruid.Crc32.bytes b ~pos:0 ~len:(Bytes.length b))
+
+let check_golden what r2 (sidecar, xml) =
+  Alcotest.(check (pair int int)) (what ^ ": sidecar") sidecar
+    (digest (P.sidecar_to_bytes r2));
+  Alcotest.(check (pair int int)) (what ^ ": xml") xml (digest (P.xml_to_bytes r2))
+
+let test_golden_bytes () =
+  List.iter
+    (fun (name, area, sidecar, xml) ->
+      let root = (List.assoc name golden_docs) () in
+      check_golden
+        (Printf.sprintf "%s at area size %d" name area)
+        (R2.number ~max_area_size:area root)
+        (sidecar, xml))
+    golden;
+  (* the cut of at least one case goes through the promotion loop *)
+  let promotes (name, area, _, _) =
+    let root = (List.assoc name golden_docs) () in
+    Ruid.Frame.area_count (Ruid.Frame.partition ~max_area_size:area root)
+    <> Ruid.Frame.area_count
+         (Ruid.Frame.partition ~max_area_size:area ~adjust:false root)
+  in
+  Alcotest.(check bool) "some case promotes" true (List.exists promotes golden);
+  let doc =
+    Rxml.Parser.parse_string ~keep_whitespace:true
+      (Rxml.Serializer.to_string (Rworkload.Xmark.generate ~seed:7 ~scale:0.5))
+  in
+  check_golden "document-rooted xmark-2k" (R2.number doc)
+    ((10403, 0xd173e6e5), (43818, 0x3fc5e857));
+  let root = Rworkload.Xmark.generate ~seed:7 ~scale:0.5 in
+  let r2 = R2.number ~max_area_size:8 root in
+  List.iter
+    (fun op ->
+      ignore
+        (Rworkload.Updates.apply (R2.root r2)
+           ~insert:(fun ~parent ~pos n -> R2.insert_node r2 ~parent ~pos n)
+           ~delete:(fun n -> R2.delete_subtree r2 n)
+           op))
+    (Rworkload.Updates.script ~seed:7 ~ops:200 root);
+  check_golden "xmark-2k after 200 inserts and deletes" r2
+    ((10560, 0xc71297d2), (39488, 0xce8d3989))
+
 let suite =
   [
     Alcotest.test_case "bytes round trip" `Quick test_bytes_round_trip;
@@ -227,4 +319,5 @@ let suite =
     Alcotest.test_case "updates after load" `Quick test_updates_after_load;
     Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
     Alcotest.test_case "whitespace-bearing documents" `Quick test_whitespace_preserved;
+    Alcotest.test_case "golden numbering bytes" `Quick test_golden_bytes;
   ]

@@ -997,6 +997,58 @@ let test_stop_signals () =
   stops "replica" r Sys.sigint replica;
   stops "serve" p Sys.sigterm primary
 
+(* [ruidtool client] against a socket nobody serves: a missing path
+   (ENOENT) and a bound socket that does not listen (ECONNREFUSED), one
+   request, a stdin session and a request with retries.  Each must say
+   why on stderr and exit 6 — not crash with an uncaught exception. *)
+let test_client_cannot_connect () =
+  let run args ~stdin_text =
+    let err = Filename.temp_file "ruid-client" ".err" in
+    let inp = Filename.temp_file "ruid-client" ".in" in
+    Out_channel.with_open_bin inp (fun oc -> output_string oc stdin_text);
+    let fd_in = Unix.openfile inp [ Unix.O_RDONLY ] 0 in
+    let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process ruidtool
+        (Array.of_list ("ruidtool" :: "client" :: args))
+        fd_in devnull fd_err
+    in
+    let _, status = Unix.waitpid [] pid in
+    List.iter Unix.close [ fd_in; fd_err; devnull ];
+    let text = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    Sys.remove inp;
+    (status, text)
+  in
+  let missing = sock_path () in
+  let refusing = sock_path () in
+  let bound = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind bound (Unix.ADDR_UNIX refusing);
+  Fun.protect ~finally:(fun () ->
+      Unix.close bound;
+      try Sys.remove refusing with Sys_error _ -> ())
+  @@ fun () ->
+  List.iter
+    (fun (socket, reason) ->
+      List.iter
+        (fun (form, args, stdin_text) ->
+          let status, err = run ([ "--socket"; socket ] @ args) ~stdin_text in
+          let what = Printf.sprintf "%s socket, %s" reason form in
+          (match status with
+          | Unix.WEXITED 6 -> ()
+          | Unix.WEXITED n -> Alcotest.failf "%s: exit %d (%s)" what n err
+          | _ -> Alcotest.failf "%s: killed (%s)" what err);
+          Alcotest.(check string)
+            (what ^ ": stderr names the socket and the reason")
+            (Printf.sprintf "cannot connect to %s: %s\n" socket reason)
+            err)
+        [ ("one request", [ "DOCS" ], "");
+          ("stdin session", [], "PING\nDOCS\n");
+          ("with retries", [ "--retries"; "3"; "--retry-budget-ms"; "100"; "DOCS" ], "") ])
+    [ (missing, Unix.error_message Unix.ENOENT);
+      (refusing, Unix.error_message Unix.ECONNREFUSED) ]
+
 let test_config_validation () =
   let base =
     Service.default_config ~socket_path:(sock_path ()) ~data_dir:(temp_dir ()) ()
@@ -1557,6 +1609,8 @@ let suite =
     Alcotest.test_case "SHUTDOWN verb" `Quick test_shutdown_verb;
     Alcotest.test_case "serve, replica, router stop on SIGTERM/SIGINT" `Quick
       test_stop_signals;
+    Alcotest.test_case "client: unreachable socket exits 6" `Quick
+      test_client_cannot_connect;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "scheduler bounds + drain" `Quick test_scheduler_bounds;
     Alcotest.test_case "io_stats: concurrent counters" `Quick test_io_stats_concurrent;

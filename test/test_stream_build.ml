@@ -2,7 +2,7 @@
    (Stream_build) must produce byte-identical persistence artifacts and the
    same Doc_index geometry as reading the text, parsing a DOM and
    numbering it — over random document shapes, every chunking of the feed,
-   both numbering roots, and the online (explicit depth budget) cut. *)
+   both numbering roots, and explicit cut parameters. *)
 
 module Dom = Rxml.Dom
 module Sax = Rxml.Sax
@@ -102,8 +102,8 @@ let prop_equiv =
           true)
         [ `Document; `Root_element ])
 
-let prop_online_cut =
-  Util.qtest ~count:30 "online Cut_builder cut == greedy partition cut"
+let prop_explicit_depth =
+  Util.qtest ~count:30 "explicit depth budget: stream == parse+number"
     QCheck.(pair (int_range 1 150) (int_range 0 1000))
     (fun (n, seed) ->
       let src = gen_doc seed n in
@@ -117,7 +117,7 @@ let prop_online_cut =
             SB.of_string ~max_area_size:size ~max_area_depth:depth ~adjust
               ~at:`Document src
           in
-          check_identical ~what:"online cut" b.SB.r2 r2_dom;
+          check_identical ~what:"explicit depth budget" b.SB.r2 r2_dom;
           true)
         [ (4, 2, false); (4, 2, true); (16, 3, true); (64, 8, true) ])
 
@@ -208,7 +208,7 @@ let test_large_doc_streams () =
 let suite =
   [
     prop_equiv;
-    prop_online_cut;
+    prop_explicit_depth;
     Alcotest.test_case "mixed markup" `Quick test_mixed_markup;
     Alcotest.test_case "pass statistics" `Quick test_stats;
     Alcotest.test_case "truncated/chopped feeds fail cleanly" `Quick
