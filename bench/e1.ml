@@ -12,7 +12,6 @@ module Stats = Rxml.Stats
 module B = Bignum.Bignat
 module UB = Ruid.Uid.Over_big
 module R2 = Ruid.Ruid2
-module ML = Ruid.Multilevel
 module MR = Ruid.Mruid
 module Shape = Rworkload.Shape
 
@@ -104,7 +103,7 @@ let capacity_table () =
       (fun e ->
         List.map
           (fun m ->
-            let cap = ML.addressable ~e ~levels:m in
+            let cap = MR.addressable ~e ~levels:m in
             [
               Report.fint e; Report.fint m;
               (if B.bit_length cap <= 60 then B.to_string cap

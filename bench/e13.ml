@@ -50,7 +50,6 @@ let run_level ~doc_name ~root ~clients ~per_client ~workers ~max_queue =
       commit_max_batch = 64;
       commit_groups = 1;
       wal_segment_bytes = 0;
-      planner = true;
       plan_cache = 256;
       epoch = 1;
     }

@@ -93,7 +93,6 @@ let run_level ~doc_name ~root ~mode ~cache_mb ~mix_name ~update_every ~clients
       commit_max_batch = 64;
       commit_groups = 0 (* default: one pipeline per read domain *);
       wal_segment_bytes = 0;
-      planner = true;
       plan_cache = 256;
       epoch = 1;
     }

@@ -75,7 +75,6 @@ let run_level ~doc_name ~root ~batching ~mix_name ~period ~updates_per_period
       commit_max_batch = (if batching then 64 else 1);
       commit_groups = 1 (* one pipeline: this sweep isolates batching *);
       wal_segment_bytes = 0;
-      planner = true;
       plan_cache = 256;
       epoch = 1;
     }

@@ -58,7 +58,6 @@ let service_config tag =
     commit_max_batch = 64;
     commit_groups = 1;
     wal_segment_bytes = 0;
-    planner = true;
     plan_cache = 256;
     epoch = 1;
   }
@@ -71,7 +70,6 @@ let replica_config ~primary tag =
     workers = 2;
     max_queue = 16;
     poll_ms = 25;
-    planner = true;
     plan_cache = 256;
   }
 

@@ -64,7 +64,6 @@ let shard_config tag =
     commit_max_batch = 64;
     commit_groups = 1;
     wal_segment_bytes = 0;
-    planner = true;
     plan_cache = 64;
     epoch = 1;
   }

@@ -68,7 +68,6 @@ let run_level ~roots ~groups ~clients ~per_client =
       commit_max_batch = 64;
       commit_groups = groups;
       wal_segment_bytes = 0;
-      planner = true;
       plan_cache = 256;
       epoch = 1;
     }

@@ -1,7 +1,7 @@
 (* E3 — Cost of parent/ancestor derivation (Sections 2.2, 3.3; observation
    O2).  Bechamel micro-benchmarks: the original UID's one-division parent
-   formula, ruid's rparent (Fig. 6), the multilevel variant, ancestor-list
-   generation, and relationship decisions — all pure main-memory work. *)
+   formula, ruid's rparent (Fig. 6), ancestor-list generation, and
+   relationship decisions — all pure main-memory work. *)
 
 open Bechamel
 

@@ -1,9 +1,10 @@
 (* E4 — Query evaluation speed (Section 3.5; observation O3).
 
    The same XPath queries over the same XMark-like document, evaluated by
-   the naive DOM-walking engine and by the ruid engine (identifier
-   arithmetic + tag index).  Wall-clock per query, plus a Bechamel round on
-   three representative queries. *)
+   the naive DOM-walking engine, by the ruid engine (identifier arithmetic
+   + tag postings) and by the cost-based planner, with the plan kind it
+   picked (plan cache warm).  Wall-clock per query, plus a Bechamel round
+   on three representative queries. *)
 
 open Bechamel
 module Eval = Rxpath.Eval
@@ -18,7 +19,7 @@ let run () =
   let naive = Rxpath.Engine_naive.create doc in
   let r2 = Ruid.Ruid2.number ~max_area_size:64 doc in
   let ruid = Rxpath.Engine_ruid.create r2 in
-  let index = Rxpath.Tag_index.create r2 in
+  let planner = Rxpath.Planner.create r2 in
   Report.note "document: xmark scale 5 (%d nodes), %d UID-local areas" size
     (Ruid.Ruid2.area_count r2);
   Report.subsection "E4.a  per-query wall clock (single evaluation)";
@@ -29,25 +30,22 @@ let run () =
         let rn, tn = Report.time (fun () -> Eval.select naive p) in
         let rr, tr = Report.time (fun () -> Eval.select ruid p) in
         assert (List.length rn = List.length rr);
-        let plan_cell =
-          match Report.time (fun () -> Rxpath.Pathplan.query r2 index q) with
-          | Some planned, tp ->
-            assert (List.length planned = List.length rn);
-            Report.fns (tp *. 1e9)
-          | None, _ -> "-"
-        in
+        let kind = Rxpath.Planner.(kind_name (kind (plan planner q))) in
+        let rp, tp = Report.time (fun () -> Rxpath.Planner.query planner q) in
+        assert (List.length rp = List.length rn);
         [
           q;
           Report.fint (List.length rn);
           Report.fns (tn *. 1e9);
           Report.fns (tr *. 1e9);
-          plan_cell;
+          Report.fns (tp *. 1e9);
+          kind;
           Printf.sprintf "%.2fx" (tn /. tr);
         ])
       Rworkload.Xmark.queries
   in
   Report.table
-    [ "query"; "results"; "naive"; "ruid"; "join plan"; "naive/ruid" ]
+    [ "query"; "results"; "naive"; "ruid"; "planner"; "plan"; "naive/ruid" ]
     rows;
   Report.note
     "Shape (O3): ruid is competitive everywhere and wins clearly on ancestor and";

@@ -346,39 +346,6 @@ let reconstruct_cmd =
     Term.(const run $ input_arg $ area_arg $ expr)
 
 (* ------------------------------------------------------------------ *)
-(* plan                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let plan_cmd =
-  let expr =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"XPATH" ~doc:"A child/descendant name-test path.")
-  in
-  let run path area expr =
-    let doc = Rxml.Parser.parse_file path in
-    let r2 = R2.number ~max_area_size:area doc in
-    match Rxpath.Pathplan.compile (Rxpath.Xparser.parse expr) with
-    | None ->
-      prerr_endline "not plannable (predicates, wildcards or other axes)";
-      exit 1
-    | Some plan ->
-      Format.printf "plan: %a@." Rxpath.Pathplan.pp_plan plan;
-      let index = Rxpath.Tag_index.create r2 in
-      List.iter
-        (fun (_, tag) ->
-          Printf.printf "  scan %-16s %6d candidates\n" tag
-            (Rxpath.Tag_index.cardinality index tag))
-        plan.Rxpath.Pathplan.steps;
-      let results = Rxpath.Pathplan.run r2 index plan in
-      Printf.printf "%d result(s)\n" (List.length results)
-  in
-  Cmd.v
-    (Cmd.info "plan"
-       ~doc:"Show and run the structural-join plan of a simple path.")
-    Term.(const run $ input_arg $ area_arg $ expr)
-
-(* ------------------------------------------------------------------ *)
 (* save / load                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -593,18 +560,13 @@ let crash_test_cmd =
   let run seed area ops size runs batch checkpoint docs groups dir =
     let dir =
       match dir with
-      | Some d ->
-        if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-        d
+      | Some d -> d
       | None ->
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "ruid-crash-%d" (Unix.getpid ()))
-        in
-        if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-        d
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "ruid-crash-%d" (Unix.getpid ()))
     in
+    Rserver.Service.ensure_dir dir;
     let failures = ref 0 in
     for s = seed to seed + runs - 1 do
       if docs > 1 then begin
@@ -783,17 +745,6 @@ let serve_cmd =
              from it, bounding replay cost.  0 (the default) disables \
              rotation.")
   in
-  let planner =
-    Arg.(
-      value
-      & opt (enum [ ("on", true); ("off", false) ]) true
-      & info [ "planner" ] ~docv:"on|off"
-          ~doc:
-            "Route QUERY/COUNT through the cost-based query planner and \
-             serve the EXPLAIN verb ($(b,on), the default).  $(b,off) \
-             evaluates every query on the engine directly — identical \
-             answers, no plan cache, EXPLAIN returns an error.")
-  in
   let plan_cache =
     Arg.(
       value & opt int 256
@@ -852,8 +803,7 @@ let serve_cmd =
   in
   let run files data_dir workers max_queue domains cache_mb deadline_ms
       commit_interval_us commit_max_batch commit_groups wal_segment_bytes
-      planner plan_cache epoch max_depth max_area gen_kind gen_size seed
-      socket =
+      plan_cache epoch max_depth max_area gen_kind gen_size seed socket =
     if max_depth < 1 then fail "--max-depth must be >= 1";
     if gen_size < 1 then fail "--gen-size must be >= 1";
     let data_dir =
@@ -883,7 +833,6 @@ let serve_cmd =
         commit_max_batch;
         commit_groups;
         wal_segment_bytes;
-        planner;
         plan_cache;
         epoch;
       }
@@ -932,15 +881,14 @@ let serve_cmd =
       docs;
     Printf.printf
       "listening on %s (workers %d, read domains %s, commit groups %d, \
-       queue %d, cache %s, deadline %s, planner %s)\n%!"
+       queue %d, cache %s, deadline %s, plan cache %d)\n%!"
       socket workers
       (if domains = 0 then "off" else string_of_int domains)
       (Service.resolved_commit_groups cfg)
-      (Service.resolved_max_queue cfg)
+      (Service.resolved_max_queue ~max_queue ~workers ~domains)
       (if cache_mb = 0 then "off" else string_of_int cache_mb ^ "MB")
       (if deadline_ms = 0 then "none" else string_of_int deadline_ms ^ "ms")
-      (if planner then Printf.sprintf "on (plan cache %d)" plan_cache
-       else "off");
+      plan_cache;
     serve_until_stopped
       ~stop:(fun () -> Service.stop t)
       ~wait:(fun () -> Service.wait t);
@@ -955,7 +903,7 @@ let serve_cmd =
     Term.(
       const run $ files $ data_dir $ workers $ max_queue $ domains $ cache_mb
       $ deadline_ms $ commit_interval_us $ commit_batch $ commit_groups
-      $ wal_segment_bytes $ planner $ plan_cache $ epoch $ max_depth
+      $ wal_segment_bytes $ plan_cache $ epoch $ max_depth
       $ max_area $ gen_kind $ gen_size $ seed_arg $ socket_arg)
 
 let replica_cmd =
@@ -1002,15 +950,6 @@ let replica_cmd =
              upstream (>= 1).  Smaller values tighten replication lag at \
              the cost of more round trips when idle.")
   in
-  let planner =
-    Arg.(
-      value
-      & opt (enum [ ("on", true); ("off", false) ]) true
-      & info [ "planner" ] ~docv:"on|off"
-          ~doc:
-            "Route QUERY/COUNT through the cost-based query planner and \
-             serve the EXPLAIN verb ($(b,on), the default).")
-  in
   let plan_cache =
     Arg.(
       value & opt int 256
@@ -1021,8 +960,7 @@ let replica_cmd =
     prerr_endline ("ruidtool replica: " ^ msg);
     exit 2
   in
-  let run socket primary data_dir workers max_queue poll_ms planner
-      plan_cache =
+  let run socket primary data_dir workers max_queue poll_ms plan_cache =
     let data_dir =
       match data_dir with
       | Some d -> d
@@ -1043,7 +981,6 @@ let replica_cmd =
         workers;
         max_queue;
         poll_ms;
-        planner;
         plan_cache;
       }
     in
@@ -1074,7 +1011,7 @@ let replica_cmd =
       primary
       (Rserver.Replica.epoch t)
       socket s.Rserver.Snapshot.version workers
-      (Rserver.Replica.resolved_max_queue cfg);
+      (Service.resolved_max_queue ~max_queue ~workers ~domains:0);
     serve_until_stopped
       ~stop:(fun () -> Rserver.Replica.stop t)
       ~wait:(fun () -> Rserver.Replica.wait t);
@@ -1089,7 +1026,7 @@ let replica_cmd =
           upstream is behind this mirror's fencing epoch.")
     Term.(
       const run $ socket_arg $ primary $ data_dir $ workers $ max_queue
-      $ poll_ms $ planner $ plan_cache)
+      $ poll_ms $ plan_cache)
 
 let client_cmd =
   let words =
@@ -1429,7 +1366,7 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "ruidtool" ~doc)
           [ generate_cmd; stats_cmd; number_cmd; parent_cmd; query_cmd;
-            explain_cmd; update_sim_cmd; reconstruct_cmd; plan_cmd;
+            explain_cmd; update_sim_cmd; reconstruct_cmd;
             save_cmd; load_cmd;
             wal_record_cmd; wal_replay_cmd; fsck_cmd; crash_test_cmd;
             guide_cmd; serve_cmd; replica_cmd; client_cmd; router_cmd;

@@ -1,8 +1,8 @@
 (* A miniature document server: several data sources registered in a
    collection (Section 4, "data sources scattered over several sites"),
    numberings persisted and restored without relabelling, DataGuide
-   summaries for query assistance, and twig queries answered by semijoins
-   over the tag index.
+   summaries for query assistance, and a twig query planned as semijoins
+   over rank postings, with the plan the planner explains.
 
    Run with: dune exec examples/document_server.exe *)
 
@@ -49,15 +49,15 @@ let main () =
   Printf.printf "completions under /dblp/article: %s\n"
     (String.concat ", " (Rsummary.Dataguide.child_labels guide [ "dblp"; "article" ]));
 
-  (* 4. Twig query over the auction source. *)
-  let ar2 = C.ruid coll (Option.get (C.find coll "auctions")) in
-  let index = Rxpath.Tag_index.create ar2 in
+  (* 4. Twig query over the auction source, through the cost-based
+        planner; EXPLAIN runs it once more with per-operator counts. *)
+  let planner =
+    Rxpath.Planner.create (C.ruid coll (Option.get (C.find coll "auctions")))
+  in
   let twig = "//person[creditcard]/name" in
-  (match Rxpath.Twig.query ar2 index twig with
-  | Some hits ->
-    Printf.printf "\ntwig %s: %d matches (semijoins over tag postings)\n" twig
-      (List.length hits)
-  | None -> assert false);
+  Printf.printf "\ntwig %s: %d matches\n%s" twig
+    (List.length (Rxpath.Planner.query planner twig))
+    (Rxpath.Planner.explain planner twig);
 
   (* 5. Persist the library numbering and restore it: identifiers survive
         the process boundary, so external references stay valid. *)

@@ -62,7 +62,7 @@ let mirror_frame frame =
   let root = go (Frame.root frame) in
   (root, mirror_of, orig_of)
 
-let build ?(max_levels = 8) ?max_area_size ?(top_size = 64) doc_root =
+let build ?(max_levels = 7) ?max_area_size ?(top_size = 64) doc_root =
   if max_levels < 2 then invalid_arg "Mruid.build: max_levels < 2";
   (* The top tree is enumerated by the plain UID, whose magnitude is
      k^depth: recursion may only stop once that provably fits a native
@@ -81,10 +81,12 @@ let build ?(max_levels = 8) ?max_area_size ?(top_size = 64) doc_root =
     in
     (depth tree + 1) * bits (max_fanout + 1) <= 58
   in
-  (* Phase 1: the mirror chain of partitions, bottom level first. *)
+  (* Phase 1: the mirror chain of partitions, bottom level first.  [depth]
+     counts the levels so far (the tree itself is one); each partition
+     adds one. *)
   let rec chain tree depth =
     if (Dom.size tree <= top_size && top_enumerable tree)
-       || depth >= max_levels - 1
+       || depth >= max_levels
     then ([], tree)
     else begin
       let frame = Frame.partition ?max_area_size tree in
@@ -301,6 +303,9 @@ let total_label_bits t =
     Hashtbl.fold (fun _ theta acc -> acc + bits theta) t.top_ids 0
   else
     Hashtbl.fold (fun _ i acc -> acc + of_id i) t.levels.(0).lid_of 0
+
+let addressable ~e ~levels =
+  Bignum.Bignat.pow (Bignum.Bignat.of_int e) levels
 
 let area_count t =
   Array.fold_left (fun acc lv -> acc + Hashtbl.length lv.ktable) 0 t.levels

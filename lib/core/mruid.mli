@@ -1,15 +1,19 @@
 (** Fully recursive multilevel ruid (Section 2.4, Definition 4) with no
     flat integers anywhere below the top level.
 
-    {!Multilevel} materializes each level's global index as one native
-    integer (the frame-node UID), which caps how deep-and-branching a frame
-    it can represent.  This module instead keys every K table by the {e
-    identifier prefix} of the area — the paper's
-    [{theta, (a_(l-1), b_(l-1)), ..., (a_(j+1), b_(j+1))}] — so each stored
-    component stays bounded by the area budget and only the topmost, small
-    frame is enumerated by the original UID.  That makes the Section 3.1
-    claim literal: documents whose virtual enumeration exceeds any native
-    integer are numbered with a few levels of small components.
+    An l-level identifier is [{theta, (a_(l-1), b_(l-1)), ..., (a_1, b_1)}]:
+    the original UID [theta] of the topmost frame, then one (local index,
+    root indicator) pair per level, the document level (level 1) last.
+    Each level's tree is a mirror of the frame of the level below, and
+    every K table is keyed by the {e identifier prefix} of the area — the
+    paper's [{theta, (a_(l-1), b_(l-1)), ..., (a_(j+1), b_(j+1))}] — so
+    each stored component stays bounded by the area budget and only the
+    topmost, small frame is enumerated by the original UID (Example 3: the
+    2-level identifier [{8, (a, true)}] becomes [{2, (4, false), (a,
+    true)}] at 3 levels, its last component unchanged).  That makes the
+    Section 3.1 claim literal: documents whose virtual enumeration exceeds
+    any native integer are numbered with a few levels of small
+    components.
 
     [rparent] is the recursive generalization of Fig. 6: resolving the
     upper area of an area-root component is itself an [rparent] call one
@@ -31,7 +35,8 @@ type t
 
 val build : ?max_levels:int -> ?max_area_size:int -> ?top_size:int -> Rxml.Dom.t -> t
 (** Recursively partition until the top tree has at most [top_size] nodes
-    (default 64) or [max_levels] (default 8) is reached.
+    (default 64) or the numbering has [max_levels] levels (default 7, at
+    least 2): [levels t <= max_levels].
     @raise Uid.Overflow only if the level budget is exhausted while the top
     tree is still too large to enumerate natively. *)
 
@@ -63,6 +68,10 @@ val max_component_bits : t -> int
 val total_label_bits : t -> int
 (** Sum over document nodes of the full identifier size in bits (all
     components plus root flags). *)
+
+val addressable : e:int -> levels:int -> Bignum.Bignat.t
+(** Section 3.1: if one level can enumerate [e] nodes, [levels] levels can
+    enumerate about [e{^levels}]. *)
 
 val area_count : t -> int
 (** Total K rows across all levels. *)

@@ -233,9 +233,14 @@ let store_atomic vfs ~attempts path bytes =
     (try vfs.Vfs.remove tmp with _ -> ());
     raise e
 
+(* One copy out of the serializer's buffer. *)
+let xml_to_bytes t =
+  let buf = Buffer.create 1024 in
+  Rxml.Serializer.to_buffer buf (Ruid2.root t);
+  Buffer.to_bytes buf
+
 let save ?(vfs = Vfs.real) ?(attempts = 5) t ~xml ~sidecar =
-  let xml_bytes = Bytes.of_string (Rxml.Serializer.to_string (Ruid2.root t)) in
-  store_atomic vfs ~attempts xml xml_bytes;
+  store_atomic vfs ~attempts xml (xml_to_bytes t);
   store_atomic vfs ~attempts sidecar (sidecar_to_bytes t)
 
 let load ?(vfs = Vfs.real) ?(attempts = 5) ~xml ~sidecar () =
@@ -248,9 +253,6 @@ let load ?(vfs = Vfs.real) ?(attempts = 5) ~xml ~sidecar () =
     if root_kind_of_bytes bytes then doc else Dom.root_element doc
   in
   (doc, sidecar_of_bytes root bytes)
-
-let xml_to_bytes t =
-  Bytes.of_string (Rxml.Serializer.to_string (Ruid2.root t))
 
 (* The [load] path without the file system: reconstruct a document and its
    numbering from in-memory snapshot bytes.  Used by WAL checkpoint

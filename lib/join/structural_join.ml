@@ -77,15 +77,6 @@ let ancestor_probe r2 ~anc ~desc =
     desc;
   normalize r2 !out
 
-let semijoin_descendants r2 ~anc ~desc =
-  let probe = id_table (R2.id_of_node r2) anc in
-  List.filter
-    (fun d ->
-      List.exists
-        (fun aid -> probe aid <> None)
-        (R2.rancestors r2 (R2.id_of_node r2 d)))
-    desc
-
 let parent_child r2 ~parent ~child =
   let probe = id_table (R2.id_of_node r2) parent in
   let out = ref [] in

@@ -23,11 +23,11 @@
     All return the same pair multiset; result order is normalized to
     (descendant document order, ancestor depth).
 
-    The identifier-keyed probe tables ({!ancestor_probe},
-    {!semijoin_descendants}, {!parent_child}) hash identifiers packed into
-    a single immediate int (global, local, root flag) whenever both
-    indices fit 31 bits, avoiding the structural record hash; oversized
-    identifiers fall back to record keys transparently. *)
+    The identifier-keyed probe tables ({!ancestor_probe}, {!parent_child})
+    hash identifiers packed into a single immediate int (global, local,
+    root flag) whenever both indices fit 31 bits, avoiding the structural
+    record hash; oversized identifiers fall back to record keys
+    transparently. *)
 
 type pair = { anc : Rxml.Dom.t; desc : Rxml.Dom.t }
 
@@ -51,11 +51,6 @@ val extent_merge :
     the node's preorder rank and the rank of the last node of its subtree
     (inclusive), as [Rxpath.Doc_index.extent] does.  O(|A| + |D| + output)
     after the internal rank sorts; no prepost baseline required. *)
-
-val semijoin_descendants :
-  Ruid.Ruid2.t -> anc:Rxml.Dom.t list -> desc:Rxml.Dom.t list -> Rxml.Dom.t list
-(** Descendants having at least one ancestor in [anc] — the node-set
-    semantics an XPath step needs — via {!ancestor_probe} with early exit. *)
 
 val parent_child :
   Ruid.Ruid2.t -> parent:Rxml.Dom.t list -> child:Rxml.Dom.t list -> pair list

@@ -11,15 +11,12 @@ type config = {
   workers : int;
   max_queue : int;
   poll_ms : int;
-  planner : bool;
   plan_cache : int;
 }
 
 let default_config ~socket_path ~data_dir ~primary () =
   { socket_path; data_dir; primary; workers = 2; max_queue = 0; poll_ms = 500;
-    planner = true; plan_cache = 256 }
-
-let resolved_max_queue c = if c.max_queue > 0 then c.max_queue else 4 * c.workers
+    plan_cache = 256 }
 
 let validate_config c =
   if c.workers < 1 then Error "workers must be >= 1"
@@ -613,11 +610,6 @@ let puller t =
 (* Bootstrap                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Replica.start: %s is not a directory" dir)
-
 (* Build one document's mirror: resume from intact local files when they
    exist (a restart), otherwise fetch the base pair and install the live
    generation — the same install a follower further behind than one
@@ -881,7 +873,7 @@ let start ?chaos cfg =
   (match validate_config cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Replica.start: " ^ msg));
-  ensure_dir cfg.data_dir;
+  Service.ensure_dir cfg.data_dir;
   (* Bootstrap over one dedicated connection.  A [Fenced] raised here is
      fatal by design: the configured upstream is provably behind the fence
      this data directory has already seen, and following it would merge a
@@ -912,16 +904,17 @@ let start ?chaos cfg =
     (st, Atomic.get t0_epoch)
   in
   let planner_shared =
-    if cfg.planner then
-      Some (Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ())
-    else None
+    Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ()
   in
   let metrics = Metrics.create () in
   let listener = Listener.create ~metrics cfg.socket_path in
   let on_exn ~label e = Metrics.record_dropped metrics ~verb:label e in
   let sched =
     Pool.create ~on_exn ~kind:`Threads ~workers:cfg.workers
-      ~max_queue:(resolved_max_queue cfg) ()
+      ~max_queue:
+        (Service.resolved_max_queue ~max_queue:cfg.max_queue
+           ~workers:cfg.workers ~domains:0)
+      ()
   in
   let t =
     {
@@ -973,7 +966,7 @@ let start ?chaos cfg =
      writer copy is a clone sharing them. *)
   let version = local_version t in
   let snap, _ =
-    Snapshot.host (Snapshot.capture ~version []) ?planner:planner_shared
+    Snapshot.host (Snapshot.capture ~version []) ~planner:planner_shared
       ~version
       (Array.to_list (Array.map (fun d -> (d.name, d.r2)) t.docs))
   in

@@ -51,17 +51,16 @@ type config = {
   data_dir : string;  (** local mirror directory *)
   primary : string;  (** upstream's Unix socket path *)
   workers : int;  (** read worker threads *)
-  max_queue : int;  (** admission bound; 0 means [4 * workers] *)
+  max_queue : int;
+      (** admission bound; 0 means [4 * workers]
+          ({!Service.resolved_max_queue}) *)
   poll_ms : int;  (** REPL WAIT long-poll timeout per round *)
-  planner : bool;  (** plan queries with the cost-based planner *)
-  plan_cache : int;  (** shared plan-cache entries when planning *)
+  plan_cache : int;  (** shared plan-cache entries *)
 }
 
 val default_config :
   socket_path:string -> data_dir:string -> primary:string -> unit -> config
-(** workers 2, max_queue 0, poll_ms 500, planner on, plan_cache 256. *)
-
-val resolved_max_queue : config -> int
+(** workers 2, max_queue 0, poll_ms 500, plan_cache 256. *)
 
 val validate_config : config -> (unit, string) result
 (** workers >= 1, max_queue >= 0, poll_ms >= 1, plan_cache >= 0, a

@@ -16,7 +16,6 @@ type config = {
   commit_max_batch : int;
   commit_groups : int;
   wal_segment_bytes : int;
-  planner : bool;
   plan_cache : int;
   epoch : int;
 }
@@ -25,14 +24,14 @@ let default_config ~socket_path ~data_dir () =
   { socket_path; data_dir; workers = 4; max_queue = 0; deadline_ms = 0;
     max_area_size = 64; max_depth = 10_000; domains = 0; cache_mb = 0;
     commit_interval_us = 0; commit_max_batch = 64; commit_groups = 0;
-    wal_segment_bytes = 0; planner = true; plan_cache = 256; epoch = 1 }
+    wal_segment_bytes = 0; plan_cache = 256; epoch = 1 }
 
 (* E13 showed the old fixed default rejecting 67% of a 90/10 mix at only
    8 clients: a queue bound that ignores the pool size punishes exactly
    the configurations that could absorb the burst.  The default bound now
-   scales with the pool: 4 jobs of headroom per worker. *)
-let resolved_max_queue c =
-  if c.max_queue > 0 then c.max_queue else 4 * max c.workers (max 1 c.domains)
+   scales with the pool: 4 jobs of headroom per worker of the larger one. *)
+let resolved_max_queue ~max_queue ~workers ~domains =
+  if max_queue > 0 then max_queue else 4 * max workers domains
 
 (* Default the commit-pipeline count to the read-executor domain count: a
    box granted N domains for reads deserves N write pipelines too, and a
@@ -168,7 +167,7 @@ type t = {
   catalog_mu : Mutex.t;
   adopt_mu : Mutex.t;
       (** serializes ADOPT/ADDCHUNK staging appends + commits *)
-  planner_shared : Rxpath.Planner.shared option;
+  planner_shared : Rxpath.Planner.shared;
   current : Snapshot.t Atomic.t;
   groups : group array;  (** the commit pipelines; length >= 1, fixed *)
   mutable pipelines : unit Domain.t array;
@@ -1034,7 +1033,7 @@ let install_master t ~name ~r2 ~wal ~applied_seq =
   in
   let next, idx =
     match
-      Snapshot.host (Atomic.get t.current) ?planner:t.planner_shared ~version
+      Snapshot.host (Atomic.get t.current) ~planner:t.planner_shared ~version
         [ (name, r2) ]
     with
     | next, [ idx ] -> (next, idx)
@@ -1356,7 +1355,7 @@ let dispatch t (req : Protocol.request) =
 let ensure_dir d =
   if not (Sys.file_exists d) then Unix.mkdir d 0o755
   else if not (Sys.is_directory d) then
-    invalid_arg (Printf.sprintf "Service.start: %s is not a directory" d)
+    invalid_arg (Printf.sprintf "%s exists and is not a directory" d)
 
 let start cfg docs =
   (match validate_config cfg with
@@ -1406,15 +1405,13 @@ let start cfg docs =
   let catalog = Hashtbl.create (2 * Array.length masters) in
   Array.iteri (fun i m -> Hashtbl.replace catalog m.name i) masters;
   let planner_shared =
-    if cfg.planner then
-      Some (Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ())
-    else None
+    Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ()
   in
   (* The numberings just built are published as is: the snapshot owns
      them, and a master clones its own on the document's first UPDATE. *)
   let snapshot0 =
     fst
-      (Snapshot.host (Snapshot.capture ~version:1 []) ?planner:planner_shared
+      (Snapshot.host (Snapshot.capture ~version:1 []) ~planner:planner_shared
          ~version:1 numbered)
   in
   let metrics = Metrics.create () in
@@ -1422,7 +1419,10 @@ let start cfg docs =
     Listener.create ~deadline_ms:cfg.deadline_ms ~metrics cfg.socket_path
   in
   let on_exn ~label e = Metrics.record_dropped metrics ~verb:label e in
-  let max_queue = resolved_max_queue cfg in
+  let max_queue =
+    resolved_max_queue ~max_queue:cfg.max_queue ~workers:cfg.workers
+      ~domains:cfg.domains
+  in
   let sched =
     Pool.create ~on_exn ~kind:`Threads ~workers:cfg.workers ~max_queue ()
   in
@@ -1500,28 +1500,25 @@ let start cfg docs =
   (match t.exec with
   | Some ex -> Metrics.set_domain_probe metrics (fun () -> Pool.busy_seconds ex)
   | None -> ());
-  (match planner_shared with
-  | None -> ()
-  | Some sh ->
-    Metrics.set_planner_probe metrics (fun () ->
-        let s = Rxpath.Planner.shared_stats sh in
-        let hits, misses, evictions, entries =
-          match s.Rxpath.Planner.cache_stats with
-          | None -> (0, 0, 0, 0)
-          | Some c ->
-            Rxpath.Plan_cache.
-              (c.hits, c.misses, c.evictions, c.entries)
-        in
-        {
-          Metrics.chain = s.Rxpath.Planner.chain;
-          twig = s.Rxpath.Planner.twig;
-          engine = s.Rxpath.Planner.engine;
-          pruned = s.Rxpath.Planner.pruned;
-          plan_hits = hits;
-          plan_misses = misses;
-          plan_evictions = evictions;
-          plan_entries = entries;
-        }));
+  Metrics.set_planner_probe metrics (fun () ->
+      let s = Rxpath.Planner.shared_stats planner_shared in
+      let hits, misses, evictions, entries =
+        match s.Rxpath.Planner.cache_stats with
+        | None -> (0, 0, 0, 0)
+        | Some c ->
+          Rxpath.Plan_cache.
+            (c.hits, c.misses, c.evictions, c.entries)
+      in
+      {
+        Metrics.chain = s.Rxpath.Planner.chain;
+        twig = s.Rxpath.Planner.twig;
+        engine = s.Rxpath.Planner.engine;
+        pruned = s.Rxpath.Planner.pruned;
+        plan_hits = hits;
+        plan_misses = misses;
+        plan_evictions = evictions;
+        plan_entries = entries;
+      });
   (* [wal_*]/[publish_*] keys stay aggregated across groups — every
      existing consumer (tests, benches, dashboards) keeps its totals —
      while the per-group contention detail goes out via the pipeline

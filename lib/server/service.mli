@@ -98,10 +98,6 @@ type config = {
   wal_segment_bytes : int;
       (** rotate a document's WAL segment once it reaches this size,
           cutting a checkpoint; 0 disables rotation *)
-  planner : bool;
-      (** route QUERY/COUNT through the cost-based query planner
-          ({!Rxpath.Planner}) and serve EXPLAIN; off = every query runs on
-          the evaluator directly (identical answers, no plan cache) *)
   plan_cache : int;
       (** compiled-plan cache capacity in plans (shared by the whole
           collection, keyed by DataGuide fingerprint + canonical query
@@ -117,11 +113,17 @@ val default_config : socket_path:string -> data_dir:string -> unit -> config
     max_area_size 64, max_depth 10000, domains 0, cache_mb 0,
     commit_interval_us 0,
     commit_max_batch 64, commit_groups 0 (= one per read domain, min 1),
-    wal_segment_bytes 0, planner true, plan_cache 256, epoch 1. *)
+    wal_segment_bytes 0, plan_cache 256, epoch 1. *)
 
-val resolved_max_queue : config -> int
-(** The effective per-pool admission bound: [max_queue] when positive,
-    else 4 × the larger pool ([workers] vs [domains]). *)
+val resolved_max_queue : max_queue:int -> workers:int -> domains:int -> int
+(** The effective per-pool admission bound of a server with [workers]
+    systhreads and [domains] read domains (0 for none): [max_queue] when
+    positive, else 4 × the larger pool.  {!Replica} and the CLI read it
+    too. *)
+
+val ensure_dir : string -> unit
+(** Create a data directory unless it exists.
+    @raise Invalid_argument when the path exists and is not a directory. *)
 
 val resolved_commit_groups : config -> int
 (** The effective commit-pipeline count: [commit_groups] when positive,

@@ -62,8 +62,9 @@ type doc = private {
           engine and the planner; {!advance} derives the successor's *)
   engine : Rxpath.Eval.engine;
   planner : Rxpath.Planner.t option;
-      (** cost-based query planner over this copy, present when the service
-          runs with planning enabled.  Its fallback engine {e is} [engine]
+      (** cost-based query planner over this copy, present when the
+          publisher passed [?planner] (the service and replicas always
+          do).  Its fallback engine {e is} [engine]
           (they share one document-order index); its DataGuide advances
           incrementally across {!advance} publications. *)
   doc_version : int;
@@ -212,7 +213,7 @@ val query_doc_first :
 val explain_doc : doc -> string -> (string, string) result
 (** Rendered query plan with per-operator estimated vs. actual
     cardinalities and timings ({!Rxpath.Planner.explain}); [Error] when the
-    document has no planner (service running with planning off).
+    document has no planner (published without [?planner]).
     Executes the query (uncached) to measure actuals. *)
 
 val count : t -> string -> (string * int) list

@@ -1,6 +1,3 @@
-module Dom = Rxml.Dom
-module R2 = Ruid.Ruid2
-
 type edge = Child | Descendant
 
 type pattern = {
@@ -77,94 +74,3 @@ let of_xpath (p : Ast.path) : t option =
   (* A leading descendant edge only ever comes from the steps themselves
      (the // expansion or an explicit descendant axis). *)
   steps_to_chain ~first_edge:Child p.Ast.steps
-
-(* ------------------------------------------------------------------ *)
-(* Matching                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Keep only [upper] nodes having a [lower] candidate related per [edge]:
-   one rparent / rancestor probe per lower candidate. *)
-let restrict_upper r2 edge ~upper ~lower =
-  let keep = Hashtbl.create 64 in
-  let table = Hashtbl.create (List.length upper * 2) in
-  List.iter (fun u -> Hashtbl.replace table (R2.id_of_node r2 u) u) upper;
-  List.iter
-    (fun l ->
-      let lid = R2.id_of_node r2 l in
-      match edge with
-      | Child -> (
-        match R2.rparent r2 lid with
-        | Some pid -> (
-          match Hashtbl.find_opt table pid with
-          | Some u -> Hashtbl.replace keep u.Dom.serial ()
-          | None -> ())
-        | None -> ())
-      | Descendant ->
-        List.iter
-          (fun aid ->
-            match Hashtbl.find_opt table aid with
-            | Some u -> Hashtbl.replace keep u.Dom.serial ()
-            | None -> ())
-          (R2.rancestors r2 lid))
-    lower;
-  List.filter (fun u -> Hashtbl.mem keep u.Dom.serial) upper
-
-(* Keep only [lower] nodes whose parent (Child) or some ancestor
-   (Descendant) lies in [upper]. *)
-let restrict_lower r2 edge ~upper ~lower =
-  let table = Hashtbl.create (List.length upper * 2) in
-  List.iter (fun u -> Hashtbl.replace table (R2.id_of_node r2 u) ()) upper;
-  List.filter
-    (fun l ->
-      let lid = R2.id_of_node r2 l in
-      match edge with
-      | Child -> (
-        match R2.rparent r2 lid with
-        | Some pid -> Hashtbl.mem table pid
-        | None -> false)
-      | Descendant ->
-        List.exists (fun aid -> Hashtbl.mem table aid) (R2.rancestors r2 lid))
-    lower
-
-let run r2 index ?context t =
-  let context = Option.value ~default:(R2.root r2) context in
-  (* Pass 1, bottom-up: candidate sets satisfying all downward
-     constraints (branches and the spine continuation). *)
-  let rec up (p : pattern) : Dom.t list =
-    let cands = Tag_index.find index p.tag in
-    let cands =
-      List.fold_left
-        (fun cands b -> restrict_upper r2 b.edge ~upper:cands ~lower:(up b))
-        cands p.branches
-    in
-    match p.spine with
-    | None -> cands
-    | Some s -> restrict_upper r2 s.edge ~upper:cands ~lower:(up s)
-  in
-  let root_cands = up t in
-  (* Anchor the twig root below the context. *)
-  let root_cands =
-    restrict_lower r2 t.edge ~upper:[ context ] ~lower:root_cands
-  in
-  (* Pass 2, top-down along the spine only: the output node must sit under
-     surviving spine ancestors.  Branch candidates need no refinement —
-     they only certify existence. *)
-  let rec down (p : pattern) survivors =
-    match p.spine with
-    | None -> survivors
-    | Some s ->
-      let sc = restrict_lower r2 s.edge ~upper:survivors ~lower:(up s) in
-      down s sc
-  in
-  let out = down t root_cands in
-  List.sort
-    (fun a b -> R2.doc_order r2 (R2.id_of_node r2 a) (R2.id_of_node r2 b))
-    out
-
-let query r2 index ?context src =
-  match Xparser.parse src with
-  | exception Xparser.Syntax_error _ -> None
-  | path -> (
-    match of_xpath path with
-    | None -> None
-    | Some t -> Some (run r2 index ?context t))

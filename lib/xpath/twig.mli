@@ -1,20 +1,12 @@
-(** Twig (branching path) pattern matching over a numbered document.
+(** Twig (branching path) patterns: the shape behind XPath steps with
+    structural predicates, e.g. [//item[name][description//text]/payment].
 
-    A twig is a tree of (tag, edge) nodes — edges are child or descendant —
-    the shape behind XPath steps with structural predicates, e.g.
-    [//item[name][description//text]/payment].  Matching runs in two
-    semijoin passes over the tag index, every structural test being
-    identifier arithmetic:
-
-    - bottom-up: a node survives if, for every pattern child, some
-      candidate of that child has it as parent ([rparent]) or ancestor
-      ([rancestor]);
-    - top-down: a node survives if its own parent/ancestor chain reaches a
-      surviving candidate of the pattern parent.
-
-    The result is the match set of a designated {e output} node (the last
-    spine step of the originating XPath).  Equivalence with the full XPath
-    evaluator is property-tested. *)
+    A twig is a tree of (tag, edge) nodes — edges are child or descendant.
+    {!Planner} compiles a twig-fragment query into one and runs it as
+    rank-array semijoins over the pattern tree (bottom-up over the
+    branches and the spine, then top-down along the spine); the result is
+    the match set of the {e output} node, the last spine step of the
+    originating XPath. *)
 
 type edge = Child | Descendant
 
@@ -34,12 +26,3 @@ val of_xpath : Ast.path -> t option
 (** Compile an XPath whose steps are child/descendant name tests and whose
     predicates are (conjunctions of) relative child/descendant name-test
     paths — the twig fragment.  [None] for anything else. *)
-
-val run :
-  Ruid.Ruid2.t -> Tag_index.t -> ?context:Rxml.Dom.t -> t -> Rxml.Dom.t list
-(** Matches of the output node, in document order. *)
-
-val query :
-  Ruid.Ruid2.t -> Tag_index.t -> ?context:Rxml.Dom.t -> string ->
-  Rxml.Dom.t list option
-(** Parse, compile and run; [None] when not a twig. *)

@@ -1,5 +1,5 @@
 module Dom = Rxml.Dom
-module Auto = Rxpath.Auto
+module P = Rxpath.Planner
 open Util
 
 let setup () =
@@ -7,45 +7,103 @@ let setup () =
   let doc = Dom.document () in
   Dom.append_child doc site;
   let r2 = Ruid.Ruid2.number ~max_area_size:16 doc in
-  (Auto.create r2, Rxpath.Engine_naive.create doc)
+  (P.create r2, Rxpath.Engine_naive.create doc)
 
-let strategy = Alcotest.testable Auto.pp_strategy ( = )
+let kind =
+  Alcotest.testable
+    (fun ppf k -> Format.pp_print_string ppf (P.kind_name k))
+    ( = )
+
+(* Each query with the plan kind the planner must pick for it on the
+   setup document, and must answer exactly as the naive evaluator does. *)
+let planned_queries =
+  [
+    (* pure child/descendant name-test paths: chain joins *)
+    ("//item/name", `Chain);
+    ("/site/regions/africa/item", `Chain);
+    ("//closed_auction//listitem", `Chain);
+    ("/site//bidder/increase", `Chain);
+    ("//parlist//text", `Chain);
+    ("//open_auction/bidder", `Chain);
+    ("/site/people/person/profile/interest", `Chain);
+    (* structural predicates: twig joins *)
+    ("//person[creditcard]/name", `Twig);
+    ("//item[description//listitem]", `Twig);
+    ("//item[description//listitem]/quantity", `Twig);
+    ("//item[location]/name", `Twig);
+    ("//open_auction[bidder]/seller", `Twig);
+    ("//closed_auction[annotation//text]/price", `Twig);
+    ("//item[description//listitem][quantity]/name", `Twig);
+    ("//person[profile/interest]/emailaddress", `Twig);
+    ("//open_auction[bidder/increase]", `Twig);
+    (* a twig whose rooted child path the engine walks more cheaply *)
+    ("/site/regions/africa/item[name]", `Engine);
+    (* everything else runs on the engine *)
+    ("//item[@id='x']", `Engine);
+    ("//item[@id='x']/name", `Engine);
+    ("//item[@id='itemafrica1']", `Engine);
+    ("//item[2]", `Engine);
+    ("//item[1]/name", `Engine);
+    ("//item[position()=1]", `Engine);
+    ("//bidder[1]/increase", `Engine);
+    ("//item[name or location]", `Engine);
+    ("//item[not(name)]", `Engine);
+    ("//item/*", `Engine);
+    ("//name | //payment", `Engine);
+    ("//listitem/ancestor::item", `Engine);
+    ("//item/ancestor::regions", `Engine);
+    ("//annotation/preceding::bidder", `Engine);
+    ("//person[@id='person1']", `Engine);
+    ("..", `Engine);
+    (* structurally impossible label paths: refuted by the DataGuide *)
+    ("//warehouse/item", `Pruned);
+    ("//person/bidder/name", `Pruned);
+    ("//person[creditcard]/nonexistent", `Pruned);
+    ("//title/text()", `Pruned);
+  ]
+
+(* A chain plan renders its steps in query order, the pivot starred:
+   stars dropped, the rendering spells the query back. *)
+let chain_steps plan =
+  match String.split_on_char ' ' (P.describe plan) with
+  | "chain-join" :: _pivot :: steps ->
+    String.concat "" (String.split_on_char '*' (String.concat "" steps))
+  | _ -> P.describe plan
 
 let test_strategy_selection () =
-  let auto, _ = setup () in
+  let planner, _ = setup () in
   List.iter
     (fun (q, expected) ->
-      Alcotest.check strategy q expected (Auto.choose auto q))
-    [
-      ("//item/name", Auto.Plan);
-      ("/site/regions/africa/item", Auto.Plan);
-      ("//person[creditcard]/name", Auto.Twig_join);
-      ("//item[description//listitem]", Auto.Twig_join);
-      ("//item[@id='x']", Auto.Engine);
-      ("//item[2]", Auto.Engine);
-      ("//name | //payment", Auto.Engine);
-      ("//listitem/ancestor::item", Auto.Engine);
-      (* structurally impossible label paths: refuted by the DataGuide *)
-      ("//warehouse/item", Auto.Pruned);
-      ("//person/bidder/name", Auto.Pruned);
-    ]
+      let plan = P.plan planner q in
+      Alcotest.check kind q expected (P.kind plan);
+      if expected = `Chain then
+        Alcotest.(check string) (q ^ " rendering") q (chain_steps plan))
+    planned_queries
 
 let test_results_match_naive () =
-  let auto, naive = setup () in
+  let planner, naive = setup () in
   List.iter
-    (fun q ->
-      check_node_list q (Rxpath.Eval.query naive q) (Auto.query auto q))
-    [
-      "//item/name";
-      "/site/regions/africa/item";
-      "//person[creditcard]/name";
-      "//item[description//listitem]/quantity";
-      "//item[@id='itemafrica1']";
-      "//bidder[1]/increase";
-      "//name | //payment";
-      "//listitem/ancestor::item";
-      "//annotation/preceding::bidder";
-    ]
+    (fun (q, _) ->
+      check_node_list q (Rxpath.Eval.query naive q) (P.query planner q))
+    planned_queries
+
+(* Small random trees, few tags: chains over nested matches of every
+   label, against the naive evaluator (twigs: the [twig] suite). *)
+let prop_matches_naive_random =
+  Util.qtest ~count:25 "chains agree with the evaluator on random documents"
+    QCheck.(int_range 20 200)
+    (fun n ->
+      let root =
+        Rworkload.Shape.generate ~seed:(n * 7) ~tags:[| "a"; "b"; "c" |]
+          ~target:n
+          (Rworkload.Shape.Uniform { fanout_lo = 0; fanout_hi = 4 })
+      in
+      let planner = P.create (Ruid.Ruid2.number ~max_area_size:8 root) in
+      let naive = Rxpath.Engine_naive.create root in
+      List.for_all
+        (fun q ->
+          serials (P.query planner q) = serials (Rxpath.Eval.query naive q))
+        [ "//a/b"; "//b//c"; "//a//b/c"; "//c" ])
 
 (* Property: for seeded random twig-fragment queries — including ones the
    DataGuide prunes to empty — the planner answers exactly what the RUID
@@ -114,12 +172,11 @@ let documents =
                    (Dom.preorder root))
             in
             let r2 = Ruid.Ruid2.number ~max_area_size:16 root in
-            (name, Rxpath.Planner.create r2, Array.of_list (tags @ [ "zzz" ]))))
+            (name, P.create r2, Array.of_list (tags @ [ "zzz" ]))))
 
 let id_cap = 32
 
 let check_entry_points planner ?context ~seed q =
-  let module P = Rxpath.Planner in
   let msg = Printf.sprintf "seed %d: %s" seed q in
   let u = Rxpath.Xparser.parse_union q in
   let expected = Rxpath.Eval.select_union (P.engine planner) ?context u in
@@ -145,7 +202,7 @@ let relative q =
 (* A context below the numbering root: the root element, or its first
    element child when the numbering is rooted at the element itself. *)
 let context_of planner =
-  let root = Rxpath.Eval.((Rxpath.Planner.engine planner).root) in
+  let root = Rxpath.Eval.((P.engine planner).root) in
   let first_element n = List.find Dom.is_element n.Dom.children in
   let top = if Dom.is_element root then root else first_element root in
   if top == root then first_element root else top
@@ -164,18 +221,18 @@ let property planner tags =
     (queries tags)
 
 let test_property_matches_ruid () =
-  let auto, _ = setup () in
+  let planner, _ = setup () in
   let seen = Hashtbl.create 8 in
   List.iter
-    (fun (_, q) -> Hashtbl.replace seen (Auto.choose auto q) ())
+    (fun (_, q) -> Hashtbl.replace seen (P.kind (P.plan planner q)) ())
     (queries xmark_tags);
-  property (Auto.planner auto) xmark_tags;
+  property planner xmark_tags;
   Alcotest.(check bool)
     "pruned-to-empty queries were generated" true
-    (Hashtbl.mem seen Auto.Pruned);
+    (Hashtbl.mem seen `Pruned);
   Alcotest.(check bool)
     "plannable queries were generated" true
-    (Hashtbl.mem seen Auto.Plan)
+    (Hashtbl.mem seen `Chain)
 
 let test_property_on name () =
   let _, planner, tags =
@@ -187,8 +244,7 @@ let test_property_on name () =
    join method — and every kernel behind one: each (phase, edge, method)
    a chain can execute. *)
 let test_every_join_method () =
-  let module P = Rxpath.Planner in
-  let auto, _ = setup () in
+  let planner, _ = setup () in
   let used = Hashtbl.create 8 in
   let note planner ?context q =
     match P.plan planner ?context q with
@@ -213,7 +269,7 @@ let test_every_join_method () =
           note planner q;
           note planner ~context (relative q))
         (queries tags))
-    ((Auto.planner auto, xmark_tags)
+    ((planner, xmark_tags)
     :: List.map (fun (_, p, tags) -> (p, tags)) (Lazy.force documents));
   List.iter
     (fun ((phase, edge, m) as k) ->
@@ -234,7 +290,6 @@ let test_every_join_method () =
    and the child probe must sort in a parent that arrives after its own
    descendants. *)
 let test_nested_up_joins () =
-  let module P = Rxpath.Planner in
   let fill = List.init 60 (fun _ -> t "a" []) in
   let r =
     t "r"
@@ -254,16 +309,19 @@ let test_nested_up_joins () =
     [ "descendant::a//a/x"; "descendant::a/a/x"; "a/a//x" ]
 
 let test_context_respected () =
-  let auto, naive = setup () in
+  let planner, naive = setup () in
   let regions = List.hd (Rxpath.Eval.query naive "/site/regions") in
+  Alcotest.check kind "relative chain" `Chain
+    (P.kind (P.plan planner ~context:regions "africa/item/name"));
   check_node_list "relative plan from context"
     (Rxpath.Eval.query naive ~context:regions "africa/item/name")
-    (Auto.query auto ~context:regions "africa/item/name")
+    (P.query planner ~context:regions "africa/item/name")
 
 let suite =
   [
     Alcotest.test_case "strategy selection" `Quick test_strategy_selection;
     Alcotest.test_case "results match the naive engine" `Quick test_results_match_naive;
+    prop_matches_naive_random;
     Alcotest.test_case "50-seed property: planner = ruid engine" `Quick
       test_property_matches_ruid;
     Alcotest.test_case "50-seed property on dblp" `Quick

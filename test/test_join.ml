@@ -76,16 +76,6 @@ let test_algorithms_agree () =
         [ ("a", "b"); ("b", "c"); ("a", "a"); ("c", "b") ])
     [ 1; 2; 3 ]
 
-let test_semijoin () =
-  let root, r2, _ = setup 9 150 in
-  let anc = by_tag root "a" and desc = by_tag root "c" in
-  let expected =
-    List.filter
-      (fun d -> List.exists (fun a -> Dom.is_ancestor ~anc:a ~desc:d) anc)
-      desc
-  in
-  check_node_list "semijoin" expected (J.semijoin_descendants r2 ~anc ~desc)
-
 let test_parent_child () =
   let root, r2, _ = setup 4 180 in
   let parent = by_tag root "a" and child = by_tag root "b" in
@@ -138,7 +128,6 @@ let suite =
   [
     Alcotest.test_case "small known join" `Quick test_small_known;
     Alcotest.test_case "algorithms agree" `Quick test_algorithms_agree;
-    Alcotest.test_case "semijoin" `Quick test_semijoin;
     Alcotest.test_case "parent-child join" `Quick test_parent_child;
     Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
     Alcotest.test_case "self join excludes self" `Quick test_self_join_excludes_self;

@@ -69,6 +69,21 @@ let test_beyond_two_levels () =
     true
     (M.max_component_bits m <= 32)
 
+(* [max_levels] is the number of levels the numbering may reach, in the
+   paper's counting: 2 — the smallest — is a 2-level ruid, and every
+   budget up to the depth the tree partitions to (4 levels here, where the
+   frame becomes one area) is met exactly. *)
+let test_level_budget () =
+  let root = Shape.generate ~seed:9 ~target:400 (Shape.Uniform { fanout_lo = 1; fanout_hi = 3 }) in
+  List.iter
+    (fun max_levels ->
+      let m = M.build ~max_levels ~max_area_size:8 ~top_size:1 root in
+      M.check_consistency m;
+      Alcotest.(check int)
+        (Printf.sprintf "max_levels %d" max_levels)
+        (min max_levels 4) (M.levels m))
+    [ 2; 3; 4; 5; 7 ]
+
 let test_node_of_id_rejects_garbage () =
   let root = Shape.generate ~seed:3 ~target:100 (Shape.Uniform { fanout_lo = 1; fanout_hi = 3 }) in
   let m = M.build ~max_area_size:8 root in
@@ -135,6 +150,7 @@ let suite =
     Alcotest.test_case "relationship oracle" `Quick test_relationship_oracle;
     Alcotest.test_case "deep recursion through levels" `Quick test_parent_recursion_deep;
     Alcotest.test_case "beyond 2-level capacity" `Quick test_beyond_two_levels;
+    Alcotest.test_case "level budget is met exactly" `Quick test_level_budget;
     Alcotest.test_case "garbage identifiers rejected" `Quick test_node_of_id_rejects_garbage;
     Alcotest.test_case "document root identifier" `Quick test_doc_root_id_shape;
     prop_consistency_random;

@@ -42,7 +42,6 @@ let with_server ?(workers = 2) ?(max_queue = 0) ?(domains = 0) ?(cache_mb = 0)
       commit_max_batch = 64;
       commit_groups = 1;
       wal_segment_bytes = 0;
-      planner = true;
       plan_cache = 256;
       epoch = 1;
     }

@@ -58,7 +58,6 @@ let with_primary ?(wal_segment_bytes = 0) ?(epoch = 1) ?(commit_groups = 0)
       commit_max_batch = 64;
       commit_groups;
       wal_segment_bytes;
-      planner = true;
       plan_cache = 64;
       epoch;
     }
@@ -74,7 +73,6 @@ let replica_config ?(poll_ms = 25) ~primary () =
     workers = 2;
     max_queue = 32;
     poll_ms;
-    planner = true;
     plan_cache = 64;
   }
 
@@ -704,7 +702,6 @@ let failover_story seed =
       commit_max_batch = 64;
       commit_groups = (if seed mod 2 = 0 then 2 else 1);
       wal_segment_bytes = (if seed mod 2 = 0 then 400 else 0);
-      planner = true;
       plan_cache = 64;
       epoch = 1;
     }

@@ -44,7 +44,6 @@ let shard_cfg ?(wal_segment_bytes = 0) () =
     commit_max_batch = 64;
     commit_groups = 1;
     wal_segment_bytes;
-    planner = true;
     plan_cache = 64;
     epoch = 1;
   }

@@ -34,7 +34,7 @@ exception Wedged of string
 let with_server ?(workers = 2) ?(max_queue = 8) ?(deadline_ms = 0)
     ?(max_area_size = 8) ?(max_depth = 10_000) ?(domains = 0) ?(cache_mb = 0)
     ?(commit_interval_us = 0) ?(commit_max_batch = 64) ?(commit_groups = 0)
-    ?(wal_segment_bytes = 0) ?(planner = true) ?(plan_cache = 256)
+    ?(wal_segment_bytes = 0) ?(plan_cache = 256)
     ?(epoch = 1) ?data_dir docs f =
   let cfg =
     {
@@ -51,7 +51,6 @@ let with_server ?(workers = 2) ?(max_queue = 8) ?(deadline_ms = 0)
       commit_max_batch;
       commit_groups;
       wal_segment_bytes;
-      planner;
       plan_cache;
       epoch;
     }
@@ -234,6 +233,21 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* The read path over a snapshot hosting [library] without a planner —
+   every query on the engine — at version 1, and at version 2 after the
+   same insert the wire tests send. *)
+let engine_only_snapshots ~max_area_size =
+  let r2 = R2.number ~max_area_size (doc_of_string library) in
+  let v1, _ =
+    Rserver.Snapshot.host (Rserver.Snapshot.capture ~version:1 []) ~version:1
+      [ ("lib", r2) ]
+  in
+  let v2, _ =
+    Rserver.Snapshot.advance v1 ~version:2
+      [ (0, [ Wal.Insert { parent_rank = 0; pos = 0; tag = "title" } ], 2) ]
+  in
+  (v1, v2)
+
 let test_explain_verb () =
   with_server [ ("lib", doc_of_string library) ] @@ fun cfg _t ->
   C.with_connection cfg.Service.socket_path @@ fun c ->
@@ -246,16 +260,14 @@ let test_explain_verb () =
   (match C.request c (P.Explain "///[[[") with
   | P.Err _ -> ()
   | r -> Alcotest.failf "bad xpath: %s" (P.response_to_string r));
-  (* EXPLAIN answers, with a reason, when the planner is disabled *)
-  with_server ~planner:false [ ("lib", doc_of_string library) ]
-  @@ fun cfg2 _t2 ->
-  C.with_connection cfg2.Service.socket_path @@ fun c2 ->
-  let body = ok_body (C.request c2 (P.Explain "//book/title")) in
+  (* EXPLAIN answers, with a reason, over a document without a planner *)
+  let v1, _ = engine_only_snapshots ~max_area_size:cfg.Service.max_area_size in
+  let body = ok_body (Service.eval_read v1 (P.Explain "//book/title")) in
   Alcotest.(check bool) "says why" true (contains body "explain unavailable")
 
-(* Acceptance: QUERY and COUNT replies are byte-identical with the planner
-   on and off, across strategies (chain, twig, pruned, fallback) and
-   across an update. *)
+(* Acceptance: the served QUERY and COUNT replies, all planned, are
+   byte-identical to the engine's over the same document, across
+   strategies (chain, twig, pruned, fallback) and across an update. *)
 let test_planner_replies_byte_identical () =
   let probes =
     [
@@ -265,8 +277,8 @@ let test_planner_replies_byte_identical () =
       P.Query "//author | //title"; P.Count "//book[2]";
     ]
   in
-  let run ~planner =
-    with_server ~planner [ ("lib", doc_of_string library) ] @@ fun cfg _t ->
+  with_server [ ("lib", doc_of_string library) ] @@ fun cfg _t ->
+  let wire =
     C.with_connection cfg.Service.socket_path @@ fun c ->
     let before = List.map (fun r -> P.response_to_string (C.request c r)) probes in
     ignore
@@ -278,10 +290,14 @@ let test_planner_replies_byte_identical () =
     let after = List.map (fun r -> P.response_to_string (C.request c r)) probes in
     before @ after
   in
+  let v1, v2 = engine_only_snapshots ~max_area_size:cfg.Service.max_area_size in
+  let reference snap =
+    List.map (fun r -> P.response_to_string (Service.eval_read snap r)) probes
+  in
   List.iteri
-    (fun i (on, off) ->
-      Alcotest.(check string) (Printf.sprintf "probe %d" i) off on)
-    (List.combine (run ~planner:true) (run ~planner:false))
+    (fun i (planned, engine) ->
+      Alcotest.(check string) (Printf.sprintf "probe %d" i) engine planned)
+    (List.combine wire (reference v1 @ reference v2))
 
 let test_invalid_requests_over_wire () =
   with_server [ ("lib", doc_of_string library) ] @@ fun cfg _t ->
@@ -1076,10 +1092,11 @@ let test_config_validation () =
        { base with Service.commit_groups = 3; domains = 8 });
   (* max_queue = 0 means "4 x the larger pool" *)
   Alcotest.(check int) "auto queue bound" 16
-    (Service.resolved_max_queue { base with Service.max_queue = 0; workers = 4 });
+    (Service.resolved_max_queue ~max_queue:0 ~workers:4 ~domains:0);
   Alcotest.(check int) "auto bound follows domains" 32
-    (Service.resolved_max_queue
-       { base with Service.max_queue = 0; workers = 4; domains = 8 });
+    (Service.resolved_max_queue ~max_queue:0 ~workers:4 ~domains:8);
+  Alcotest.(check int) "explicit queue bound" 5
+    (Service.resolved_max_queue ~max_queue:5 ~workers:4 ~domains:8);
   bad { base with Service.socket_path = "" };
   bad { base with Service.socket_path = String.make 200 'x' };
   (match Service.validate_config base with

@@ -1,16 +1,16 @@
+(* Twig compilation from XPath, and twig matching, which runs in the
+   planner, against the naive evaluator. *)
+
 module Dom = Rxml.Dom
-module R2 = Ruid.Ruid2
 module Twig = Rxpath.Twig
-module Ti = Rxpath.Tag_index
-module Shape = Rworkload.Shape
+module P = Rxpath.Planner
 open Util
 
-let setup ?(scale = 1.0) () =
-  let site = Rworkload.Xmark.generate ~seed:21 ~scale in
+let setup () =
+  let site = Rworkload.Xmark.generate ~seed:21 ~scale:1.0 in
   let doc = Dom.document () in
   Dom.append_child doc site;
-  let r2 = R2.number ~max_area_size:16 doc in
-  (doc, r2, Ti.create r2, Rxpath.Engine_naive.create doc)
+  (P.create (Ruid.Ruid2.number ~max_area_size:16 doc), Rxpath.Engine_naive.create doc)
 
 let twig_queries =
   [
@@ -48,12 +48,9 @@ let test_compilation () =
     non_twig_queries
 
 let test_matches_evaluator () =
-  let _doc, r2, index, naive = setup () in
+  let planner, naive = setup () in
   List.iter
-    (fun q ->
-      match Twig.query r2 index q with
-      | None -> Alcotest.failf "%s did not compile" q
-      | Some got -> check_node_list q (Rxpath.Eval.query naive q) got)
+    (fun q -> check_node_list q (Rxpath.Eval.query naive q) (P.query planner q))
     twig_queries
 
 let test_structure () =
@@ -81,30 +78,24 @@ let test_structure () =
   | _ -> Alcotest.fail "expected two branches"
 
 let test_empty_results () =
-  let _doc, r2, index, _ = setup () in
-  match Twig.query r2 index "//person[creditcard]/nonexistent" with
-  | Some [] -> ()
-  | Some _ -> Alcotest.fail "expected no matches"
-  | None -> Alcotest.fail "should compile"
+  let planner, _ = setup () in
+  Alcotest.(check int) "no matches" 0
+    (List.length (P.query planner "//person[creditcard]/nonexistent"))
 
 let prop_twig_matches_eval =
   Util.qtest ~count:25 "twigs agree with the evaluator on random documents"
     QCheck.(int_range 20 250)
     (fun n ->
       let root =
-        Shape.generate ~seed:(n * 5) ~tags:[| "a"; "b"; "c"; "d" |] ~target:n
-          (Shape.Uniform { fanout_lo = 0; fanout_hi = 4 })
+        Rworkload.Shape.generate ~seed:(n * 5) ~tags:[| "a"; "b"; "c"; "d" |]
+          ~target:n
+          (Rworkload.Shape.Uniform { fanout_lo = 0; fanout_hi = 4 })
       in
-      let r2 = R2.number ~max_area_size:8 root in
-      let index = Ti.create r2 in
+      let planner = P.create (Ruid.Ruid2.number ~max_area_size:8 root) in
       let naive = Rxpath.Engine_naive.create root in
       List.for_all
         (fun q ->
-          match Twig.query r2 index q with
-          | None -> false
-          | Some got ->
-            List.map (fun x -> x.Dom.serial) got
-            = List.map (fun x -> x.Dom.serial) (Rxpath.Eval.query naive q))
+          serials (P.query planner q) = serials (Rxpath.Eval.query naive q))
         [ "//a[b]/c"; "//a[b//c]"; "//b[c][d]"; "//a[b/c]/d"; "//a[b]" ])
 
 let suite =
