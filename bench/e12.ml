@@ -6,11 +6,15 @@
    checker).  (b) The per-operation price of durability: applying an update
    in memory, journaling it through the WAL (append + fsync), and the naive
    alternative of rewriting the whole snapshot after every operation.
-   (c) The sidecar format itself: v3 (per-section CRC-32, framed) against
-   the seed's v2, encode/decode wall clock and size.
+   (c) The sidecar format itself: v4 (the frame only: a few bytes per
+   area) against v3 (every identifier and K, framed with per-section
+   CRC-32s) and the seed's v2 (v3 unframed), encode/decode wall clock and
+   size, on uniform documents of 500 and 5,000 nodes at area size 32 and
+   on the golden XMark-33k document at area size 64.
 
    Raw numbers go to BENCH_recovery.json; the CI fault-injection job
-   uploads that file as an artifact. *)
+   uploads that file as an artifact and fails when v4 takes more than
+   1/8 of v3's bytes at 5,000 nodes (sizes are deterministic). *)
 
 module Dom = Rxml.Dom
 module R2 = Ruid.Ruid2
@@ -22,6 +26,7 @@ module Updates = Rworkload.Updates
 let json_recovery : string list ref = ref []
 let json_append : string list ref = ref []
 let json_sidecar : string list ref = ref []
+let v4_over_v3_5000 = ref nan
 
 let workdir =
   let d =
@@ -141,16 +146,24 @@ let append_table () =
   Report.note "durable alternative without a journal."
 
 let sidecar_table () =
-  Report.subsection "E12.c  sidecar format: v3 (framed, per-section CRC) vs v2";
+  Report.subsection "E12.c  sidecar format: v4 (frame only) vs v3 (framed ids) vs v2";
+  let docs =
+    List.map
+      (fun size ->
+        ( Printf.sprintf "uniform-%d" size,
+          size,
+          Rworkload.Shape.generate ~seed:125 ~target:size
+            (Rworkload.Shape.Uniform { fanout_lo = 1; fanout_hi = 4 }),
+          32 ))
+      [ 500; 5000 ]
+    @ [ ("xmark-33k", 33_000, Rworkload.Xmark.generate ~seed:7 ~scale:8.0, 64) ]
+  in
   let rows =
     List.concat_map
-      (fun size ->
-        let base =
-          Rworkload.Shape.generate ~seed:125 ~target:size
-            (Rworkload.Shape.Uniform { fanout_lo = 1; fanout_hi = 4 })
-        in
-        let r2 = R2.number ~max_area_size:32 base in
-        let reps = 20 in
+      (fun (name, size, base, area) ->
+        let r2 = R2.number ~max_area_size:area base in
+        let nodes = Dom.size base in
+        let reps = if size > 10_000 then 5 else 20 in
         let enc f =
           let b = ref Bytes.empty in
           let _, t =
@@ -162,37 +175,55 @@ let sidecar_table () =
           (!b, t /. float_of_int reps)
         in
         let dec bytes =
+          let copies = List.init reps (fun _ -> Dom.clone base) in
           let _, t =
             Report.time (fun () ->
-                for _ = 1 to reps do
-                  ignore (Persist.sidecar_of_bytes (Dom.clone base) bytes)
-                done)
+                List.iter
+                  (fun copy -> ignore (Persist.sidecar_of_bytes copy bytes))
+                  copies)
           in
           t /. float_of_int reps
         in
-        let b3, t3e = enc Persist.sidecar_to_bytes in
-        let b2, t2e = enc Persist.sidecar_to_bytes_v2 in
-        let t3d = dec b3 and t2d = dec b2 in
+        let formats =
+          List.map
+            (fun (v, f) ->
+              let b, te = enc f in
+              (v, b, te, dec b))
+            [
+              ("v4", Persist.sidecar_to_bytes);
+              ("v3", Persist.sidecar_to_bytes_v3);
+              ("v2", Persist.sidecar_to_bytes_v2);
+            ]
+        in
+        let size_of v =
+          let _, b, _, _ = List.find (fun (v', _, _, _) -> v' = v) formats in
+          float_of_int (Bytes.length b)
+        in
+        if size = 5000 then v4_over_v3_5000 := size_of "v4" /. size_of "v3";
         List.map
           (fun (v, b, te, td) ->
             json_sidecar :=
               Printf.sprintf
-                {|    {"nodes": %d, "format": "%s", "bytes": %d, "encode_ns": %.0f, "decode_ns": %.0f}|}
-                size v (Bytes.length b) (te *. 1e9) (td *. 1e9)
+                {|    {"doc": "%s", "nodes": %d, "area": %d, "format": "%s", "bytes": %d, "encode_ns": %.0f, "decode_ns": %.0f}|}
+                name nodes area v (Bytes.length b) (te *. 1e9) (td *. 1e9)
               :: !json_sidecar;
             [
-              Report.fint size; v;
+              name; Report.fint nodes; v;
               Report.fint (Bytes.length b);
+              Printf.sprintf "%.3f" (float_of_int (Bytes.length b) /. size_of "v3");
               Report.fns (te *. 1e9);
               Report.fns (td *. 1e9);
             ])
-          [ ("v3", b3, t3e, t3d); ("v2", b2, t2e, t2d) ])
-      [ 500; 5000 ]
+          formats)
+      docs
   in
-  Report.table [ "nodes"; "format"; "bytes"; "encode"; "decode" ] rows;
-  Report.note
-    "v3 adds one length varint and a CRC-32 per section (12-15 bytes total)";
-  Report.note "and buys torn/corrupt detection with a named section + offset."
+  Report.table
+    [ "doc"; "nodes"; "format"; "bytes"; "/ v3"; "encode"; "decode" ]
+    rows;
+  Report.note "v4 stores the frame (a distance, a slot and a fan-out per area) and";
+  Report.note "restore derives every identifier from it; v3 stores every identifier";
+  Report.note "and K and compares them with the derived ones.  v4/v3 bytes at 5,000";
+  Report.note "nodes: %.3f (CI gate: at most 0.125)." !v4_over_v3_5000
 
 let write_json path =
   let oc = open_out path in
@@ -200,8 +231,9 @@ let write_json path =
     Printf.sprintf "  \"%s\": [\n%s\n  ]" name
       (String.concat ",\n" (List.rev rows))
   in
-  Printf.fprintf oc "{\n  \"experiment\": \"E12\",\n%s,\n%s,\n%s,\n%s\n}\n"
-    (Report.meta_json ())
+  Printf.fprintf oc
+    "{\n  \"experiment\": \"E12\",\n%s,\n  \"headline\": {\"v4_over_v3_bytes_5000\": %.4f},\n%s,\n%s,\n%s\n}\n"
+    (Report.meta_json ()) !v4_over_v3_5000
     (section "recovery" !json_recovery)
     (section "append" !json_append)
     (section "sidecar" !json_sidecar);

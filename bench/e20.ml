@@ -60,9 +60,8 @@ let max_area_size = 64
 
 (* Deterministic catalog-shaped document of at least [target] bytes:
    moderate fan-out at the top, small rigid records below — the shape real
-   corpora (DBLP, XMark items) ingest as. *)
-let gen_file path ~target =
-  let oc = open_out_bin path in
+   corpora (DBLP, XMark items) ingest as.  E22 numbers it too. *)
+let catalog ~target =
   let buf = Buffer.create 65_536 in
   Buffer.add_string buf "<catalog>\n";
   let i = ref 0 in
@@ -76,7 +75,11 @@ let gen_file path ~target =
     incr i
   done;
   Buffer.add_string buf "</catalog>\n";
-  output_string oc (Buffer.contents buf);
+  Buffer.contents buf
+
+let gen_file path ~target =
+  let oc = open_out_bin path in
+  output_string oc (catalog ~target);
   close_out oc;
   (Unix.stat path).Unix.st_size
 

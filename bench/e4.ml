@@ -3,11 +3,22 @@
    The same XPath queries over the same XMark-like document, evaluated by
    the naive DOM-walking engine, by the ruid engine (identifier arithmetic
    + tag postings) and by the cost-based planner, with the plan kind it
-   picked (plan cache warm).  Wall-clock per query, plus a Bechamel round
-   on three representative queries. *)
+   picked (plan cache warm).  Wall-clock per query — the median of seven
+   evaluations after a warm-up one, since a single call moves with the
+   collector's state — plus a Bechamel round on three representative
+   queries. *)
 
 open Bechamel
 module Eval = Rxpath.Eval
+
+let reps = 7
+
+(* The result of a warm-up call, and the median time of [reps] more. *)
+let timed f =
+  let r = f () in
+  let ts = Array.init reps (fun _ -> snd (Report.time f)) in
+  Array.sort compare ts;
+  (r, ts.(reps / 2))
 
 let run () =
   Report.section "E4  XPath evaluation: DOM walking vs ruid identifier arithmetic";
@@ -22,16 +33,16 @@ let run () =
   let planner = Rxpath.Planner.create r2 in
   Report.note "document: xmark scale 5 (%d nodes), %d UID-local areas" size
     (Ruid.Ruid2.area_count r2);
-  Report.subsection "E4.a  per-query wall clock (single evaluation)";
+  Report.subsection "E4.a  per-query wall clock (median of 7 after a warm-up)";
   let rows =
     List.map
       (fun q ->
         let p = Rxpath.Xparser.parse q in
-        let rn, tn = Report.time (fun () -> Eval.select naive p) in
-        let rr, tr = Report.time (fun () -> Eval.select ruid p) in
+        let rn, tn = timed (fun () -> Eval.select naive p) in
+        let rr, tr = timed (fun () -> Eval.select ruid p) in
         assert (List.length rn = List.length rr);
         let kind = Rxpath.Planner.(kind_name (kind (plan planner q))) in
-        let rp, tp = Report.time (fun () -> Rxpath.Planner.query planner q) in
+        let rp, tp = timed (fun () -> Rxpath.Planner.query planner q) in
         assert (List.length rp = List.length rn);
         [
           q;

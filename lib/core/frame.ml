@@ -265,6 +265,9 @@ let promote lay ~tree_fanout =
     end
     else owner.(!top) <- u
   done;
+  (* marks the group a promotion moves, so taking it out of its area
+     root's frame children is one pass, not one search per child *)
+  let moved = Bytes.make n '\000' in
   let worklist = Queue.create () in
   Array.iter
     (fun u -> if List.length kids.(u) > tree_fanout then Queue.add u worklist)
@@ -303,7 +306,10 @@ let promote lay ~tree_fanout =
         let l = lca parent.(lo) in
         assert (not (is_cut cut l));
         Bytes.set cut l '\001';
-        kids.(u) <- l :: List.filter (fun fc -> not (List.mem fc group)) kids.(u);
+        List.iter (fun fc -> Bytes.unsafe_set moved fc '\001') group;
+        kids.(u) <-
+          l :: List.filter (fun fc -> Bytes.unsafe_get moved fc = '\000') kids.(u);
+        List.iter (fun fc -> Bytes.unsafe_set moved fc '\000') group;
         kids.(l) <- group;
         if List.length kids.(u) > tree_fanout then Queue.add u worklist;
         if List.length group > tree_fanout then Queue.add l worklist

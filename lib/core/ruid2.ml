@@ -169,24 +169,15 @@ let area_at (lay : Frame.layout) c =
    preorder of their roots, each breadth first from its root — which
    makes an area's locals come out ascending, the order of its table.  A
    child of the node at local [l] in an area of fan-out [k] takes local
-   [(l - 1) * k + 2 + j].  The tree root's identifier sits in [ids]
-   already, and [fan] holds area 0's fan-out; [kappa] is the frame's.
-
-   Writing ([ktable = None]), every other identifier goes into [ids]: an
-   area root's global is the kappa-ary child of its frame parent's at its
-   frame slot, and [fan] is the layout's.  Verifying ([Some ktable]), each
-   identifier is compared with the one [ids] holds instead: an area root
-   keeps its stored global, which must be a frame child of the area
-   enumerating it, and brings its K row, whose leaf index must be its
-   local and whose fan-out — the area's [fan] — must cover the area's
-   degrees.  Returns the area tables. *)
-let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~ktable =
+   [(l - 1) * k + 2 + j], and an area root's global is the kappa-ary
+   child of its frame parent's at its frame slot.  The tree root's
+   identifier sits in [ids] already; every other one goes into [ids].
+   [fan] holds each area's fan-out and [lay.fslot] each area's frame
+   slot: the layout's own when numbering, the stored ones when
+   restoring.  [overflow] gets the root position of an area whose index
+   leaves the native int.  Returns the area tables. *)
+let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~overflow =
   let nodes = lay.pre.nodes and last = lay.pre.last and cut = lay.cut in
-  let verify = ktable <> None in
-  let overflow g =
-    if verify then restore_error "local index overflows in area %d" g
-    else raise Uid.Overflow
-  in
   let q = Array.make (Array.fold_left max 1 lay.members) 0 in
   let areas = ref IMap.empty in
   for a = 0 to Array.length lay.aroot - 1 do
@@ -200,11 +191,11 @@ let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~ktable =
       let e = last.(x) in
       if e > x && (h = 0 || Bytes.unsafe_get cut x = '\000') then begin
         let l = locals.(h) in
-        if l - 1 > (max_int - 2) / k then overflow g;
+        if l - 1 > (max_int - 2) / k then overflow r;
         let base = ((l - 1) * k) + 2 in
         let c = ref (x + 1) and j = ref 0 in
         while !c <= e do
-          if base > max_int - !j then overflow g;
+          if base > max_int - !j then overflow r;
           q.(!tail) <- !c;
           locals.(!tail) <- base + !j;
           incr tail;
@@ -217,59 +208,38 @@ let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~ktable =
     for h = 1 to m - 1 do
       let c = q.(h) and l = locals.(h) in
       serials.(h) <- nodes.(c).Dom.serial;
-      let root = Bytes.unsafe_get cut c <> '\000' in
-      match ktable with
-      | None ->
-        if root then begin
-          let slot = lay.fslot.(area_at lay c) in
-          if g - 1 > (max_int - 2 - slot) / kappa then raise Uid.Overflow;
-          ids.(c) <- { global = ((g - 1) * kappa) + 2 + slot; local = l; is_root = true }
-        end
-        else ids.(c) <- { global = g; local = l; is_root = false }
-      | Some ktable ->
-        let i = ids.(c) in
-        if i.local <> l || ((not root) && (i.is_root || i.global <> g)) then
-          restore_error "node at preorder position %d carries %s, enumerated as %s"
-            c (id_to_string i)
-            (id_to_string
-               { global = (if root then i.global else g); local = l; is_root = root });
-        if root then begin
-          if i.global < 2 || ((i.global - 2) / kappa) + 1 <> g then
-            restore_error "area root %s is not a frame child of area %d"
-              (id_to_string i) g;
-          let b = area_at lay c in
-          match Ktable.find ktable i.global with
-          | None -> restore_error "area %d has no K row" i.global
-          | Some row ->
-            if row.Ktable.root_local <> l then
-              restore_error
-                "K row %d records root_local %d but the root's leaf index is %d"
-                i.global row.Ktable.root_local l;
-            if row.Ktable.fanout < lay.fanout.(b) then
-              restore_error "area %d has fan-out %d below a degree of %d"
-                i.global row.Ktable.fanout lay.fanout.(b);
-            fan.(b) <- row.Ktable.fanout
-        end
+      if Bytes.unsafe_get cut c <> '\000' then begin
+        let slot = lay.fslot.(area_at lay c) in
+        if g - 1 > (max_int - 2 - slot) / kappa then overflow c;
+        ids.(c) <- { global = ((g - 1) * kappa) + 2 + slot; local = l; is_root = true }
+      end
+      else ids.(c) <- { global = g; local = l; is_root = false }
     done;
     areas := IMap.add g { locals; serials } !areas
   done;
   !areas
 
-let of_layout frame (lay : Frame.layout) =
+(* The numbering [enumerate] derives from a layout, its frame slots and
+   the fan-outs [fan]; K's rows come out of the enumeration. *)
+let build frame (lay : Frame.layout) ~kappa ~fan ~overflow =
   let ids =
     Array.make (Array.length lay.pre.nodes) { global = 1; local = 1; is_root = true }
   in
-  let areas = enumerate lay ~kappa:lay.kappa ~fan:lay.fanout ~ids ~ktable:None in
+  let areas = enumerate lay ~kappa ~fan ~ids ~overflow in
   let krows =
     List.init (Array.length lay.aroot) (fun a ->
         let i = ids.(lay.aroot.(a)) in
-        { Ktable.global = i.global; root_local = i.local; fanout = lay.fanout.(a) })
+        { Ktable.global = i.global; root_local = i.local; fanout = fan.(a) })
   in
   {
-    kappa = lay.kappa;
+    kappa;
     st = { ktable = Ktable.make krows; frame; order = O.of_preorder lay.pre ids; areas };
     exclusive = true;
   }
+
+let of_layout frame (lay : Frame.layout) =
+  build frame lay ~kappa:lay.kappa ~fan:lay.fanout
+    ~overflow:(fun _ -> raise Uid.Overflow)
 
 let number_with_frame frame = of_layout frame (Frame.layout frame)
 
@@ -864,54 +834,37 @@ let clone t =
   t.exclusive <- false;
   { kappa = t.kappa; st = t.st; exclusive = false }
 
-(* Restore re-derives the numbering the identifiers describe and accepts
-   them only if they are that numbering.  The root flags give the cut;
-   the enumeration kernel then re-derives every local from K's fan-outs
-   and compares, checking on the way that each area root's stored global
-   is a frame child of the area enumerating it and that its K row fits
-   (see [enumerate]); last, frame siblings must be numbered in document
-   order and K must hold no other rows.  What passes is a numbering
-   [check] accepts. *)
-let restore ~kappa ~ktable ~ids root =
-  let pre = O.preorder root in
-  let n = Array.length pre.nodes in
-  if Array.length ids <> n then
-    restore_error "identifier count does not match the tree";
+(* Restore runs the kernel [number] runs over a stored frame: the cut,
+   each area's frame slot and its K fan-out — all that the identifiers
+   are a function of (Definition 3).  It accepts them only if they
+   describe a numbering: kappa at least 1, every slot below kappa and
+   ascending along frame siblings (so globals are distinct and ordered
+   as the document is), every fan-out at least the largest degree its
+   area enumerates, and no index past the native int.  What passes is a
+   numbering [check] accepts. *)
+let restore ~kappa ~cut ~slots ~fanouts pre =
   if kappa < 1 then restore_error "kappa %d < 1" kappa;
-  if not (id_equal ids.(0) { global = 1; local = 1; is_root = true }) then
-    restore_error "tree root carries %s" (id_to_string ids.(0));
-  let cut = Bytes.make n '\000' in
-  for i = 1 to n - 1 do
-    if ids.(i).is_root then Bytes.unsafe_set cut i '\001'
-  done;
   let frame, lay = Frame.of_cut_bits pre cut in
   let count = Array.length lay.aroot in
-  if count <> Ktable.size ktable then
-    restore_error "K has %d rows for %d area roots" (Ktable.size ktable) count;
-  let fan = Array.make count 1 in
-  (match Ktable.find ktable 1 with
-  | None -> restore_error "area 1 has no K row"
-  | Some row ->
-    if row.Ktable.root_local <> 1 then
-      restore_error "K row 1 records root_local %d" row.Ktable.root_local;
-    if row.Ktable.fanout < lay.fanout.(0) then
-      restore_error "area 1 has fan-out %d below a degree of %d" row.Ktable.fanout
-        lay.fanout.(0);
-    fan.(0) <- row.Ktable.fanout);
-  let areas = enumerate lay ~kappa ~fan ~ids ~ktable:(Some ktable) in
-  (* Globals ascend along frame siblings, so no two areas share one (nor
-     a K row: there are as many rows as areas). *)
-  Array.iteri
-    (fun b p ->
-      if p >= 0 then begin
-        let gp = ids.(lay.aroot.(p)).global and gb = ids.(lay.aroot.(b)).global in
-        if gp >= gb then
-          restore_error "area %d follows area %d in the frame but precedes it \
-                         in the document" gp gb
-      end)
-    lay.fprev;
-  {
-    kappa;
-    st = { ktable; frame; order = O.of_preorder pre ids; areas };
-    exclusive = true;
-  }
+  if Array.length slots <> count || Array.length fanouts <> count then
+    restore_error "%d frame slots and %d fan-outs for %d areas"
+      (Array.length slots) (Array.length fanouts) count;
+  for b = 0 to count - 1 do
+    let at = lay.aroot.(b) in
+    if fanouts.(b) < lay.fanout.(b) then
+      restore_error "the area rooted at preorder position %d has fan-out %d \
+                     below a degree of %d" at fanouts.(b) lay.fanout.(b);
+    if b > 0 then begin
+      if slots.(b) < 0 || slots.(b) >= kappa then
+        restore_error "the area rooted at preorder position %d has frame slot \
+                       %d, kappa is %d" at slots.(b) kappa;
+      let p = lay.fprev.(b) in
+      if p >= 0 && slots.(p) >= slots.(b) then
+        restore_error "the area rooted at preorder position %d has frame slot \
+                       %d, its previous frame sibling %d" at slots.(b) slots.(p)
+    end
+  done;
+  build frame { lay with fslot = slots } ~kappa ~fan:fanouts
+    ~overflow:(fun at ->
+      restore_error "an index of the area rooted at preorder position %d \
+                     overflows a native int" at)

@@ -40,18 +40,22 @@ val number_with_frame : Frame.t -> t
     ({!Frame.layout}), then each area enumerated breadth first. *)
 
 val restore :
-  kappa:int -> ktable:Ktable.t -> ids:id array -> Rxml.Dom.t -> t
-(** Rebuild a numbering from persisted state: [ids] holds the identifier
-    of every node of the tree in document order (and becomes the order
-    index's payloads).  The partition is recovered from the root
-    indicators; the area roots' globals must form a kappa-ary frame in
-    document order, K must hold exactly one row per area, with the area
-    root's leaf index and a fan-out no smaller than any degree the area
-    enumerates, and every identifier must equal the one the enumeration
-    kernel derives from the root indicators, the globals and K's
-    fan-outs — one linear pass.  A numbering it accepts passes {!check}.
-    Used by {!Persist.load}.
-    @raise Invalid_argument on the first mismatch. *)
+  kappa:int -> cut:Bytes.t -> slots:int array -> fanouts:int array ->
+  Order_index.preorder -> t
+(** Rebuild a numbering from its persisted frame, with the kernel
+    {!number} runs: [cut] marks the positions of the area roots in the
+    walk of the tree ({!Frame.of_cut_bits}; position 0 is marked for
+    it), and per area, in preorder of its root, [slots] holds its index
+    among its frame parent's kappa frame-child slots (ignored for the
+    tree root's area) and [fanouts] its K fan-out.  Every local, every
+    global and K's [root_local]s are derived, as {!number} derives them
+    from a fresh layout.  Rejected: [kappa] below 1, a slot not below
+    [kappa], frame siblings whose slots do not ascend in document order,
+    a fan-out below the largest degree its area enumerates, and an index
+    past the native int.  A numbering it accepts passes {!check}.  Used
+    by {!Persist.load}; the walk is taken over.
+    @raise Invalid_argument naming the area (by its root's preorder
+    position) on the first violation. *)
 
 val clone : t -> t
 (** O(1): a second handle on the same version.  Every table is persistent

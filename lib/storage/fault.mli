@@ -10,7 +10,7 @@
     - {!Ruid.Vfs.Crash} after a short write: the prefix reached the file,
       the process is presumed dead.  Only recovery code runs afterwards.
     - corrupted [load] results (single flipped bit) — the checksums in
-      {!Ruid.Persist} v3 sidecars and {!Wal} records must catch these.
+      {!Ruid.Persist} sidecars (v3 and v4) and {!Wal} records must catch these.
     - {!Ruid.Vfs.Transient} bursts — absorbed by {!Ruid.Vfs.with_retries}
       as long as the burst is shorter than the retry budget. *)
 

@@ -116,9 +116,9 @@ let encode_sidecar ~version ~kappa ~rows ~ids =
     [ header; ktable; idb ];
   Buffer.to_bytes out
 
-let perturbed_sidecar seed =
+(* A seeded document and its numbering, the first draws of [rng]. *)
+let perturbable seed rng =
   let module R2 = Ruid.Ruid2 in
-  let rng = Rng.create seed in
   let profile =
     if seed mod 2 = 0 then
       Rworkload.Shape.Uniform { fanout_lo = 0; fanout_hi = 4 }
@@ -138,6 +138,12 @@ let perturbed_sidecar seed =
              ~delete:(fun n -> R2.delete_subtree r2 n)
              op))
       (Rworkload.Updates.script ~seed ~ops:8 (R2.root r2));
+  r2
+
+let perturbed_sidecar seed =
+  let module R2 = Ruid.Ruid2 in
+  let rng = Rng.create seed in
+  let r2 = perturbable seed rng in
   let root = R2.root r2 in
   let nodes = Array.of_list (Rxml.Dom.preorder root) in
   let ids =
@@ -207,19 +213,122 @@ let perturbed_sidecar seed =
   (root, encode_sidecar ~version:(2 + (seed mod 2)) ~kappa:!kappa
            ~rows:(Array.to_list rows) ~ids)
 
+(* The same past the checksum for v4, whose frame section stores only
+   what the identifiers are a function of: per area after the first, the
+   preorder distance from the previous area root, the frame slot and the
+   K fan-out.  The encoder and the shape digest are written out here,
+   independently of Persist. *)
+let varints xs =
+  let b = Buffer.create 64 in
+  List.iter (Ruid.Codec.write_varint b) xs;
+  b
+
+let encode_v4 ~kappa ~count ~digest ~fan0 ~areas =
+  let header = varints [ 0; kappa; count ] in
+  for i = 0 to 3 do
+    Buffer.add_char header (Char.chr ((digest lsr (8 * i)) land 0xFF))
+  done;
+  let frame =
+    varints (fan0 :: List.concat_map (fun (gap, slot, f) -> [ gap; slot; f ]) areas)
+  in
+  let out = Buffer.create 256 in
+  Buffer.add_string out "RUID2\x04";
+  List.iter
+    (fun b ->
+      let s = Buffer.contents b in
+      Ruid.Codec.write_varint out (String.length s);
+      Buffer.add_string out s;
+      let crc = Ruid.Crc32.string s in
+      for i = 0 to 3 do
+        Buffer.add_char out (Char.chr ((crc lsr (8 * i)) land 0xFF))
+      done)
+    [ header; frame ];
+  Buffer.to_bytes out
+
+(* CRC-32 of the preorder subtree sizes, as varints. *)
+let shape_digest root =
+  let b = Buffer.create 256 in
+  let rec go n =
+    Ruid.Codec.write_varint b (Rxml.Dom.size n);
+    List.iter go n.Rxml.Dom.children
+  in
+  go root;
+  Ruid.Crc32.string (Buffer.contents b)
+
+(* The frame of a numbering, as a v4 writer would store it. *)
+let frame_of r2 =
+  let module R2 = Ruid.Ruid2 in
+  let kappa = R2.kappa r2 and kt = R2.ktable r2 in
+  let ids = List.map (R2.id_of_node r2) (Rxml.Dom.preorder (R2.root r2)) in
+  let areas = ref [] and prev = ref 0 in
+  List.iteri
+    (fun at (i : R2.id) ->
+      if i.is_root && at > 0 then begin
+        areas :=
+          (at - !prev, (i.global - 2) mod kappa, Ruid.Ktable.fanout kt i.global)
+          :: !areas;
+        prev := at
+      end)
+    ids;
+  (Ruid.Ktable.fanout kt 1, List.rev !areas)
+
+let perturbed_v4_sidecar seed =
+  let module R2 = Ruid.Ruid2 in
+  let rng = Rng.create (seed + 7919) in
+  let r2 = perturbable seed rng in
+  let root = R2.root r2 in
+  let fan0, areas = frame_of r2 in
+  let areas = Array.of_list areas in
+  let kappa = ref (R2.kappa r2) and count = ref (Rxml.Dom.size root)
+  and fan0 = ref fan0 in
+  let near v = max 0 (Rng.int_in rng (max 0 (v - 2)) (v + 2)) in
+  let nudge i f = areas.(i) <- f areas.(i) in
+  let m = Array.length areas in
+  let before i = List.filteri (fun j _ -> j < i) (Array.to_list areas)
+  and after i = List.filteri (fun j _ -> j > i) (Array.to_list areas) in
+  let areas =
+    match Rng.int rng 7 with
+    | 0 when m > 0 -> nudge (Rng.int rng m) (fun (g, s, f) -> (near g, s, f)); areas
+    | 1 when m > 0 -> nudge (Rng.int rng m) (fun (g, s, f) -> (g, near s, f)); areas
+    | 2 when m > 0 -> nudge (Rng.int rng m) (fun (g, s, f) -> (g, s, near f)); areas
+    | 2 -> fan0 := near !fan0; areas
+    | 3 when m > 0 ->
+      (* an area dropped; the next one takes over its distance or not *)
+      let i = Rng.int rng m in
+      let dg, _, _ = areas.(i) in
+      let rest =
+        match after i with
+        | (g, s, f) :: tl when Rng.bool rng -> (g + dg, s, f) :: tl
+        | tl -> tl
+      in
+      Array.of_list (before i @ rest)
+    | 4 ->
+      (* an area added *)
+      let i = Rng.int rng (m + 1) in
+      let extra = (Rng.int_in rng 1 4, Rng.int rng (!kappa + 1), Rng.int_in rng 1 5) in
+      Array.of_list (before i @ (extra :: List.filteri (fun j _ -> j >= i) (Array.to_list areas)))
+    | 5 -> kappa := near !kappa; areas
+    | _ -> count := near !count; areas
+  in
+  ( root,
+    encode_v4 ~kappa:!kappa ~count:!count ~digest:(shape_digest root) ~fan0:!fan0
+      ~areas:(Array.to_list areas) )
+
 let prop_sidecar_perturbations =
   Util.qtest ~count:400 "sidecar perturbations past the checksum"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let root, bytes = perturbed_sidecar seed in
-      match Ruid.Persist.sidecar_of_bytes (Rxml.Dom.clone root) bytes with
-      | exception Invalid_argument _ -> true
-      | r2 -> (
-        match Ruid.Ruid2.check r2 with
-        | () -> true
-        | exception Failure msg ->
-          QCheck.Test.fail_reportf "seed %d: accepted, but check fails: %s"
-            seed msg))
+      List.for_all
+        (fun (version, (root, bytes)) ->
+          match Ruid.Persist.sidecar_of_bytes (Rxml.Dom.clone root) bytes with
+          | exception Invalid_argument _ -> true
+          | r2 -> (
+            match Ruid.Ruid2.check r2 with
+            | () -> true
+            | exception Failure msg ->
+              QCheck.Test.fail_reportf "seed %d (%s): accepted, but check fails: %s"
+                seed version msg))
+        [ ("v2/v3", perturbed_sidecar seed); ("v4", perturbed_v4_sidecar seed) ])
 
 (* A zero fan-out or kappa cannot come from a writer; restore must still
    reject it as malformed input rather than divide by it. *)
@@ -261,7 +370,35 @@ let test_sidecar_zero_fanout () =
         ~kappa:(R2.kappa r2)
         ~rows:(List.map (fun (g', l, f) -> (g', l, if g' = g then 0 else f)) rows))
     rows;
-  rejects "kappa 0" ~kappa:0 ~rows
+  rejects "kappa 0" ~kappa:0 ~rows;
+  let fan0, areas = frame_of r2 in
+  let rejects_v4 what ~kappa ~fan0 ~areas =
+    match
+      Ruid.Persist.sidecar_of_bytes (Rxml.Dom.clone root)
+        (encode_v4 ~kappa ~count:(Rxml.Dom.size root) ~digest:(shape_digest root)
+           ~fan0 ~areas)
+    with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s (v4) accepted" what
+  in
+  let kappa = R2.kappa r2 in
+  rejects_v4 "fan-out 0 in area 1" ~kappa ~fan0:0 ~areas;
+  List.iteri
+    (fun i _ ->
+      rejects_v4
+        (Printf.sprintf "fan-out 0 in area %d" (i + 2))
+        ~kappa ~fan0
+        ~areas:(List.mapi (fun j (g, s, f) -> (g, s, if i = j then 0 else f)) areas))
+    areas;
+  rejects_v4 "kappa 0" ~kappa:0 ~fan0 ~areas;
+  (* the unperturbed frame restores *)
+  match
+    Ruid.Persist.sidecar_of_bytes (Rxml.Dom.clone root)
+      (encode_v4 ~kappa ~count:(Rxml.Dom.size root) ~digest:(shape_digest root)
+         ~fan0 ~areas)
+  with
+  | back -> R2.check back
+  | exception Invalid_argument msg -> Alcotest.failf "valid v4 frame rejected: %s" msg
 
 (* QCheck-driven hardening: on ANY byte string the parser returns a tree or
    raises its one documented exception — Failure / Invalid_argument /

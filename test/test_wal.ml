@@ -524,6 +524,35 @@ let test_cross_group_crash_independence () =
 let members = Util.family_members
 let bound = Util.family_bound
 
+(* Base and checkpoint files written before v4 stay on disk across an
+   upgrade: a family whose sidecars are all v3 replays through the v3
+   reader to the live identifiers. *)
+let test_v3_family_replays () =
+  let root, live, xml, sidecar, wal = snapshot ~seed:13 "v3family" in
+  P.store_atomic Vfs.real ~attempts:1 sidecar (P.sidecar_to_bytes_v3 live);
+  let w = Wal.create wal in
+  let ops = script root ~seed:31 ~ops:12 in
+  List.iteri
+    (fun i op ->
+      ignore (Wal.log_update w live op);
+      if i = 5 then
+        ignore
+          (Wal.rotate w ~xml:(P.xml_to_bytes live)
+             ~sidecar:(P.sidecar_to_bytes_v3 live)))
+    ops;
+  let _, cs = Wal.checkpoint_files wal 1 in
+  List.iter
+    (fun f ->
+      Alcotest.(check int) (f ^ " is v3") 3 (P.version_of_bytes (Vfs.real.Vfs.load f)))
+    [ sidecar; cs ];
+  let r = Wal.replay ~xml ~sidecar ~wal () in
+  Alcotest.(check int) "replayed the tail" 6 (List.length r.Wal.replayed);
+  R2.check r.Wal.r2;
+  Alcotest.(check bool) "replay reaches the live identifiers" true
+    (encoded_ids r.Wal.r2 = encoded_ids live);
+  Alcotest.(check int) "fsck clean" 0
+    (Wal.exit_code (Wal.fsck ~xml ~sidecar ~wal ()))
+
 let test_family_enumeration () =
   (* Wal.family discovers every on-disk artifact of a journal — active
      segment, checkpoint pairs, archived segments — in generation order,
@@ -685,6 +714,8 @@ let suite =
       test_checkpoint_crash_equivalence;
     Alcotest.test_case "cross-group crash independence (10 seeds)" `Quick
       test_cross_group_crash_independence;
+    Alcotest.test_case "v3 base and checkpoint replay" `Quick
+      test_v3_family_replays;
     Alcotest.test_case "family enumeration" `Quick test_family_enumeration;
     Alcotest.test_case "family bound across rotations" `Quick
       test_family_bound;
