@@ -45,6 +45,15 @@ if ls /tmp/ruid-in-d0/.addchunk.* /tmp/ruid-in-d1/.addchunk.* 2>/dev/null; then
   echo 'spool file left after ingest' >&2
   exit 1
 fi
+# every shard reports its memory in STATS: the major heap now and at its
+# peak and the peak resident set, each present and non-zero
+for i in 0 1; do
+  "$RUIDTOOL" client --socket /tmp/ruid-in-s$i.sock STATS > /tmp/ruid-in-stats$i
+  for K in heap_words top_heap_words vm_hwm_kb; do
+    V=$(tr ' ' '\n' < /tmp/ruid-in-stats$i | grep "^$K=" | cut -d= -f2)
+    [ -n "$V" ] && [ "$V" -gt 0 ]
+  done
+done
 # ingested documents are resident once: nothing written, so no shard
 # holds a writer copy ...
 for i in 0 1; do

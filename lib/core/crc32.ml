@@ -22,7 +22,16 @@ let bytes b ~pos ~len =
   done;
   !crc lxor 0xFFFFFFFF
 
+let start = 0xFFFFFFFF
+let finish crc = crc lxor 0xFFFFFFFF
+
 let string s =
-  let crc = ref 0xFFFFFFFF in
+  let crc = ref start in
   String.iter (fun c -> crc := update !crc (Char.code c)) s;
-  !crc lxor 0xFFFFFFFF
+  finish !crc
+
+(* The bytes of Codec.write_varint: seven bits a byte, low group first,
+   the high bit set on every byte but the last. *)
+let rec add_varint crc n =
+  if n < 128 then update crc n
+  else add_varint (update crc (128 lor (n land 127))) (n lsr 7)

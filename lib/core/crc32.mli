@@ -12,3 +12,19 @@ val bytes : bytes -> pos:int -> len:int -> int
 
 val string : string -> int
 (** Checksum of a whole string. *)
+
+(** {1 Running checksums}
+
+    A checksum fed piece by piece, for input that is never laid out as
+    bytes: [finish (add_varint (add_varint start a) b)] is the checksum
+    of [a]'s and then [b]'s varint encoding. *)
+
+val start : int
+(** The running value before any byte. *)
+
+val add_varint : int -> int -> int
+(** [add_varint crc n] continues [crc] over the bytes that
+    [Codec.write_varint] writes for [n] (non-negative). *)
+
+val finish : int -> int
+(** The checksum of what a running value has been fed. *)

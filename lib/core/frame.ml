@@ -242,12 +242,21 @@ let greedy_cut (pre : O.preorder) ~max_area_size ~max_area_depth =
    root they sit under, and promote the lowest common ancestor of the
    largest group (ties: the earlier tree child — never hash order, so two
    parses of the same bytes cut alike).  Marks the promoted nodes in
-   [lay.cut].  Entered only when the frame's fan-out exceeds the tree's. *)
+   [lay.cut].  Entered only when the frame's fan-out exceeds the tree's.
+
+   A promotion leaves every other group of its area root as it was and
+   turns its own into the one promoted node, a group of one that is never
+   picked again.  So each area root's groups are formed once and promoted
+   in the order of that rule — largest first, then the earlier tree child
+   — until few enough frame children remain.  A promoted node's own frame
+   children are the group, and it gets its turn in the worklist; no
+   promotion under one area root touches another's frame children. *)
 let promote lay ~tree_fanout =
   let last = lay.pre.last and cut = lay.cut in
   let n = Array.length last in
-  (* parents, and the frame children of each area root by position *)
-  let parent = Array.make n (-1) and kids = Array.make n [] in
+  (* parents, and the frame children of each area root by position,
+     collected in descending order *)
+  let parent = Array.make n (-1) and below = Array.make n [] in
   let open_ = Array.make (lay.pre.height + 1) 0 in
   let owner = Array.make (lay.pre.height + 1) 0 in
   let top = ref 0 in
@@ -260,60 +269,64 @@ let promote lay ~tree_fanout =
     incr top;
     open_.(!top) <- i;
     if is_cut cut i then begin
-      kids.(u) <- i :: kids.(u);
+      below.(u) <- i :: below.(u);
       owner.(!top) <- i
     end
     else owner.(!top) <- u
   done;
-  (* marks the group a promotion moves, so taking it out of its area
-     root's frame children is one pass, not one search per child *)
-  let moved = Bytes.make n '\000' in
+  (* the frame children of the area roots still to regroup, ascending *)
   let worklist = Queue.create () in
   Array.iter
-    (fun u -> if List.length kids.(u) > tree_fanout then Queue.add u worklist)
+    (fun u ->
+      if List.compare_length_with below.(u) tree_fanout > 0 then begin
+        let fcs = Array.of_list below.(u) in
+        let k = Array.length fcs in
+        Queue.add (u, Array.init k (fun i -> fcs.(k - 1 - i))) worklist
+      end)
     lay.aroot;
   while not (Queue.is_empty worklist) do
-    let u = Queue.pop worklist in
-    if List.length kids.(u) > tree_fanout then begin
+    let u, fcs = Queue.pop worklist in
+    (* A tree child's subtree is one run of positions, so the ascending
+       frame children come grouped: [(branch, start, size)] names the run
+       [fcs.(start) ..] under each tree child holding two or more. *)
+    let count = Array.length fcs in
+    let groups = ref [] and i = ref 0 in
+    while !i < count do
       let rec branch x = if parent.(x) = u then x else branch parent.(x) in
-      let groups = Hashtbl.create 8 in
-      List.iter
-        (fun fc ->
-          let b = branch fc in
-          let g = Option.value ~default:[] (Hashtbl.find_opt groups b) in
-          Hashtbl.replace groups b (fc :: g))
-        kids.(u);
-      let best =
-        Hashtbl.fold (fun b g acc -> (b, g) :: acc) groups []
-        |> List.filter (fun (_, g) -> List.length g >= 2)
-        |> List.sort (fun (b1, g1) (b2, g2) ->
-               match compare (List.length g2) (List.length g1) with
-               | 0 -> compare b1 b2
-               | c -> c)
-      in
-      match best with
-      | [] ->
-        (* Impossible while the fan-out exceeds the tree's: some branch
-           must hold two frame children. *)
-        assert false
-      | (_, group) :: _ ->
-        (* The group spans positions [lo .. hi]; its lowest common
-           ancestor is the nearest ancestor of [lo] whose subtree reaches
-           [hi] (no group member is an ancestor of another). *)
-        let lo = List.fold_left min max_int group
-        and hi = List.fold_left max 0 group in
-        let rec lca x = if last.(x) >= hi then x else lca parent.(x) in
-        let l = lca parent.(lo) in
-        assert (not (is_cut cut l));
-        Bytes.set cut l '\001';
-        List.iter (fun fc -> Bytes.unsafe_set moved fc '\001') group;
-        kids.(u) <-
-          l :: List.filter (fun fc -> Bytes.unsafe_get moved fc = '\000') kids.(u);
-        List.iter (fun fc -> Bytes.unsafe_set moved fc '\000') group;
-        kids.(l) <- group;
-        if List.length kids.(u) > tree_fanout then Queue.add u worklist;
-        if List.length group > tree_fanout then Queue.add l worklist
-    end
+      let b = branch fcs.(!i) in
+      let j = ref (!i + 1) in
+      while !j < count && fcs.(!j) <= last.(b) do
+        incr j
+      done;
+      if !j - !i >= 2 then groups := (b, !i, !j - !i) :: !groups;
+      i := !j
+    done;
+    let ranked =
+      List.sort
+        (fun (b1, _, s1) (b2, _, s2) ->
+          match Int.compare s2 s1 with 0 -> Int.compare b1 b2 | c -> c)
+        !groups
+    in
+    let remaining = ref count in
+    List.iter
+      (fun (_, start, size) ->
+        if !remaining > tree_fanout then begin
+          (* The group spans positions [lo .. hi]; its lowest common
+             ancestor is the nearest ancestor of [lo] whose subtree
+             reaches [hi] (no group member is an ancestor of another). *)
+          let lo = fcs.(start) and hi = fcs.(start + size - 1) in
+          let rec lca x = if last.(x) >= hi then x else lca parent.(x) in
+          let l = lca parent.(lo) in
+          assert (not (is_cut cut l));
+          Bytes.set cut l '\001';
+          remaining := !remaining - size + 1;
+          if size > tree_fanout then
+            Queue.add (l, Array.sub fcs start size) worklist
+        end)
+      ranked;
+    (* Impossible otherwise while the fan-out exceeds the tree's: some
+       branch must hold two frame children. *)
+    assert (!remaining <= tree_fanout)
   done
 
 let frame_of lay =

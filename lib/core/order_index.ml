@@ -10,7 +10,9 @@ let step = 1 lsl shift
 let mask = step - 1
 let is_built k = k land mask = 0
 
-type 'a entry = { node : Dom.t; last : int; pay : 'a }
+type id = { global : int; local : int; is_root : bool }
+
+type entry = { node : Dom.t; last : int; pay : id }
 
 type preorder = {
   nodes : Dom.t array;
@@ -88,11 +90,14 @@ module Moves = struct
       if k <= k' then below k l else sum l + d + below k r
 end
 
-type 'a t = {
+type t = {
   n : int;  (* built keys: 0, step, ..., (n - 1) * step *)
   nodes : Dom.t array;  (* built position -> node as built *)
   lasts : int array;  (* built position -> key of its subtree's last node *)
-  pays : 'a array;  (* built position -> payload *)
+  (* built position -> identifier, unboxed: two words a node where a
+     record would take five (its slot, header and three fields) *)
+  globals : int array;  (* the global index, negated on an area root *)
+  locals : int array;
   serial_base : int;
   pos_of_serial : int array;  (* serial - base -> built position, -1 none *)
   far : (int, int) Hashtbl.t;  (* serial -> built position, outside the array *)
@@ -100,8 +105,8 @@ type 'a t = {
      only the map of the field it reads, and most stay empty. *)
   versions : Dom.t IMap.t;  (* built key -> current node version *)
   ends : int IMap.t;  (* built key -> current subtree end *)
-  pays' : 'a IMap.t;  (* built key -> current payload *)
-  ins : 'a entry IMap.t;  (* keys inserted since the build *)
+  pays' : id IMap.t;  (* built key -> current identifier *)
+  ins : entry IMap.t;  (* keys inserted since the build *)
   moves : Moves.t;  (* inserted keys (+1) and dead built keys (-1) *)
   added : int IMap.t;  (* serial -> key, for inserted nodes *)
   edits : int;  (* bindings over the maps above *)
@@ -145,10 +150,10 @@ let preorder root =
   { nodes; last; height = !height; max_degree = !max_degree }
 
 (* The index over a walk's arrays, taking over [nodes], [last] (whose
-   positions become keys in place) and [pays].  Serials in [base .. base
-   + len - 1] address their built positions through an array, any others
-   through [far]. *)
-let index ~base ~len (pre : preorder) pays =
+   positions become keys in place), [globals] and [locals].  Serials in
+   [base .. base + len - 1] address their built positions through an
+   array, any others through [far]. *)
+let index ~base ~len (pre : preorder) ~globals ~locals =
   let nodes = pre.nodes and lasts = pre.last in
   let n = Array.length nodes in
   let pos_of_serial = Array.make len (-1) and far = Hashtbl.create 16 in
@@ -159,22 +164,23 @@ let index ~base ~len (pre : preorder) pays =
     lasts.(i) <- lasts.(i) lsl shift
   done;
   {
-    n; nodes; lasts; pays; serial_base = base; pos_of_serial; far;
+    n; nodes; lasts; globals; locals; serial_base = base; pos_of_serial; far;
     versions = IMap.empty; ends = IMap.empty; pays' = IMap.empty;
     ins = IMap.empty; moves = Moves.E; added = IMap.empty; edits = 0;
     live = n; log = []; log_len = 0;
   }
 
-let of_preorder (pre : preorder) pays =
-  if Array.length pays <> Array.length pre.nodes then
-    invalid_arg "Order_index.of_preorder: one payload per node";
+let of_preorder (pre : preorder) ~globals ~locals =
+  let n = Array.length pre.nodes in
+  if Array.length globals <> n || Array.length locals <> n then
+    invalid_arg "Order_index.of_preorder: one identifier per node";
   let lo = ref max_int and hi = ref min_int in
   Array.iter
     (fun x ->
       if x.Dom.serial < !lo then lo := x.Dom.serial;
       if x.Dom.serial > !hi then hi := x.Dom.serial)
     pre.nodes;
-  index ~base:!lo ~len:(!hi - !lo + 1) pre pays
+  index ~base:!lo ~len:(!hi - !lo + 1) pre ~globals ~locals
 
 let built_pos_of_serial t s =
   let i = s - t.serial_base in
@@ -234,10 +240,18 @@ let last t k =
   else if is_built k then built_field t.ends t.lasts k
   else (inserted t k).last
 
+let built_id t i =
+  let g = t.globals.(i) and local = t.locals.(i) in
+  if g < 0 then { global = -g; local; is_root = true }
+  else { global = g; local; is_root = false }
+
 let pay t k =
-  if is_built k && t.pays' == IMap.empty then t.pays.(k asr shift)
-  else if is_built k then built_field t.pays' t.pays k
-  else (inserted t k).pay
+  if not (is_built k) then (inserted t k).pay
+  else if t.pays' == IMap.empty then built_id t (k asr shift)
+  else
+    match IMap.find_opt k t.pays' with
+    | Some i -> i
+    | None -> built_id t (k asr shift)
 
 (* Tags and parent identities are the same in every version of a node,
    so these read any version: a built key's without a map probe. *)
@@ -248,7 +262,7 @@ let parent t k =
 
 let has_tag t k tag =
   match (any_version t k).Dom.kind with
-  | Dom.Element e -> String.equal e.Dom.tag tag
+  | Dom.Element { tag = t; _ } -> String.equal t tag
   | _ -> false
 
 (* The first live key after [k] in document order, or -1. *)
@@ -289,9 +303,12 @@ let fold f t acc =
   iter_range t ~lo:0 ~hi:max_int (fun k -> acc := f k !acc);
   !acc
 
-(* Unedited payloads are the build's array, in document order. *)
+(* Unedited identifiers are the build's arrays, in document order. *)
 let iter_pay f t =
-  if t.moves == Moves.E && t.pays' == IMap.empty then Array.iter f t.pays
+  if t.moves == Moves.E && t.pays' == IMap.empty then
+    for i = 0 to t.n - 1 do
+      f (built_id t i)
+    done
   else iter_range t ~lo:0 ~hi:max_int (fun k -> f (pay t k))
 
 (* Built keys before [k]: its built position, plus one when [k] is an
@@ -325,6 +342,17 @@ let nth t r =
     | Some k -> k
     | None -> (r - Moves.sum t.moves) lsl shift
   end
+
+(* Subtree sizes in document order.  A build's extents are positions
+   already; an edited index converts each through the moves. *)
+let iter_sizes f t =
+  if t.moves == Moves.E && t.ends == IMap.empty then
+    for i = 0 to t.n - 1 do
+      f ((t.lasts.(i) asr shift) - i + 1)
+    done
+  else
+    iter_range t ~lo:0 ~hi:max_int (fun k ->
+        f (rank t (last t k) - rank t k + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Persistent edits                                                    *)
@@ -392,5 +420,13 @@ let remove t k =
    however long the process has run. *)
 let compact t root =
   let pre = preorder root in
-  let pays = Array.map (fun x -> pay t (key t x)) pre.nodes in
-  index ~base:t.serial_base ~len:(Array.length t.pos_of_serial) pre pays
+  let m = Array.length pre.nodes in
+  let globals = Array.make m 0 and locals = Array.make m 0 in
+  Array.iteri
+    (fun i x ->
+      let id = pay t (key t x) in
+      globals.(i) <- (if id.is_root then -id.global else id.global);
+      locals.(i) <- id.local)
+    pre.nodes;
+  index ~base:t.serial_base ~len:(Array.length t.pos_of_serial) pre ~globals
+    ~locals

@@ -20,22 +20,22 @@ let add_u32_le buf v =
   done
 
 (* CRC-32 of the preorder subtree sizes, as varints: the tree shape the
-   frame's positions and fan-outs are checked against. *)
-let shape_digest (pre : O.preorder) =
-  let n = Array.length pre.last in
-  let buf = Buffer.create n in
-  for i = 0 to n - 1 do
-    Codec.write_varint buf (pre.last.(i) - i + 1)
-  done;
-  Crc32.string (Buffer.contents buf)
+   frame's positions and fan-outs are checked against.  [sizes] feeds them
+   in document order; no varint is laid out in memory. *)
+let shape_digest sizes =
+  let crc = ref Crc32.start in
+  sizes (fun size -> crc := Crc32.add_varint !crc size);
+  Crc32.finish !crc
 
+(* The shape comes from the numbering's order index, which holds every
+   subtree's extent: no walk of the tree. *)
 let v4_header t =
-  let pre = O.preorder (Ruid2.root t) in
+  let o = Ruid2.order t in
   let buf = Buffer.create 16 in
   Codec.write_varint buf (root_kind t);
   Codec.write_varint buf (Ruid2.kappa t);
-  Codec.write_varint buf (Array.length pre.nodes);
-  add_u32_le buf (shape_digest pre);
+  Codec.write_varint buf (O.size o);
+  add_u32_le buf (shape_digest (fun f -> O.iter_sizes f o));
   buf
 
 (* Area 1's fan-out, then per further area in document order of its
@@ -215,7 +215,13 @@ let sidecar_of_v4 root bytes =
         let kappa = rd_varint r in
         let count = rd_varint r in
         if count <> n then rejectf r "node count %d, the tree has %d" count n;
-        let stored = rd_u32_le r and actual = shape_digest pre in
+        let stored = rd_u32_le r
+        and actual =
+          shape_digest (fun f ->
+              for i = 0 to n - 1 do
+                f (pre.last.(i) - i + 1)
+              done)
+        in
         if stored <> actual then
           rejectf r "shape digest %08x, the tree's is %08x" stored actual;
         kappa)

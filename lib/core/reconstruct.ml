@@ -3,7 +3,7 @@ module Dom = Rxml.Dom
 let shallow (n : Dom.t) =
   match n.Dom.kind with
   | Dom.Document -> Dom.document ()
-  | Dom.Element e -> Dom.element ~attrs:e.Dom.attrs e.Dom.tag
+  | Dom.Element { tag; attrs } -> Dom.element ~attrs tag
   | Dom.Text s -> Dom.text s
   | Dom.Comment s -> Dom.comment s
   | Dom.Pi (t, d) -> Dom.pi t d

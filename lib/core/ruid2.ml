@@ -1,7 +1,7 @@
 module Dom = Rxml.Dom
 module U = Uid.Over_int
 
-type id = { global : int; local : int; is_root : bool }
+type id = Order_index.id = { global : int; local : int; is_root : bool }
 
 let pp_id ppf i =
   Format.fprintf ppf "(%d, %d, %b)" i.global i.local i.is_root
@@ -26,7 +26,7 @@ module IMap = Map.Make (Int)
 type state = {
   ktable : Ktable.t;
   frame : Frame.t;  (* cut set, and this version's copy of the tree root *)
-  order : id Order_index.t;  (* key -> node version, subtree end, id *)
+  order : Order_index.t;  (* key -> node version, subtree end, id *)
   areas : area IMap.t;  (* area global -> its enumerated nodes *)
 }
 
@@ -171,18 +171,20 @@ let area_at (lay : Frame.layout) c =
    child of the node at local [l] in an area of fan-out [k] takes local
    [(l - 1) * k + 2 + j], and an area root's global is the kappa-ary
    child of its frame parent's at its frame slot.  The tree root's
-   identifier sits in [ids] already; every other one goes into [ids].
+   identifier sits in [globals] and [locals] already; every other one
+   goes into them, its global negated on an area root (the order index
+   keeps them so, unboxed).
    [fan] holds each area's fan-out and [lay.fslot] each area's frame
    slot: the layout's own when numbering, the stored ones when
    restoring.  [overflow] gets the root position of an area whose index
    leaves the native int.  Returns the area tables. *)
-let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~overflow =
+let enumerate (lay : Frame.layout) ~kappa ~fan ~globals ~locals:ls ~overflow =
   let nodes = lay.pre.nodes and last = lay.pre.last and cut = lay.cut in
   let q = Array.make (Array.fold_left max 1 lay.members) 0 in
   let areas = ref IMap.empty in
   for a = 0 to Array.length lay.aroot - 1 do
     let r = lay.aroot.(a) and k = fan.(a) and m = lay.members.(a) in
-    let g = ids.(r).global in
+    let g = abs globals.(r) in
     let locals = Array.make m 1 and serials = Array.make m 0 in
     q.(0) <- r;
     let tail = ref 1 in
@@ -208,12 +210,13 @@ let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~overflow =
     for h = 1 to m - 1 do
       let c = q.(h) and l = locals.(h) in
       serials.(h) <- nodes.(c).Dom.serial;
+      ls.(c) <- l;
       if Bytes.unsafe_get cut c <> '\000' then begin
         let slot = lay.fslot.(area_at lay c) in
         if g - 1 > (max_int - 2 - slot) / kappa then overflow c;
-        ids.(c) <- { global = ((g - 1) * kappa) + 2 + slot; local = l; is_root = true }
+        globals.(c) <- -(((g - 1) * kappa) + 2 + slot)
       end
-      else ids.(c) <- { global = g; local = l; is_root = false }
+      else globals.(c) <- g
     done;
     areas := IMap.add g { locals; serials } !areas
   done;
@@ -222,20 +225,19 @@ let enumerate (lay : Frame.layout) ~kappa ~fan ~ids ~overflow =
 (* The numbering [enumerate] derives from a layout, its frame slots and
    the fan-outs [fan]; K's rows come out of the enumeration. *)
 let build frame (lay : Frame.layout) ~kappa ~fan ~overflow =
-  let ids =
-    Array.make (Array.length lay.pre.nodes) { global = 1; local = 1; is_root = true }
-  in
-  let areas = enumerate lay ~kappa ~fan ~ids ~overflow in
+  (* the tree root's identifier, (1, 1, true), at position 0 *)
+  let n = Array.length lay.pre.nodes in
+  let globals = Array.make n (-1) and locals = Array.make n 1 in
+  let areas = enumerate lay ~kappa ~fan ~globals ~locals ~overflow in
   let krows =
     List.init (Array.length lay.aroot) (fun a ->
-        let i = ids.(lay.aroot.(a)) in
-        { Ktable.global = i.global; root_local = i.local; fanout = fan.(a) })
+        let r = lay.aroot.(a) in
+        { Ktable.global = abs globals.(r); root_local = locals.(r);
+          fanout = fan.(a) })
   in
-  {
-    kappa;
-    st = { ktable = Ktable.make krows; frame; order = O.of_preorder lay.pre ids; areas };
-    exclusive = true;
-  }
+  let order = O.of_preorder lay.pre ~globals ~locals in
+  { kappa; st = { ktable = Ktable.make krows; frame; order; areas };
+    exclusive = true }
 
 let of_layout frame (lay : Frame.layout) =
   build frame lay ~kappa:lay.kappa ~fan:lay.fanout

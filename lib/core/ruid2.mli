@@ -15,7 +15,9 @@
     Every derivation routine ([rparent], [rchildren], relations) touches only
     kappa and K: no tree access. *)
 
-type id = { global : int; local : int; is_root : bool }
+type id = Order_index.id = { global : int; local : int; is_root : bool }
+(** Built numberings keep identifiers unboxed in their {!order} index;
+    {!id_of_node} returns a fresh record. *)
 
 val pp_id : Format.formatter -> id -> unit
 val id_to_string : id -> string
@@ -81,7 +83,7 @@ val frame : t -> Frame.t
 val root : t -> Rxml.Dom.t
 val area_count : t -> int
 
-val order : t -> id Order_index.t
+val order : t -> Order_index.t
 (** The document-order index the numbering keeps: every node's order key,
     its current version, its subtree extent and its identifier. *)
 

@@ -7,12 +7,10 @@ type t = {
 
 and kind =
   | Document
-  | Element of element
+  | Element of { mutable tag : string; mutable attrs : (string * string) list }
   | Text of string
   | Comment of string
   | Pi of string * string
-
-and element = { mutable tag : string; mutable attrs : (string * string) list }
 
 (* Serials are process-global and several domains build trees at once (a
    commit pipeline cloning a snapshot while a writer clones or inserts), so
@@ -57,11 +55,12 @@ let append_child parent child =
   parent.children <- parent.children @ [ child ]
 
 let append_children parent children =
+  let up = Some parent in
   List.iter
     (fun c ->
       match c.parent with
       | Some _ -> invalid_arg "Dom.append_children: child already attached"
-      | None -> c.parent <- Some parent)
+      | None -> c.parent <- up)
     children;
   parent.children <- parent.children @ children
 

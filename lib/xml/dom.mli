@@ -19,12 +19,11 @@ type t = {
 
 and kind =
   | Document
-  | Element of element
+  | Element of { mutable tag : string; mutable attrs : (string * string) list }
+      (** fields inline: one block per element, no separate record *)
   | Text of string
   | Comment of string
   | Pi of string * string  (** target, data *)
-
-and element = { mutable tag : string; mutable attrs : (string * string) list }
 
 (** {1 Construction} *)
 
@@ -61,8 +60,8 @@ val append_child : t -> t -> unit
 val append_children : t -> t list -> unit
 (** [append_children parent children] appends [children] in order, in
     O(degree + |children|) total — the bulk form parsers use to keep wide
-    nodes linear.  @raise Invalid_argument if any child already has a
-    parent. *)
+    nodes linear.  The children share one [Some parent] cell.
+    @raise Invalid_argument if any child already has a parent. *)
 
 val insert_child : t -> pos:int -> t -> unit
 (** [insert_child parent ~pos child] inserts [child] so that it becomes the

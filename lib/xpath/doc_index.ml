@@ -8,7 +8,7 @@ module SMap = Map.Make (String)
    order's edit log into new arrays for the tags it touched and shares
    every other posting array. *)
 type t = {
-  order : R2.id O.t;
+  order : O.t;
   posts : (string, int array) Hashtbl.t;  (* tag -> ascending keys, at build *)
   touched : int array SMap.t;  (* tags whose postings changed since *)
   log : (int * Dom.t * bool) list;  (* the order's log as folded *)

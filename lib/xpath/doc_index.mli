@@ -44,7 +44,7 @@ val key : t -> Rxml.Dom.t -> int
 val key_opt : t -> Rxml.Dom.t -> int option
 val mem : t -> Rxml.Dom.t -> bool
 
-val order : t -> Ruid.Ruid2.id Ruid.Order_index.t
+val order : t -> Ruid.Order_index.t
 (** The numbering's order index: {!Ruid.Order_index.node},
     [last], [next], [parent] and [has_tag] read a key's node version,
     subtree end, successor, parent key and tag — one array read each on a

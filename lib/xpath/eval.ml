@@ -51,7 +51,7 @@ let to_num = function
 
 let matches_test test (n : Dom.t) =
   match (test, n.Dom.kind) with
-  | Ast.Name t, Dom.Element e -> e.Dom.tag = t
+  | Ast.Name t, Dom.Element { tag; _ } -> tag = t
   | Ast.Wildcard, Dom.Element _ -> true
   | Ast.Text_test, Dom.Text _ -> true
   | Ast.Comment_test, Dom.Comment _ -> true
@@ -135,7 +135,7 @@ let rec eval_path eng context (p : Ast.path) : value =
               match Dom.attr n a with Some v -> [ v ] | None -> [])
             | Ast.Wildcard | Ast.Node_any -> (
               match n.Dom.kind with
-              | Dom.Element e -> List.map snd e.Dom.attrs
+              | Dom.Element { attrs; _ } -> List.map snd attrs
               | _ -> [])
             | Ast.Text_test | Ast.Comment_test -> [])
           current
