@@ -28,18 +28,12 @@ let json_append : string list ref = ref []
 let json_sidecar : string list ref = ref []
 let v4_over_v3_5000 = ref nan
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e12-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e12"
 
 let paths () =
-  ( Filename.concat workdir "snapshot.xml",
-    Filename.concat workdir "snapshot.ruid",
-    Filename.concat workdir "journal.wal" )
+  ( Filename.concat (workdir ()) "snapshot.xml",
+    Filename.concat (workdir ()) "snapshot.ruid",
+    Filename.concat (workdir ()) "journal.wal" )
 
 let fresh_snapshot ~seed ~size ~area =
   let base =

@@ -17,13 +17,7 @@ module Protocol = Rserver.Protocol
 
 let json_rows : string list ref = ref []
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e13-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e13"
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -37,8 +31,8 @@ let run_level ~doc_name ~root ~clients ~per_client ~workers ~max_queue =
   let tag = Printf.sprintf "c%d" clients in
   let cfg =
     {
-      Service.socket_path = Filename.concat workdir (tag ^ ".sock");
-      data_dir = Filename.concat workdir tag;
+      Service.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+      data_dir = Filename.concat (workdir ()) tag;
       workers;
       max_queue;
       deadline_ms = 0;

@@ -35,13 +35,7 @@ type level = {
 
 let results : level list ref = ref []
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e14-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e14"
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -80,8 +74,8 @@ let run_level ~doc_name ~root ~mode ~cache_mb ~mix_name ~update_every ~clients
   in
   let cfg =
     {
-      Service.socket_path = Filename.concat workdir (tag ^ ".sock");
-      data_dir = Filename.concat workdir tag;
+      Service.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+      data_dir = Filename.concat (workdir ()) tag;
       workers;
       max_queue = 0 (* default: 4 x pool *);
       deadline_ms = 0;

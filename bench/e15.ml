@@ -36,13 +36,7 @@ type level = {
 
 let results : level list ref = ref []
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e15-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e15"
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -62,8 +56,8 @@ let run_level ~doc_name ~root ~batching ~mix_name ~period ~updates_per_period
   in
   let cfg =
     {
-      Service.socket_path = Filename.concat workdir (tag ^ ".sock");
-      data_dir = Filename.concat workdir tag;
+      Service.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+      data_dir = Filename.concat (workdir ()) tag;
       workers = clients + 1;
       max_queue = 0 (* default: 4 x pool *);
       deadline_ms = 0;

@@ -30,13 +30,7 @@ module Client = Rserver.Client
 module Protocol = Rserver.Protocol
 module Snapshot = Rserver.Snapshot
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e17-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e17"
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -45,8 +39,8 @@ let percentile sorted p =
 
 let service_config tag =
   {
-    Service.socket_path = Filename.concat workdir (tag ^ ".sock");
-    data_dir = Filename.concat workdir tag;
+    Service.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+    data_dir = Filename.concat (workdir ()) tag;
     workers = 2;
     max_queue = 16;
     deadline_ms = 0;
@@ -64,8 +58,8 @@ let service_config tag =
 
 let replica_config ~primary tag =
   {
-    Replica.socket_path = Filename.concat workdir (tag ^ ".sock");
-    data_dir = Filename.concat workdir tag;
+    Replica.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+    data_dir = Filename.concat (workdir ()) tag;
     primary;
     workers = 2;
     max_queue = 16;

@@ -36,13 +36,7 @@ module Shard_map = Rserver.Shard_map
 module Client = Rserver.Client
 module Protocol = Rserver.Protocol
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e18-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e18"
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -51,8 +45,8 @@ let percentile sorted p =
 
 let shard_config tag =
   {
-    Service.socket_path = Filename.concat workdir (tag ^ ".sock");
-    data_dir = Filename.concat workdir tag;
+    Service.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+    data_dir = Filename.concat (workdir ()) tag;
     workers = 2;
     max_queue = 32;
     deadline_ms = 0;
@@ -173,7 +167,7 @@ let run () =
   let srvs = Array.map (fun c -> Service.start c []) scfgs in
   let rcfg =
     Router.default_config
-      ~socket_path:(Filename.concat workdir "e18r.sock")
+      ~socket_path:(Filename.concat (workdir ()) "e18r.sock")
       ~shard_sockets:shard_socks ()
   in
   let router = Router.start rcfg in

@@ -32,13 +32,7 @@ type level = {
 
 let results : level list ref = ref []
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e19-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e19"
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -55,8 +49,8 @@ let run_level ~roots ~groups ~clients ~per_client =
   let tag = Printf.sprintf "g%d-c%d" groups clients in
   let cfg =
     {
-      Service.socket_path = Filename.concat workdir (tag ^ ".sock");
-      data_dir = Filename.concat workdir tag;
+      Service.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
+      data_dir = Filename.concat (workdir ()) tag;
       workers = clients + 1;
       max_queue = 0 (* default: 4 x pool *);
       deadline_ms = 0;

@@ -42,27 +42,16 @@ let fns ns =
 
 let fbool b = if b then "yes" else "no"
 
-(* Peak resident set (VmHWM) of the calling process in KiB, from
-   /proc/self/status; 0 where /proc is unavailable (non-Linux).  The
-   high-water mark is monotone for the process lifetime, so callers that
-   want the footprint of one phase sample it before and after and take the
-   difference. *)
-let peak_rss_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let rec go () =
-      match input_line ic with
-      | exception End_of_file -> 0
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-          try Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
-                Fun.id
-          with Scanf.Scan_failure _ | Failure _ -> 0
-        else go ()
-    in
-    go ()
+(* The scratch directory of experiment [name] in this harness process,
+   made on first use: no module makes one as it loads, so a process
+   started for one build (E20's children) leaves nothing behind. *)
+let workdir name =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ruid-%s-%d" name (Unix.getpid ()))
+  in
+  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  d
 
 (* Provenance stamped into every BENCH_*.json: bench numbers without the
    machine, toolchain and revision that produced them are not comparable
@@ -90,7 +79,7 @@ let meta_json ?(knobs = []) () =
     {|  "meta": {"cores": %d, "ocaml": %S, "git_rev": %S, "timestamp": %.0f, "peak_rss_kb": %d%s}|}
     (Domain.recommended_domain_count ())
     Sys.ocaml_version git_rev (Unix.gettimeofday ())
-    (peak_rss_kb ()) knob_members
+    (Rserver.Metrics.vm_hwm_kb ()) knob_members
 
 (* Wall-clock timing for macro operations (result, seconds). *)
 let time f =

@@ -194,6 +194,23 @@ let parse_name st =
   done;
   Buffer.contents b
 
+(* A tag or attribute name as the parse's one string for it.  The name is
+   pulled whole into the window (growing it for a name longer than a
+   chunk) and looked up there, so only its first occurrence is copied. *)
+let parse_shared_name st names =
+  if not (is_name_start (peek st)) then fail st "expected a name";
+  let len = ref 1 in
+  while
+    (st.pos + !len < st.len || available st (!len + 1))
+    && is_name_char (Bytes.unsafe_get st.buf (st.pos + !len))
+  do
+    incr len
+  done;
+  let name = Names.intern names st.buf st.pos !len in
+  st.pos <- st.pos + !len;
+  st.col <- st.col + !len;
+  name
+
 let add_codepoint buf code =
   if code < 0x80 then Buffer.add_char buf (Char.chr code)
   else if code < 0x800 then begin
@@ -266,11 +283,11 @@ let parse_attr_value st =
   go ();
   Buffer.contents buf
 
-let parse_attributes st =
+let parse_attributes st names =
   let rec go acc =
     skip_ws st;
     if is_name_start (peek st) then begin
-      let name = parse_name st in
+      let name = parse_shared_name st names in
       skip_ws st;
       expect st '=';
       skip_ws st;
@@ -325,6 +342,7 @@ let fold_source ?(keep_whitespace = false) ?(max_depth = 10_000) st ~init ~f =
   let stack = ref [] in
   let depth = ref 0 in
   let seen_root = ref false in
+  let names = Names.create () in
   (* prolog *)
   skip_ws st;
   if looking_at st "<?xml" then begin
@@ -333,12 +351,14 @@ let fold_source ?(keep_whitespace = false) ?(max_depth = 10_000) st ~init ~f =
     ignore (scan_until st "?>" "XML declaration")
   end;
   let flush_text buf =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    if String.length s > 0 && (keep_whitespace || not (is_all_whitespace s))
-    then
-      if !stack <> [] then emit (Text s)
-      else if not (is_all_whitespace s) then fail st "text outside the root element"
+    if Buffer.length buf > 0 then begin
+      let s = Buffer.contents buf in
+      Buffer.clear buf;
+      if keep_whitespace || not (is_all_whitespace s) then
+        if !stack <> [] then emit (Text s)
+        else if not (is_all_whitespace s) then
+          fail st "text outside the root element"
+    end
   in
   let text_buf = Buffer.create 64 in
   (* Dispatch on the first two bytes; anything else is a text run handled
@@ -349,8 +369,8 @@ let fold_source ?(keep_whitespace = false) ?(max_depth = 10_000) st ~init ~f =
     flush_text text_buf;
     if !stack = [] && !seen_root then fail st "content after root element";
     advance st;
-    let tag = parse_name st in
-    let attrs = parse_attributes st in
+    let tag = parse_shared_name st names in
+    let attrs = parse_attributes st names in
     skip_ws st;
     seen_root := true;
     if !depth + 1 > max_depth then
@@ -400,7 +420,7 @@ let fold_source ?(keep_whitespace = false) ?(max_depth = 10_000) st ~init ~f =
         | '/' ->
           flush_text text_buf;
           expect_str st "</";
-          let tag = parse_name st in
+          let tag = parse_shared_name st names in
           skip_ws st;
           expect st '>';
           (match !stack with

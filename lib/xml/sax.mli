@@ -44,7 +44,9 @@ val fold_source :
 (** [fold_source src ~init ~f] runs [f] over the event stream of the feed.
     Events arrive in document order; element nesting is validated, and
     nesting deeper than [max_depth] (default 10000, the {!Parser} budget)
-    is rejected.
+    is rejected.  A fold makes one string per distinct tag and attribute
+    name: every event naming it carries that string, as {!Parser} shares
+    names in its tree.
     @raise Parser.Parse_error on malformed input. *)
 
 val iter_source :

@@ -466,22 +466,6 @@ let test_concurrent_scatters () =
   | [] -> ()
   | m :: _ -> Alcotest.failf "%d bad replies, e.g. %s" (List.length !bad) m
 
-(* This process's thread count, from /proc (0 where there is none). *)
-let threads_now () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-    let rec go () =
-      match input_line ic with
-      | exception End_of_file -> 0
-      | line when String.length line > 8 && String.sub line 0 8 = "Threads:"
-        ->
-        int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
-      | _ -> go ()
-    in
-    go ()
-
 (* The scatter runs on the session thread: while the shards handle it,
    and after 200 of them, the process has no thread it did not have
    before. *)
@@ -492,7 +476,7 @@ let test_scatter_spawns_no_threads () =
     if n > p && not (Atomic.compare_and_set peak p n) then raise_peak n
   in
   let shard () =
-    raise_peak (threads_now ());
+    raise_peak (Rserver.Metrics.proc_status "Threads");
     P.Ok_ "v=1 total=1 d=1"
   in
   with_toy_shard shard @@ fun s0 ->
@@ -502,7 +486,7 @@ let test_scatter_spawns_no_threads () =
   C.with_connection rsock @@ fun c ->
   (* the first scatter opens the pooled connections *)
   ignore (ok_body (C.request c (P.Count "//d")));
-  let baseline = threads_now () in
+  let baseline = Rserver.Metrics.proc_status "Threads" in
   Atomic.set peak 0;
   for _ = 1 to 200 do
     ignore (ok_body (C.request c (P.Count "//d")))
@@ -513,7 +497,7 @@ let test_scatter_spawns_no_threads () =
     true
     (Atomic.get peak <= baseline);
   (* a thread of an earlier test may still be exiting, never starting *)
-  let after = threads_now () in
+  let after = Rserver.Metrics.proc_status "Threads" in
   Alcotest.(check bool)
     (Printf.sprintf "no thread left behind (%d, before %d)" after baseline)
     true (after <= baseline)
