@@ -46,6 +46,8 @@ let run_level ~doc_name ~root ~clients ~per_client ~workers ~max_queue =
       wal_segment_bytes = 0;
       plan_cache = 256;
       epoch = 1;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let srv = Service.start cfg [ (doc_name, Rxml.Dom.clone root) ] in

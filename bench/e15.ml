@@ -71,6 +71,8 @@ let run_level ~doc_name ~root ~batching ~mix_name ~period ~updates_per_period
       wal_segment_bytes = 0;
       plan_cache = 256;
       epoch = 1;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let srv = Service.start cfg [ (doc_name, Rxml.Dom.clone root) ] in

@@ -25,7 +25,6 @@
    file as an artifact. *)
 
 module Service = Rserver.Service
-module Replica = Rserver.Replica
 module Client = Rserver.Client
 module Protocol = Rserver.Protocol
 module Snapshot = Rserver.Snapshot
@@ -54,21 +53,17 @@ let service_config tag =
     wal_segment_bytes = 0;
     plan_cache = 256;
     epoch = 1;
+    upstream = None;
+    poll_ms = 500;
   }
 
+(* A follower is a service with an upstream. *)
 let replica_config ~primary tag =
-  {
-    Replica.socket_path = Filename.concat (workdir ()) (tag ^ ".sock");
-    data_dir = Filename.concat (workdir ()) tag;
-    primary;
-    workers = 2;
-    max_queue = 16;
-    poll_ms = 25;
-    plan_cache = 256;
-  }
+  { (service_config tag) with
+    Service.upstream = Some primary; poll_ms = 25 }
 
 let wait_for_version r v =
-  while (Replica.snapshot r).Snapshot.version < v do
+  while (Service.snapshot r).Snapshot.version < v do
     Thread.delay 0.001
   done
 
@@ -131,9 +126,9 @@ let rotation_catchup root k =
         write c
       done);
   let rcfg = replica_config ~primary:psock (tag ^ "r") in
-  let rep = Replica.start rcfg in
+  let rep = Service.start rcfg [] in
   wait_for_version rep (1 + !next);
-  Replica.stop rep;
+  Service.stop rep;
   let g0, _ = journal_state psock "bench" in
   (Client.with_connection psock @@ fun c ->
    let rec go () =
@@ -150,12 +145,12 @@ let rotation_catchup root k =
    go ());
   let served0 = stats_int psock "repl_served_bytes" in
   let t0 = Unix.gettimeofday () in
-  let rep = Replica.start rcfg in
+  let rep = Service.start rcfg [] in
   (* caught up = every record applied AND the live generation mirrored:
      the last records can arrive before the last checkpoint pair *)
   let live_gen = fst (journal_state psock "bench") in
   wait_for_version rep (1 + !next);
-  while fst (journal_state rcfg.Replica.socket_path "bench") < live_gen do
+  while fst (journal_state rcfg.Service.socket_path "bench") < live_gen do
     Thread.delay 0.001
   done;
   let seconds = Unix.gettimeofday () -. t0 in
@@ -167,7 +162,7 @@ let rotation_catchup root k =
       0
       (Rstorage.Wal.family (Filename.concat pcfg.Service.data_dir "bench.wal"))
   in
-  Replica.stop rep;
+  Service.stop rep;
   Service.stop srv;
   { k; seconds; fetched_bytes; family_bytes }
 
@@ -195,7 +190,7 @@ let run () =
   let target_v = 1 + backlog in
   let t0 = Unix.gettimeofday () in
   let rcfg = replica_config ~primary:pcfg.Service.socket_path "e17r" in
-  let rep = Replica.start rcfg in
+  let rep = Service.start rcfg [] in
   wait_for_version rep target_v;
   let catchup_s = Unix.gettimeofday () -. t0 in
   let catchup_bps = float_of_int wal_bytes /. catchup_s in
@@ -230,7 +225,7 @@ let run () =
   Service.stop srv;
   let t1 = Unix.gettimeofday () in
   let first_read_s =
-    Client.with_connection rcfg.Replica.socket_path @@ fun c ->
+    Client.with_connection rcfg.Service.socket_path @@ fun c ->
     (match Client.request c Protocol.Promote with
     | Protocol.Ok_ _ -> ()
     | r -> failwith ("E17 PROMOTE: " ^ Protocol.response_to_string r));
@@ -238,7 +233,7 @@ let run () =
     | Protocol.Ok_ _ -> Unix.gettimeofday () -. t1
     | r -> failwith ("E17 failover read: " ^ Protocol.response_to_string r)
   in
-  Replica.stop rep;
+  Service.stop rep;
 
   (* --- catch-up across rotations ------------------------------------ *)
   let rotations = List.map (rotation_catchup root) [ 1; 4; 16 ] in

@@ -60,6 +60,8 @@ let shard_config tag =
     wal_segment_bytes = 0;
     plan_cache = 64;
     epoch = 1;
+    upstream = None;
+    poll_ms = 500;
   }
 
 let shards = 3

@@ -64,6 +64,8 @@ let run_level ~roots ~groups ~clients ~per_client =
       wal_segment_bytes = 0;
       plan_cache = 256;
       epoch = 1;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let docs =

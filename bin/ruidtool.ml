@@ -646,6 +646,16 @@ let serve_until_stopped ~stop ~wait =
        ());
   wait ()
 
+let wal_segment_bytes_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "wal-segment-bytes" ] ~docv:"BYTES"
+        ~doc:
+          "Rotate a document's WAL once its segment reaches BYTES: cut a \
+           checkpoint of the durable state and restart the journal from \
+           it, bounding replay cost.  0 (the default) disables rotation.  \
+           A replica rotates only once promoted.")
+
 let serve_cmd =
   let files =
     Arg.(
@@ -734,16 +744,6 @@ let serve_cmd =
              commit queue, WAL family and fsync cadence, so unrelated \
              documents commit concurrently.  0 (the default) provisions \
              one pipeline per read domain (minimum 1).")
-  in
-  let wal_segment_bytes =
-    Arg.(
-      value & opt int 0
-      & info [ "wal-segment-bytes" ] ~docv:"BYTES"
-          ~doc:
-            "Rotate a document's WAL once its segment reaches BYTES: cut \
-             a checkpoint of the durable state and restart the journal \
-             from it, bounding replay cost.  0 (the default) disables \
-             rotation.")
   in
   let plan_cache =
     Arg.(
@@ -835,6 +835,8 @@ let serve_cmd =
         wal_segment_bytes;
         plan_cache;
         epoch;
+        upstream = None;
+        poll_ms = 500;
       }
     in
     (match Service.validate_config cfg with
@@ -903,7 +905,7 @@ let serve_cmd =
     Term.(
       const run $ files $ data_dir $ workers $ max_queue $ domains $ cache_mb
       $ deadline_ms $ commit_interval_us $ commit_batch $ commit_groups
-      $ wal_segment_bytes $ plan_cache $ epoch $ max_depth
+      $ wal_segment_bytes_arg $ plan_cache $ epoch $ max_depth
       $ max_area $ gen_kind $ gen_size $ seed_arg $ socket_arg)
 
 let replica_cmd =
@@ -960,7 +962,8 @@ let replica_cmd =
     prerr_endline ("ruidtool replica: " ^ msg);
     exit 2
   in
-  let run socket primary data_dir workers max_queue poll_ms plan_cache =
+  let run socket primary data_dir workers max_queue poll_ms plan_cache
+      wal_segment_bytes =
     let data_dir =
       match data_dir with
       | Some d -> d
@@ -975,22 +978,22 @@ let replica_cmd =
     in
     let cfg =
       {
-        Rserver.Replica.socket_path = socket;
-        data_dir;
-        primary;
+        (Service.default_config ~socket_path:socket ~data_dir ()) with
         workers;
         max_queue;
-        poll_ms;
         plan_cache;
+        wal_segment_bytes;
+        upstream = Some primary;
+        poll_ms;
       }
     in
-    (match Rserver.Replica.validate_config cfg with
+    (match Service.validate_config cfg with
     | Ok () -> ()
     | Error msg -> fail msg);
     block_stop_signals ();
     let t =
-      try Rserver.Replica.start cfg with
-      | Rserver.Replica.Fenced { seen; got } ->
+      try Service.start cfg [] with
+      | Service.Fenced { seen; got } ->
         prerr_endline
           (Printf.sprintf
              "ruidtool replica: upstream %s is fenced out: it serves epoch \
@@ -1004,17 +1007,15 @@ let replica_cmd =
           (Printf.sprintf "cannot reach upstream %s: %s (%s %s)" primary
              (Unix.error_message e) fn arg)
     in
-    let s = Rserver.Replica.snapshot t in
+    let s = Service.snapshot t in
     Printf.printf
       "following %s at epoch %d, serving on %s (v=%d, workers %d, queue \
        %d)\n%!"
-      primary
-      (Rserver.Replica.epoch t)
-      socket s.Rserver.Snapshot.version workers
+      primary (Service.epoch t) socket s.Rserver.Snapshot.version workers
       (Service.resolved_max_queue ~max_queue ~workers ~domains:0);
     serve_until_stopped
-      ~stop:(fun () -> Rserver.Replica.stop t)
-      ~wait:(fun () -> Rserver.Replica.wait t);
+      ~stop:(fun () -> Service.stop t)
+      ~wait:(fun () -> Service.wait t);
     print_endline "replica stopped."
   in
   Cmd.v
@@ -1022,11 +1023,12 @@ let replica_cmd =
        ~doc:
          "Follow a running server as a read replica: mirror its WAL stream \
           byte for byte, serve snapshot-isolated (possibly stale) reads, \
-          and accept PROMOTE to fail over.  Exit status 4 means the \
-          upstream is behind this mirror's fencing epoch.")
+          and accept PROMOTE to fail over, after which the node is a full \
+          primary.  Exit status 4 means the upstream is behind this \
+          mirror's fencing epoch.")
     Term.(
       const run $ socket_arg $ primary $ data_dir $ workers $ max_queue
-      $ poll_ms $ plan_cache)
+      $ poll_ms $ plan_cache $ wal_segment_bytes_arg)
 
 let client_cmd =
   let words =

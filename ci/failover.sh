@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Failover drill: a primary and two chained followers, kill -9 the
-# primary, promote the first follower, and check convergence, fencing,
-# graceful stops and the data every node leaves.
+# primary, promote the first follower, and check convergence, that the
+# promoted node rotates and takes membership changes like any primary,
+# fencing, graceful stops and the data every node leaves.
 . "$(dirname "$0")/lib.sh"
 
 P=/tmp/ruid-rp.sock; F1=/tmp/ruid-rf1.sock; F2=/tmp/ruid-rf2.sock
@@ -10,7 +11,8 @@ P=/tmp/ruid-rp.sock; F1=/tmp/ruid-rf1.sock; F2=/tmp/ruid-rf2.sock
 SRV=$!
 wait_socket "$P"
 # a follower of the primary, and a follower of that follower
-"$RUIDTOOL" replica --socket "$F1" --data-dir /tmp/ruid-rf1-data --primary "$P" --poll-ms 50 &
+"$RUIDTOOL" replica --socket "$F1" --data-dir /tmp/ruid-rf1-data --primary "$P" --poll-ms 50 \
+  --wal-segment-bytes 128 &
 F1PID=$!
 wait_socket "$F1"
 "$RUIDTOOL" replica --socket "$F2" --data-dir /tmp/ruid-rf2-data --primary "$F1" --poll-ms 50 &
@@ -27,9 +29,20 @@ wait_version "$F2" "$V"
 # hard-kill the primary and promote the first follower
 kill -9 "$SRV"
 "$RUIDTOOL" client --socket "$F1" --retries 5 PROMOTE
-"$RUIDTOOL" client --socket "$F1" UPDATE dblp INSERT 0 0 failover > /dev/null
-# the second follower converges through the promoted node
-wait_version "$F2" "$(version "$F1")"
+# write on the promoted node past its 128-byte segment: it must rotate
+# (a node that never rotates keeps a bounded family too, so the rotation
+# count is the check that can fail) and keep the family bound
+for i in $(seq 1 10); do
+  "$RUIDTOOL" client --socket "$F1" UPDATE dblp INSERT 0 0 failover > /dev/null
+done
+V=$(version "$F1")
+ROT=$("$RUIDTOOL" client --socket "$F1" STATS | grep -o 'wal_rotations=[0-9]*' | cut -d= -f2)
+[ "$ROT" -ge 1 ]
+# a rotation runs after its batch's acks: let the last one settle
+for _ in $(seq 1 50); do bounded /tmp/ruid-rf1-data && break; sleep 0.1; done
+bounded /tmp/ruid-rf1-data
+# the second follower converges through the promoted node's rotation
+wait_version "$F2" "$V"
 # byte-identical replies on both survivors
 "$RUIDTOOL" client --socket "$F1" QUERY //note > /tmp/q-f1.txt
 "$RUIDTOOL" client --socket "$F2" QUERY //note > /tmp/q-f2.txt
@@ -40,6 +53,10 @@ diff /tmp/q2-f1.txt /tmp/q2-f2.txt
 # the promoted node's STATS shows the bumped epoch
 "$RUIDTOOL" client --socket "$F1" STATS | grep -q 'repl_epoch=2'
 "$RUIDTOOL" client --socket "$F2" STATS | grep -q 'repl_epoch=2'
+# the promoted node takes membership changes (after the diffs: F2 mirrors
+# the document set fixed at its bootstrap)
+"$RUIDTOOL" client --socket "$F1" "$(printf 'ADDDOC extra\n<a><b/></a>')"
+"$RUIDTOOL" client --socket "$F1" DROPDOC extra
 # a deposed primary (old epoch) must be refused: exit code 4
 "$RUIDTOOL" serve --socket /tmp/ruid-rdep.sock --data-dir /tmp/ruid-rdep-data \
   --gen-kind dblp --gen-size 300 --epoch 1 &

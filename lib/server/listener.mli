@@ -1,6 +1,6 @@
-(** The socket front end every serving role runs on: {!Service},
-    {!Replica} and {!Router} each supply a verb handler and a teardown,
-    and this module does everything they do the same way.
+(** The socket front end every serving role runs on: {!Service} (a
+    primary or a follower) and {!Router} each supply a verb handler and a
+    teardown, and this module does everything they do the same way.
 
     - {b The socket.}  Path validation ({!check_socket_path}), SIGPIPE
       ignored, bind and listen; an accept thread, a session table, one

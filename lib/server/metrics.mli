@@ -62,7 +62,9 @@ type write_stats = {
   max_batch : int;  (** largest single batch *)
   flush_ns : float;  (** total time in append+fsync, nanoseconds *)
   publish_incremental : int;  (** snapshots derived by clone + replay *)
-  publish_full : int;  (** snapshots re-captured via the sidecar *)
+  publish_full : int;
+      (** snapshots re-captured via the sidecar: always 0, every
+          publication is derived; the key stays for STATS readers *)
   areas_rebuilt : int;  (** area renumberings across incremental publishes *)
   rotations : int;  (** WAL segment rotations (checkpoints cut) *)
   rotation_failures : int;

@@ -1,5 +1,5 @@
 (* The collection router.  See router.mli for the contract.  It serves on
-   the same {!Listener} as Service and Replica; its verb handler, instead
+   the same {!Listener} as Service; its verb handler, instead
    of evaluating requests against a local snapshot, forwards every
    request to the shard that owns its document, or scatters it to all
    shards and merges.
@@ -456,7 +456,7 @@ let absorb_docs_body t i body =
     (tokens_of body)
 
 let is_unknown_doc msg =
-  (* Service/Replica phrase their miss replies "unknown document ..." *)
+  (* Service nodes phrase their miss replies "unknown document ..." *)
   let needle = "unknown document" in
   let nl = String.length needle and ml = String.length msg in
   let rec at i = i + nl <= ml && (String.sub msg i nl = needle || at (i + 1)) in

@@ -1,6 +1,7 @@
 module Dom = Rxml.Dom
 module R2 = Ruid.Ruid2
 module Wal = Rstorage.Wal
+module Fault = Rstorage.Fault
 
 type config = {
   socket_path : string;
@@ -18,13 +19,16 @@ type config = {
   wal_segment_bytes : int;
   plan_cache : int;
   epoch : int;
+  upstream : string option;
+  poll_ms : int;
 }
 
 let default_config ~socket_path ~data_dir () =
   { socket_path; data_dir; workers = 4; max_queue = 0; deadline_ms = 0;
     max_area_size = 64; max_depth = 10_000; domains = 0; cache_mb = 0;
     commit_interval_us = 0; commit_max_batch = 64; commit_groups = 0;
-    wal_segment_bytes = 0; plan_cache = 256; epoch = 1 }
+    wal_segment_bytes = 0; plan_cache = 256; epoch = 1; upstream = None;
+    poll_ms = 500 }
 
 (* E13 showed the old fixed default rejecting 67% of a 90/10 mix at only
    8 clients: a queue bound that ignores the pool size punishes exactly
@@ -59,6 +63,9 @@ let validate_config c =
     Error "plan-cache must be >= 0 (0 disables plan caching)"
   else if c.epoch < 1 then
     Error "epoch must be >= 1 (the fencing generation this primary serves)"
+  else if c.poll_ms < 1 then Error "poll-ms must be >= 1"
+  else if c.upstream = Some "" then
+    Error "primary socket path must not be empty"
   else Listener.check_socket_path c.socket_path
 
 (* ------------------------------------------------------------------ *)
@@ -76,41 +83,44 @@ type master = {
           by DROPDOC: the slot stays — the commit queues address masters by
           index — but the document refuses updates and stops being served *)
   mutable r2 : R2.t option;
-      (** the writer's handle, guarded by the group's write mutex and never
-          read by readers.  [None] until the document's first UPDATE; each
-          UPDATE that finds the published copy caught up takes an O(1)
-          clone of it, which shares the published version's tables and
-          tree, so a written document stays resident about once *)
-  wal : Wal.writer;
+      (** the writer's handle, never read by readers: an O(1) clone of the
+          published numbering, taken by the first operation applied after
+          the published copy caught up ({!writer_copy}), so a written
+          document stays resident about once.  Written under the group's
+          write mutex, or by the puller while following. *)
+  mutable wal : Wal.writer option;
+      (** [None] while following: the puller appends verified frames
+          itself; PROMOTE opens the writer at the mirrored offset *)
   mutable applied_seq : int;
       (** sequence number of the last operation applied to [r2]; runs ahead
-          of [Wal.seq wal] while records sit in the commit queue *)
+          of the journal while records sit in the commit queue *)
   mutable applied_version : int;
       (** snapshot version of the last operation applied to [r2]; guarded
           by the group's write mutex like [applied_seq] *)
-  mutable durable_version : int;
-      (** version of the last operation fsynced to [wal]; written and read
-          only by the group's commit leader *)
   mutable wedged : string option;
-      (** set (under the group's write mutex) when a failed commit left
-          this document's journal or published snapshot out of step with
-          its master, or an update failed part-way on a master with
-          records pending; all further updates are refused until a restart
-          replays the journal *)
+      (** set when a failed commit or publication left this document's
+          journal or published snapshot out of step with its master, or an
+          update failed part-way on a master with records pending: the
+          document is quarantined — its updates refused, its stream no
+          longer folded — and stays served at its last published version *)
   xml_path : string;
   sidecar_path : string;
   wal_path : string;
-  rotate_mu : Mutex.t;
-      (** makes ([Wal.generation], file bytes) reads atomic against
-          {!Wal.rotate}: rotation swaps the active file, bumps the
-          writer's generation and deletes the previous generation's
-          files as separate steps, and it runs on the group's pipeline
-          {e domain} — a replication session reading unsynchronized
-          could serve new-generation bytes labeled with the old
-          generation, which a follower would splice into the wrong
-          mirror.  Held only across rotation itself (not the document's
-          serialization) and across each replication chunk read, never
-          across a wait. *)
+  files_mu : Mutex.t;
+      (** makes ([gen], file bytes) atomic for the [REPL *] verbs against
+          a rotation and a generation install, which each replace
+          the active segment, move [gen] and trim the family as separate
+          steps — a session reading unsynchronized could serve
+          new-generation bytes labeled with the old generation, which a
+          follower would splice into the wrong mirror.  Held across those
+          steps and each chunk read, never across a serialization, a
+          fetch or a wait. *)
+  mutable gen : int;  (** generation of the active segment *)
+  mutable size : int;
+      (** following: bytes of the local journal, all complete frames
+          folded into the document and fsynced — the stream offset *)
+  mutable tail : string;
+      (** following: fetched bytes not yet forming complete frames *)
 }
 
 (* One applied-but-not-yet-durable update, parked in the commit queue. *)
@@ -127,7 +137,6 @@ type write_counters = {
   mutable w_max_batch : int;
   mutable w_flush_ns : float;
   mutable w_pub_inc : int;
-  mutable w_pub_full : int;
   mutable w_areas : int;
   mutable w_rotations : int;
   mutable w_rotation_failures : int;
@@ -141,8 +150,8 @@ type group = {
   g_id : int;
   g_write_mu : Mutex.t;
       (** orders phase 1 (apply + sequence + enqueue) for this group's
-          documents; also taken by the full-fallback publication and by
-          quarantine, which read masters a writer may be mutating *)
+          documents; also taken by quarantine, which reads masters a
+          writer may be mutating *)
   g_mu : Mutex.t;  (** guards queue, leader flag, counters, histograms *)
   g_cond : Condition.t;  (** signals the pipeline domain on arrival/stop *)
   g_queue : pending Queue.t;
@@ -171,11 +180,28 @@ type t = {
   current : Snapshot.t Atomic.t;
   groups : group array;  (** the commit pipelines; length >= 1, fixed *)
   mutable pipelines : unit Domain.t array;
-      (** one dedicated domain per group, spawned at start, joined at stop;
-          written once after construction *)
+      (** one dedicated domain per group, spawned when the node starts
+          taking writes (at start, or at PROMOTE), joined at stop *)
   last_version : int Atomic.t;
       (** version of the last applied update — the global stamp source,
           shared by every group (fetch-and-add) *)
+  epoch : int Atomic.t;
+      (** fencing epoch: the one this node serves under, or while
+          following the highest one ever seen (persisted) *)
+  role : [ `Primary | `Following | `Promoted ] Atomic.t;
+      (** [`Following] until PROMOTE, which flips it once the node
+          takes writes *)
+  promote_mu : Mutex.t;  (** makes PROMOTE idempotent under races *)
+  pull_stop : bool Atomic.t;  (** set by promotion *)
+  mutable puller : Thread.t option;
+  wake : (Unix.file_descr * Unix.file_descr) option;
+      (** following: the pipe the puller's back-off parks on; promotion
+          and stop write to it so neither waits the back-off out *)
+  chaos : Fault.plan option;
+  reconnects : int Atomic.t;
+  refused_epoch : int Atomic.t;
+  lag_versions : int Atomic.t;
+  lag_bytes : int Atomic.t;
   repl_requests : int Atomic.t;  (** REPL-* requests served *)
   repl_bytes : int Atomic.t;  (** journal/snapshot bytes shipped *)
   sched : Pool.t;  (** systhread pool: writes, and reads without domains *)
@@ -189,6 +215,13 @@ let metrics t = t.metrics
 let snapshot t = Atomic.get t.current
 let config t = t.cfg
 let cache_stats t = Option.map Query_cache.stats t.cache
+let epoch t = Atomic.get t.epoch
+let role t = Atomic.get t.role
+let following t = Atomic.get t.role = `Following
+
+let with_mutex mu f =
+  Mutex.lock mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let find_master_idx t doc =
   Mutex.lock t.catalog_mu;
@@ -404,19 +437,47 @@ let take_batch t (g : group) =
   Mutex.unlock g.g_mu;
   batch
 
+(* Slot [idx] of the current snapshot. *)
+let published t idx = (Atomic.get t.current).Snapshot.docs.(idx)
+
+(* The document's writer copy: its own while it holds operations the
+   published copy lacks, else a fresh O(1) clone of the published
+   numbering, which shares every table and the tree. *)
+let writer_copy t idx m =
+  match m.r2 with
+  | Some r2 when (published t idx).Snapshot.doc_version < m.applied_version ->
+    r2
+  | _ ->
+    let c = R2.clone (published t idx).Snapshot.r2 in
+    m.r2 <- Some c;
+    c
+
+(* The one publication step, for commit batches and stream batches alike:
+   derive the successor of the current snapshot with {!Snapshot.advance}
+   and install it by compare-and-set.  Other groups publish concurrently;
+   on a lost race the successor is derived again from the freshly-read
+   current.  The document sets are disjoint, so the re-derivation folds
+   exactly the same per-document copies; only the stamp is recomputed
+   ({!Snapshot.next_stamp}).  [floor] is the highest update version the
+   batch folds in.  Returns the installed snapshot and the areas
+   renumbered.  A raising [advance] installs nothing. *)
+let rec advance_current t ~floor updates =
+  let prev = Atomic.get t.current in
+  let version = Snapshot.next_stamp prev ~floor in
+  let next, areas = Snapshot.advance prev ~version updates in
+  if Atomic.compare_and_set t.current prev next then (next, areas)
+  else advance_current t ~floor updates
+
 (* Rotate the WAL of every document whose segment outgrew the threshold,
-   checkpointing from the just-published snapshot copy — but only when that
-   copy is exactly the document's durable prefix: its cursor equals the
-   version of the last fsynced record.  A copy that ran ahead through the
-   full fallback (queued-but-unfsynced operations captured from the master)
-   would checkpoint operations no journal holds yet; such a document just
-   skips rotation this round and retries on a later batch.  The snapshot
-   copy is already isolated from the master, so serializing it races with
-   nothing — and it runs before [rotate_mu] is taken, so replication reads
-   wait for the file swap only.  A rotation that raises (a full disk, a
-   path it cannot write) left the old segment in force: it is counted and
-   retried on a later batch, never reported as a commit failure — the
-   batch's records are durable and acknowledged by then. *)
+   checkpointing from the snapshot this batch published, which holds
+   exactly the document's durable prefix: the group's later records are
+   neither journaled nor published yet.  The snapshot copy is already
+   isolated from the master, so serializing it races with nothing — and
+   it runs before [files_mu] is taken, so replication reads wait for the
+   file swap only.  A rotation that raises (a full disk, a path it cannot write) left the
+   old segment in force: it is counted and retried on a later batch,
+   never reported as a commit failure — the batch's records are durable
+   and acknowledged by then. *)
 let maybe_rotate t (g : group) snap by_doc =
   let count f =
     Mutex.lock g.g_mu;
@@ -427,35 +488,33 @@ let maybe_rotate t (g : group) snap by_doc =
     List.iter
       (fun (idx, _) ->
         let m = t.masters.(idx) in
-        if Wal.should_rotate m.wal ~threshold:t.cfg.wal_segment_bytes then
-          match Snapshot.find snap m.name with
-          | None -> ()
-          | Some (_, d) when d.Snapshot.doc_version <> m.durable_version ->
-            ()
-          | Some (_, d) -> (
-            let r2 = d.Snapshot.r2 in
-            let xml = Ruid.Persist.xml_to_bytes r2
-            and sidecar = Ruid.Persist.sidecar_to_bytes r2 in
-            (* Under [rotate_mu]: rotation swaps the segment file, bumps
-               the writer's generation and trims the family as separate
-               steps, and we are on the pipeline domain — a replication
-               session must never read in between. *)
-            Mutex.lock m.rotate_mu;
-            match
-              Fun.protect ~finally:(fun () -> Mutex.unlock m.rotate_mu)
-                (fun () -> Wal.rotate m.wal ~xml ~sidecar)
-            with
-            | _ -> count (fun w -> w.w_rotations <- w.w_rotations + 1)
-            | exception _ ->
-              count (fun w ->
-                  w.w_rotation_failures <- w.w_rotation_failures + 1)))
+        let w = Option.get m.wal in
+        if Wal.should_rotate w ~threshold:t.cfg.wal_segment_bytes then begin
+          let r2 = snap.Snapshot.docs.(idx).Snapshot.r2 in
+          let xml = Ruid.Persist.xml_to_bytes r2
+          and sidecar = Ruid.Persist.sidecar_to_bytes r2 in
+          match
+            with_mutex m.files_mu (fun () ->
+                m.gen <- Wal.rotate w ~xml ~sidecar)
+          with
+          | () -> count (fun w -> w.w_rotations <- w.w_rotations + 1)
+          | exception _ ->
+            count (fun w -> w.w_rotation_failures <- w.w_rotation_failures + 1)
+        end)
       by_doc
+
+(* What a quarantine leaves behind, in every reply that reports one: the
+   journal keeps each acknowledged update, but a restarted primary numbers
+   its input afresh and starts a new journal, so only an offline replay
+   recovers them. *)
+let quarantine_note =
+  "its journal keeps every acknowledged update for an offline replay \
+   (ruidtool wal-replay); a restarted primary numbers its input afresh"
 
 let quarantine_reply why =
   Protocol.Err
-    (Printf.sprintf
-       "update dropped: document quarantined (%s); \
-        restart the server to recover from the journal" why)
+    (Printf.sprintf "update dropped: document quarantined (%s); %s" why
+       quarantine_note)
 
 let commit_batch t (g : group) batch =
   (* A document wedged by an earlier failed commit has a master running
@@ -465,8 +524,7 @@ let commit_batch t (g : group) batch =
      pipeline and by phase 1 (under the group's write mutex, when an update
      fails part-way), so this unlocked read may miss a quarantine that is
      just being set.  That is harmless: every record taken applied cleanly,
-     so journaling and publishing it incrementally is still right, and the
-     full fallback re-reads [wedged] under the mutex. *)
+     so journaling and publishing it is still right. *)
   let batch, quarantined =
     List.partition (fun p -> t.masters.(p.doc_index).wedged = None) batch
   in
@@ -497,6 +555,7 @@ let commit_batch t (g : group) batch =
     List.rev_map (fun idx -> (idx, List.rev !(Hashtbl.find grouped idx)))
       !order
   in
+  let last_of ps = List.fold_left (fun acc p -> max acc p.version) 0 ps in
   (* 1. Durability: one batch frame + one fsync per touched document.
      Groups fsync their disjoint journals concurrently — this is the wait
      the whole refactor parallelizes, so it is also the one we histogram. *)
@@ -505,118 +564,30 @@ let commit_batch t (g : group) batch =
     (fun (idx, ps) ->
       let m = t.masters.(idx) in
       let d0 = Unix.gettimeofday () in
-      Wal.append_batch m.wal (List.map (fun p -> p.record) ps);
+      Wal.append_batch (Option.get m.wal) (List.map (fun p -> p.record) ps);
       let dns = (Unix.gettimeofday () -. d0) *. 1e9 in
       Mutex.lock g.g_mu;
       record_wait g.g_fsync_wait dns;
-      Mutex.unlock g.g_mu;
-      m.durable_version <-
-        List.fold_left (fun acc p -> max acc p.version) m.durable_version ps)
+      Mutex.unlock g.g_mu)
     by_doc;
   let flush_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  (* 2. Publication, once for the whole batch.  A document's snapshot copy
-     can already be ahead of some records here (a previous full-fallback
-     publication captured its master mid-queue), so each pending is
-     filtered against its own document's cursor — never the global stamp,
-     which a publication of {e different} documents may have pushed past
-     this record's version — and never applied to a snapshot twice.
-
-     Other groups publish concurrently: the successor is derived from the
-     freshly-read current and installed by compare-and-set, retried from
-     the new current on a lost race.  The document sets are disjoint, so
-     the re-derivation folds exactly the same per-document copies; only
-     the stamp is recomputed ({!Snapshot.next_stamp}). *)
-  let last_version =
-    List.fold_left (fun acc p -> max acc p.version) 0 batch
+  (* 2. Publication, once for the whole batch.  Each document's cursor
+     moves to its own last version — never the global stamp, which a
+     concurrent group may have pushed past it.  An [advance] that raises
+     propagates to [leader_loop], which quarantines every document whose
+     published copy trails its master. *)
+  let published, areas =
+    advance_current t ~floor:(last_of batch)
+      (List.map
+         (fun (idx, ps) ->
+           (idx, List.map (fun p -> p.record.Wal.op) ps, last_of ps))
+         by_doc)
   in
-  let fresh_updates prev =
-    List.filter_map
-      (fun (idx, ps) ->
-        let cursor = prev.Snapshot.docs.(idx).Snapshot.doc_version in
-        match List.filter (fun p -> p.version > cursor) ps with
-        | [] -> None
-        | fresh ->
-          let doc_version =
-            List.fold_left (fun acc p -> max acc p.version) cursor fresh
-          in
-          Some (idx, List.map (fun p -> p.record.Wal.op) fresh, doc_version))
-      by_doc
-  in
-  (* Full fallback: re-capture the touched documents from their masters
-     through the sidecar round-trip.  Under this group's write mutex the
-     masters cannot advance, but they may already be ahead of this batch
-     (later arrivals applied during our fsync), so each capture carries
-     its own master's applied version as its cursor — those queued records
-     are fsynced by this same pipeline before their acks, and the
-     per-document filter above keeps them from ever being replayed twice.
-     The stamp floor is the max of the captured cursors, never the global
-     update counter: a version assigned to some other document's queued
-     update must stay strictly above this snapshot's stamp-covered
-     range.  A master without a writer copy dropped it after an update
-     failed part-way with nothing pending, so its published copy already
-     holds every applied operation and stays.  A master quarantined since
-     the batch was taken may hold a half-applied operation: it is left
-     out, its published copy stays, and only its records that copy lacks
-     are refused (the document is returned as [stuck]) — they are
-     journaled, so a restart recovers them. *)
-  let publish_full () =
-    Mutex.lock g.g_write_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock g.g_write_mu)
-    @@ fun () ->
-    let live, stuck =
-      List.partition (fun (idx, _) -> t.masters.(idx).wedged = None) by_doc
-    in
-    let floor =
-      List.fold_left
-        (fun acc (idx, _) -> max acc t.masters.(idx).applied_version)
-        0 live
-    in
-    let rec install () =
-      let prev = Atomic.get t.current in
-      let version = Snapshot.next_stamp prev ~floor in
-      let next =
-        List.fold_left
-          (fun s (idx, _) ->
-            let m = t.masters.(idx) in
-            match m.r2 with
-            | None -> s
-            | Some r2 ->
-              Snapshot.replace_doc s ~version
-                ~doc_version:m.applied_version ~doc_index:idx r2)
-          prev live
-      in
-      if Atomic.compare_and_set t.current prev next then begin
-        Mutex.lock g.g_mu;
-        g.g_writes.w_pub_full <- g.g_writes.w_pub_full + 1;
-        Mutex.unlock g.g_mu;
-        next
-      end
-      else install ()
-    in
-    (install (), List.map fst stuck)
-  in
-  let rec publish () =
-    let prev = Atomic.get t.current in
-    match fresh_updates prev with
-    | [] -> (prev, [])
-    | updates -> (
-      let version = Snapshot.next_stamp prev ~floor:last_version in
-      match Snapshot.advance prev ~version updates with
-      | next, areas ->
-        if Atomic.compare_and_set t.current prev next then begin
-          Mutex.lock g.g_mu;
-          g.g_writes.w_pub_inc <- g.g_writes.w_pub_inc + 1;
-          g.g_writes.w_areas <- g.g_writes.w_areas + areas;
-          Mutex.unlock g.g_mu;
-          (next, [])
-        end
-        else publish ()
-      | exception _ -> publish_full ())
-  in
-  let published, stuck = publish () in
   (* 3. Acknowledge: durable and visible. *)
   let n = List.length batch in
   Mutex.lock g.g_mu;
+  g.g_writes.w_pub_inc <- g.g_writes.w_pub_inc + 1;
+  g.g_writes.w_areas <- g.g_writes.w_areas + areas;
   g.g_writes.w_batches <- g.g_writes.w_batches + 1;
   g.g_writes.w_records <- g.g_writes.w_records + n;
   if n > g.g_writes.w_max_batch then g.g_writes.w_max_batch <- n;
@@ -625,23 +596,12 @@ let commit_batch t (g : group) batch =
   List.iter
     (fun p ->
       Listener.Ivar.fill p.iv
-        (if List.mem p.doc_index stuck
-            && p.version > published.Snapshot.docs.(p.doc_index).doc_version
-         then
-           Protocol.Err
-             (Printf.sprintf
-                "update journaled but not published: document quarantined \
-                 (%s); restart the server to recover from the journal"
-                (Option.value ~default:"unknown"
-                   t.masters.(p.doc_index).wedged))
-         else
-           Protocol.Ok_
-             (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=%d"
-                p.version p.record.Wal.seq p.record.Wal.area
-                p.record.Wal.changed n)))
+        (Protocol.Ok_
+           (Printf.sprintf "v=%d seq=%d area=%d changed=%d batch=%d"
+              p.version p.record.Wal.seq p.record.Wal.area
+              p.record.Wal.changed n)))
     batch;
-  (* 4. Segment rotation; [maybe_rotate] skips any document whose published
-     copy is not exactly its durable prefix. *)
+  (* 4. Segment rotation. *)
   maybe_rotate t g published by_doc
   end
 
@@ -661,16 +621,16 @@ let leader_loop t (g : group) =
     let batch = take_batch t g in
     (try commit_batch t g batch
      with e ->
-       (* Never strand a writer: a failed commit (I/O error mid-batch)
-          reports to every parked session rather than hanging them.  The
-          records' durability is unknown; the error says so.  And never let
-          a half-committed document keep taking writes: a master whose
-          applied state ran ahead of its journal would reject every later
-          append with a sequence break (write-wedged until restart), and
-          one that ran ahead of the published snapshot would have later
+       (* Never strand a writer: a failed commit (I/O error mid-batch, or
+          a publication that raised) reports to every parked session rather
+          than hanging them.  The records' durability is unknown; the error
+          says so.  And never let a half-committed document keep taking
+          writes: a master whose applied state ran ahead of its journal
+          would reject every later append with a sequence break, and one
+          that ran ahead of the published snapshot would have later
           incremental publications replay onto a base that silently misses
           these records.  Such documents are quarantined — updates refused
-          explicitly — until a restart re-derives state from the journal.
+          explicitly, the document served at its last published version.
           A document whose journal and snapshot both caught up before the
           failure stays live, and a reply already given stands (an ivar
           keeps its first value).  Only this group's documents are in the
@@ -686,7 +646,7 @@ let leader_loop t (g : group) =
          (fun p ->
            let m = t.masters.(p.doc_index) in
            let consistent =
-             m.applied_seq = Wal.seq m.wal
+             m.applied_seq = Wal.seq (Option.get m.wal)
              && snap.Snapshot.docs.(p.doc_index).Snapshot.doc_version
                 >= m.applied_version
            in
@@ -728,8 +688,9 @@ let rec pipeline_loop t (g : group) =
     pipeline_loop t g
   end
 
-(* Slot [idx] of the current snapshot. *)
-let published t idx = (Atomic.get t.current).Snapshot.docs.(idx)
+let start_pipelines t =
+  t.pipelines <-
+    Array.map (fun g -> Domain.spawn (fun () -> pipeline_loop t g)) t.groups
 
 (* Phase 1 under the group's write mutex: apply to the writer copy, take a
    sequence number and a version, park in the commit queue.  An operation
@@ -774,11 +735,8 @@ let run_update t doc op =
     (* The slot's group never changes (it is a pure function of the name,
        and revival keeps the name), so it is safe to read before locking. *)
     let g = t.groups.(t.masters.(idx).group) in
-    (* Phase 1, under the group's write lock only.  A writer whose
-       published copy already holds every operation it applied takes a
-       fresh O(1) clone of the published numbering, so the two share every
-       table and the tree and the document stays resident about once; a
-       writer with records still in the queue keeps its own copy.  While
+    (* Phase 1, under the group's write lock only ({!writer_copy}: a
+       writer with records still in the queue keeps its own copy).  While
        the slot holds no writer copy only the membership verbs replace its
        published copy, and they take every group's mutex. *)
     let w0 = Unix.gettimeofday () in
@@ -790,19 +748,12 @@ let run_update t doc op =
       let m = t.masters.(idx) in
       if m.retired then Error (Printf.sprintf "document %S was dropped" doc)
       else
-        match (m.wedged, m.r2) with
-        | Some why, _ ->
+        match m.wedged with
+        | Some why ->
           Error
-            (Printf.sprintf
-               "document %S is quarantined (%s); \
-                restart the server to recover from the journal" doc why)
-        | None, Some r2
-          when (published t idx).Snapshot.doc_version < m.applied_version ->
-          apply_and_enqueue t g idx m r2 op ~wait_ns
-        | None, _ ->
-          let c = R2.clone (published t idx).Snapshot.r2 in
-          m.r2 <- Some c;
-          apply_and_enqueue t g idx m c op ~wait_ns
+            (Printf.sprintf "document %S is quarantined (%s); %s" doc why
+               quarantine_note)
+        | None -> apply_and_enqueue t g idx m (writer_copy t idx m) op ~wait_ns
     in
     (* Phase 2: park on the ivar; the group's pipeline folds this record
        into its next batch and fills it after fsync + publication. *)
@@ -817,7 +768,7 @@ let eval_check s doc =
   | exception Not_found -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
   | exception Failure msg -> Protocol.Err ("inconsistent snapshot: " ^ msg)
 
-(* The read verbs over an explicit snapshot: the replica serves them
+(* The read verbs over an explicit snapshot: a following node serves them
    through this same code, so a caught-up follower's replies are
    byte-identical to the primary's at the same version. *)
 let eval_read ?cache s (req : Protocol.request) =
@@ -835,9 +786,653 @@ let eval_read ?cache s (req : Protocol.request) =
          (List.length names) (String.concat " " names))
   | _ -> Protocol.Err "internal: non-read verb reached the read path"
 
-(* The service's part of a graceful stop, run by the listener once every
-   session is joined. *)
+(* --- Replication endpoint ------------------------------------------
+
+   Followers pull: a node serves nothing but its own on-disk artifacts
+   (base pair, the live generation's checkpoint pair and archive, the
+   live journal) plus a long-poll on journal growth.  A following node
+   serves the same verbs from its mirror, so followers chain, and after a
+   promotion the chain keeps following the new primary seamlessly — the
+   promoted journal continues at the same byte offsets.  All REPL verbs
+   run inline on the session thread — a replication connection is
+   dedicated, so blocking it in REPL WAIT costs no worker, and the verbs
+   stay observable when the admission queue is saturated. *)
+
+let repl_reply t chunk =
+  Atomic.incr t.repl_requests;
+  ignore
+    (Atomic.fetch_and_add t.repl_bytes
+       (String.length chunk.Replication.data));
+  Protocol.Ok_ (Replication.encode_chunk chunk)
+
+(* The durable sequence: the writer's once the node takes writes (its
+   [applied_seq] runs ahead while records are queued); while following,
+   the journal holds exactly the applied frames. *)
+let durable_seq m =
+  match m.wal with Some w -> Wal.seq w | None -> m.applied_seq
+
+let run_repl_state t =
+  Atomic.incr t.repl_requests;
+  (* live documents only: a retired slot's artifacts are deleted, so a
+     follower asking for its files could only be refused *)
+  let s_docs =
+    Array.to_list t.masters
+    |> List.filter_map (fun m ->
+           if m.retired then None
+           else
+             with_mutex m.files_mu @@ fun () ->
+             Some
+               { Replication.name = m.name; gen = m.gen; seq = durable_seq m;
+                 size = Replication.file_size m.wal_path })
+  in
+  Protocol.Ok_
+    (Replication.encode_state
+       { Replication.s_epoch = Atomic.get t.epoch;
+         s_version = (Atomic.get t.current).Snapshot.version; s_docs })
+
+(* A chunk is bytes of the generation its reply names.  Journal bytes are
+   served as they land, before their fsync returns: a follower folds only
+   complete checksum-valid frames, and keeps a torn one until the rest
+   arrives. *)
+let run_repl_file t doc file offset limit =
+  match find_master t doc with
+  | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
+  | Some m ->
+    let path =
+      Replication.resolve_path ~xml:m.xml_path ~sidecar:m.sidecar_path
+        ~wal:m.wal_path file
+    in
+    with_mutex m.files_mu @@ fun () ->
+    let data, size = Replication.read_chunk path ~offset ~limit in
+    repl_reply t { Replication.epoch = Atomic.get t.epoch; gen = m.gen; size; data }
+
+let run_repl_wait t doc want_gen offset timeout_ms =
+  match find_master t doc with
+  | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
+  | Some m ->
+    let deadline =
+      Unix.gettimeofday ()
+      +. (float_of_int (min timeout_ms Replication.max_wait_ms) /. 1000.)
+    in
+    let rec loop () =
+      let reply =
+        with_mutex m.files_mu @@ fun () ->
+        let size = Replication.file_size m.wal_path in
+        let chunk data =
+          Some { Replication.epoch = Atomic.get t.epoch; gen = m.gen; size; data }
+        in
+        (* rotated past the follower's generation: an empty chunk naming
+           the live generation sends it to the archived segment *)
+        if m.gen <> want_gen then chunk ""
+        else if size > offset then
+          chunk
+            (fst
+               (Replication.read_chunk m.wal_path ~offset
+                  ~limit:Replication.max_chunk))
+        else if (not (Listener.running t.listener))
+                || Unix.gettimeofday () > deadline then chunk ""
+        else None
+      in
+      match reply with
+      | Some c -> repl_reply t c
+      | None ->
+        Thread.delay 0.005;
+        loop ()
+    in
+    loop ()
+
+(* --- Following an upstream -----------------------------------------
+
+   A node started with an upstream mirrors that node's artifacts
+   byte for byte.  The invariant everything rests on: each local journal
+   holds {e only} checksum-verified complete frames (plus the segment
+   header), every one of which has been folded into the document and
+   fsynced — so the data directory is at all times indistinguishable from
+   a primary's, [ruidtool fsck] passes, and a restart recovers through the
+   ordinary {!Wal.replay} path.  The version contract with the primary:
+   the global stamp starts at 1 (the startup snapshot) and each update
+   advances it by exactly 1, so a caught-up follower publishes the same
+   [v=] the primary serves, and replies are byte-identical when the two
+   are quiesced at the same point. *)
+
+exception Fenced of { seen : int; got : int }
+
+let local_version t =
+  1 + Array.fold_left (fun acc m -> acc + m.applied_seq) 0 t.masters
+
+let pull_stopped t =
+  Atomic.get t.pull_stop || not (Listener.running t.listener)
+
+(* Every reply from upstream carries its serving epoch.  Higher: a
+   legitimate promotion happened somewhere — raise (and persist) the
+   fence.  Lower: a deposed primary is still talking — refuse the bytes,
+   count the refusal, and drop the connection.  The fence only ever
+   rises. *)
+let check_epoch t got =
+  let rec go () =
+    let seen = Atomic.get t.epoch in
+    if got < seen then begin
+      Atomic.incr t.refused_epoch;
+      raise (Fenced { seen; got })
+    end
+    else if got > seen then
+      if Atomic.compare_and_set t.epoch seen got then
+        Replication.store_epoch t.cfg.data_dir got
+      else go ()
+  in
+  go ()
+
+exception Stream_torn  (** injected by the chaos plan: connection died *)
+
+(* Upstream no longer hosts a document it listed in the round's STATE: a
+   DROPDOC landed in between.  Not a stream fault — a pull round skips the
+   document and keeps the connection, as for a document STATE omits; a
+   bootstrap fails as on any other refusal. *)
+exception Dropped_upstream of string
+
+let repl_failure what = function
+  | Protocol.Ok_ body -> (
+    match Replication.decode_chunk body with
+    | Ok c -> c
+    | Error why -> failwith (Printf.sprintf "%s: bad reply: %s" what why))
+  | Protocol.Err m when String.starts_with ~prefix:"unknown document" m ->
+    raise (Dropped_upstream (Printf.sprintf "%s: upstream ERR %s" what m))
+  | Protocol.Err m -> failwith (Printf.sprintf "%s: upstream ERR %s" what m)
+  | Protocol.Busy m -> failwith (Printf.sprintf "%s: upstream BUSY %s" what m)
+
+(* Upstream serves a newer generation than the one a fetch is for: that
+   generation's files may be gone already (a rotation trims its family).
+   The catch-up step restarts for the newer one on the same connection. *)
+exception Rotated of int
+
+(* With [?gen], the chunk must come from that generation: upstream makes
+   each reply's (generation, bytes) atomic against its rotations. *)
+let fetch_chunk t conn ?gen ~doc ~file ~offset () =
+  let req =
+    Protocol.Repl_file { doc; file; offset; limit = Replication.max_chunk }
+  in
+  let c =
+    repl_failure (Protocol.request_to_string req) (Client.request conn req)
+  in
+  check_epoch t c.Replication.epoch;
+  (match gen with
+  | Some g when c.Replication.gen > g -> raise (Rotated c.Replication.gen)
+  | Some g when c.Replication.gen < g ->
+    failwith
+      (Printf.sprintf "%s: upstream generation %d is behind %d"
+         (Protocol.request_to_string req) c.Replication.gen g)
+  | _ -> ());
+  c
+
+(* The file's bytes as of the first reply's [size] — later growth (an
+   active segment under append) is left to the WAIT loop.  A missing file
+   reads as empty. *)
+let fetch_file t conn ?gen ~doc ~file () =
+  let buf = Buffer.create 8192 in
+  let rec go offset total =
+    if offset >= total then Buffer.contents buf
+    else begin
+      let c = fetch_chunk t conn ?gen ~doc ~file ~offset () in
+      if String.length c.Replication.data = 0 then Buffer.contents buf
+      else begin
+        Buffer.add_string buf c.Replication.data;
+        go (offset + String.length c.Replication.data) total
+      end
+    end
+  in
+  let c0 = fetch_chunk t conn ?gen ~doc ~file ~offset:0 () in
+  Buffer.add_string buf c0.Replication.data;
+  go (String.length c0.Replication.data) c0.Replication.size
+
+let store_atomic path s =
+  Ruid.Persist.store_atomic Ruid.Vfs.real ~attempts:5 path
+    (Bytes.of_string s)
+
+let get_state t conn =
+  match Client.request conn Protocol.Repl_state with
+  | Protocol.Ok_ body -> (
+    match Replication.decode_state body with
+    | Ok st ->
+      check_epoch t st.Replication.s_epoch;
+      st
+    | Error why -> failwith ("REPL STATE: bad reply: " ^ why))
+  | Protocol.Err m -> failwith ("REPL STATE: upstream ERR " ^ m)
+  | Protocol.Busy m -> failwith ("REPL STATE: upstream BUSY " ^ m)
+
+(* --- Applying the stream --- *)
+
+let append_local m data =
+  let fd =
+    Unix.openfile m.wal_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+      0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let b = Bytes.of_string data in
+  let n = Unix.write fd b 0 (Bytes.length b) in
+  if n <> Bytes.length b then failwith "short write to local journal";
+  Unix.fsync fd
+
+(* Fold decoded frames into the document's writer copy, verifying what
+   upstream's renumber records promised — sequence continuity, and that
+   the local replay touched the same area and rewrote the same identifier
+   count.  Returns the operations and the sequence number reached, which
+   the caller publishes.  Any disagreement means divergence: the writer
+   copy, which may hold part of the frames, is dropped and the fold
+   raises. *)
+let fold_entries t idx m entries =
+  let r2 = writer_copy t idx m in
+  let seq = ref m.applied_seq and ops = ref [] in
+  let fold = function
+    | Wal.Ckpt c ->
+      if c.Wal.base_seq <> !seq then
+        failwith
+          (Printf.sprintf
+             "checkpoint frame of gen %d cut after seq %d, but %d applied \
+              locally" c.Wal.gen c.Wal.base_seq !seq)
+    | Wal.Records rl ->
+      List.iter
+        (fun r ->
+          if r.Wal.seq <> !seq + 1 then
+            failwith
+              (Printf.sprintf "sequence break in stream: got %d after %d"
+                 r.Wal.seq !seq);
+          let area, changed = Wal.apply r2 r.Wal.op in
+          if area <> r.Wal.area || changed <> r.Wal.changed then
+            failwith
+              (Printf.sprintf
+                 "divergence at seq %d: local replay renumbered area %d \
+                  (%d ids), primary recorded area %d (%d ids)" r.Wal.seq
+                 area changed r.Wal.area r.Wal.changed);
+          incr seq;
+          ops := r.Wal.op :: !ops)
+        rl
+  in
+  match List.iter fold entries with
+  | () -> (List.rev !ops, !seq)
+  | exception e ->
+    m.r2 <- None;
+    raise e
+
+(* Journaled frames become visible: one snapshot at the version the
+   contract dictates, through the commit pipelines' publication step.
+   Stream publications are not commit batches and stay out of the write
+   counters.  An [advance] that raises quarantines the document as a
+   failed commit does: its stream stops being folded, and it stays served
+   at its last published version. *)
+let publish_stream t idx m ~seq ops =
+  m.applied_seq <- seq;
+  if ops <> [] && m.wedged = None then begin
+    let version = local_version t in
+    m.applied_version <- version;
+    match advance_current t ~floor:version [ (idx, ops, version) ] with
+    | _ -> ()
+    | exception e ->
+      m.wedged <- Some ("publication failed: " ^ Printexc.to_string e)
+  end
+
+let segment_header_ok s =
+  String.length s >= Wal.header_length
+  && (let magic = String.sub s 0 4 in
+      magic = "RWAL" || magic = "RWAC")
+  && s.[4] = '\x02'
+
+(* Drain the complete-frame prefix of [m.tail]: append it to the local
+   journal (fsynced), fold it into the writer copy, publish.  The fsync
+   comes first so that it overlaps the upstream's own: a follower then
+   publishes about when its upstream acknowledges (on a 2-vCPU VM, E17's
+   lag p50 read 0.0 ms this way and 2.6 ms folding first).  Frames that do not fold are
+   journaled already, and re-fetching them cannot change that: the
+   document is quarantined, as for a publication that raises.  A trailing
+   torn frame just stays in [tail] until its continuation bytes arrive —
+   torn-stream resumption in one place. *)
+let drain t idx m =
+  let pos = if m.size = 0 then Wal.header_length else 0 in
+  if m.size = 0 && String.length m.tail >= Wal.header_length
+     && not (segment_header_ok m.tail)
+  then failwith "stream does not begin with a v2 journal header";
+  if String.length m.tail > pos then begin
+    let entries, consumed, corrupt =
+      Wal.decode_stream (Bytes.of_string m.tail) ~pos
+    in
+    Option.iter (fun why -> failwith ("corrupt frame in stream: " ^ why))
+      corrupt;
+    if consumed > 0 && (entries <> [] || m.size = 0) then begin
+      append_local m (String.sub m.tail 0 consumed);
+      m.tail <- String.sub m.tail consumed (String.length m.tail - consumed);
+      m.size <- m.size + consumed;
+      match fold_entries t idx m entries with
+      | ops, seq -> publish_stream t idx m ~seq ops
+      | exception e ->
+        m.wedged <- Some ("stream diverged: " ^ Printexc.to_string e)
+    end
+  end
+
+(* Chaos hook for the fault-injection tests: a plan may truncate a chunk
+   at a random byte — the prefix is kept (exactly what a torn TCP stream
+   delivers) and the connection is declared dead. *)
+let chaos_data t m data =
+  match t.chaos with
+  | None -> data
+  | Some plan -> (
+    match Fault.torn_stream plan data with
+    | None -> data
+    | Some kept ->
+      m.tail <- m.tail ^ kept;
+      raise Stream_torn)
+
+(* --- Generation install and rotation catch-up --- *)
+
+(* One generation of an upstream document, fetched whole: the
+   complete-frame prefix of its active segment and the frames in it, its
+   checkpoint pair (from generation 1 on), and the archive of the segment
+   it replaced when upstream holds one. *)
+type generation = {
+  number : int;
+  segment : string;
+  frames : Wal.entry list;
+  pair : (string * string) option;
+  archive : string option;
+}
+
+let fetch_generation t conn ~doc ~gen ~archive =
+  let fetch file = fetch_file t conn ~gen ~doc ~file () in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> failwith (Printf.sprintf "%s gen %d: %s" doc gen m))
+      fmt
+  in
+  let bytes = fetch Protocol.Active_wal in
+  if not (segment_header_ok bytes) then fail "segment has no v2 header";
+  let entries, consumed, corrupt =
+    Wal.decode_stream (Bytes.of_string bytes) ~pos:Wal.header_length
+  in
+  Option.iter (fail "segment corrupt: %s") corrupt;
+  (* The segment names its own generation (the checkpoint frame a rotated
+     segment opens with), and the frame vouches for the pair's bytes. *)
+  let named = match entries with Wal.Ckpt c :: _ -> Some c | _ -> None in
+  let pair =
+    match named with
+    | None when gen = 0 -> None
+    | Some c when c.Wal.gen = gen ->
+      let x = fetch (Protocol.Ckpt_xml gen)
+      and s = fetch (Protocol.Ckpt_sidecar gen) in
+      if Ruid.Crc32.string x <> c.Wal.xml_crc
+         || Ruid.Crc32.string s <> c.Wal.sidecar_crc
+      then fail "checkpoint pair fails its checkpoint frame's checksums";
+      Some (x, s)
+    | _ -> fail "segment names another generation"
+  in
+  let archive =
+    if archive && gen > 0 then
+      match fetch (Protocol.Segment gen) with "" -> None | a -> Some a
+    else None
+  in
+  { number = gen; segment = String.sub bytes 0 consumed; frames = entries;
+    pair; archive }
+
+(* Install a fetched generation in the rotation's own order: the pair and
+   the archive first, at names nothing served refers to yet; then, under
+   [files_mu] with [commit] (which moves what is served), the active
+   segment by rename — no instant with a torn or empty journal on disk —
+   and the trim to the new generation. *)
+let store_generation m g ~commit =
+  Option.iter
+    (fun (x, s) ->
+      let cx, cs = Wal.checkpoint_files m.wal_path g.number in
+      store_atomic cx x;
+      store_atomic cs s)
+    g.pair;
+  Option.iter (store_atomic (Wal.segment_archive m.wal_path g.number))
+    g.archive;
+  with_mutex m.files_mu (fun () ->
+      store_atomic m.wal_path g.segment;
+      commit ();
+      Wal.trim m.wal_path ~gen:g.number)
+
+(* The live generation, whichever it is by the time it is fetched. *)
+let rec install_generation t conn m ~gen ~commit =
+  match fetch_generation t conn ~doc:m.name ~gen ~archive:true with
+  | g -> store_generation m g ~commit:(fun () -> commit g)
+  | exception Rotated newer -> install_generation t conn m ~gen:newer ~commit
+
+(* What the local files hold, by the ordinary recovery path: the
+   numbering, the last applied sequence number, the generation and the
+   journal's valid size. *)
+let recover m =
+  let r =
+    Wal.replay ~xml:m.xml_path ~sidecar:m.sidecar_path ~wal:m.wal_path ()
+  in
+  let j = r.Wal.journal in
+  let base_seq, gen =
+    match j.Wal.checkpoint with
+    | Some c -> (c.Wal.base_seq, c.Wal.gen)
+    | None -> (0, 0)
+  in
+  let applied_seq =
+    match List.rev r.Wal.replayed with x :: _ -> x.Wal.seq | [] -> base_seq
+  in
+  (r.Wal.r2, applied_seq, gen, j.Wal.valid_bytes)
+
+(* More than one generation behind, or nothing upstream to bridge with:
+   install the live generation as bootstrap does and hand the recovered
+   numbering to the snapshot without a copy. *)
+let reinstall t conn idx m ~gen =
+  install_generation t conn m ~gen ~commit:(fun g ->
+      m.gen <- g.number;
+      m.size <- String.length g.segment;
+      m.tail <- "");
+  let r2, applied_seq, _, _ = recover m in
+  (* no new record: the published version already is this state *)
+  if applied_seq <> m.applied_seq then begin
+    m.applied_seq <- applied_seq;
+    let version = local_version t in
+    m.r2 <- None;
+    m.applied_version <- version;
+    Atomic.set t.current
+      (Snapshot.rehost (Atomic.get t.current) ~version ~doc_version:version
+         ~doc_index:idx r2)
+  end
+
+(* Exactly one generation behind: [seg<gen>] is a byte-for-byte copy of
+   the segment we mirror a prefix of.  Finish it from there, then take
+   the generation's pair and the active prefix, and keep folding the
+   stream into the numbering.  [false] when upstream holds no archive to
+   bridge with (a follower that reinstalled, an adopted document). *)
+let bridge t conn idx m ~gen =
+  let archive =
+    fetch_file t conn ~gen ~doc:m.name ~file:(Protocol.Segment gen) ()
+  in
+  if String.length archive < m.size then false
+  else begin
+    m.tail <- String.sub archive m.size (String.length archive - m.size);
+    drain t idx m;
+    if m.tail <> "" then failwith "archived segment ends in a torn frame";
+    let g = fetch_generation t conn ~doc:m.name ~gen ~archive:false in
+    let ops, seq = fold_entries t idx m g.frames in
+    store_generation m { g with archive = Some archive } ~commit:(fun () ->
+        m.gen <- gen;
+        m.size <- String.length g.segment);
+    publish_stream t idx m ~seq ops;
+    true
+  end
+
+(* Upstream rotated past us.  The pairs of the generations in between are
+   gone (a rotation keeps one), and walking them cost a copy of the
+   document each: bridge one generation, reinstall past more.  A fetch
+   that meets a newer generation restarts the step for it on the same
+   connection — no reconnect, no back-off. *)
+let rec catch_up t conn idx m ~gen =
+  if gen > m.gen && m.wedged = None && not (pull_stopped t) then
+    match
+      if gen = m.gen + 1 && bridge t conn idx m ~gen then ()
+      else reinstall t conn idx m ~gen
+    with
+    | () -> ()
+    | exception Rotated newer -> catch_up t conn idx m ~gen:newer
+
+(* --- The pull loop --- *)
+
+(* One mirrored document's share of a pull round: catch up when upstream
+   rotated past us, then long-poll the live tail. *)
+let pull_doc t conn idx m (u : Replication.doc_state) =
+  if u.gen > m.gen then catch_up t conn idx m ~gen:u.gen;
+  let offset = m.size + String.length m.tail in
+  let req =
+    Protocol.Repl_wait
+      { doc = m.name; gen = m.gen; offset; timeout_ms = t.cfg.poll_ms }
+  in
+  let c = repl_failure "REPL WAIT" (Client.request conn req) in
+  check_epoch t c.Replication.epoch;
+  if m.wedged <> None then ()
+  else if c.Replication.gen = m.gen && String.length c.Replication.data > 0
+  then begin
+    m.tail <- m.tail ^ chaos_data t m c.Replication.data;
+    drain t idx m
+  end
+  else if c.Replication.gen > m.gen then
+    catch_up t conn idx m ~gen:c.Replication.gen
+
+let pull_round t conn =
+  let st = get_state t conn in
+  let upstream m =
+    List.find_opt
+      (fun (u : Replication.doc_state) -> u.name = m.name)
+      st.Replication.s_docs
+  in
+  (* Lag gauges over the mirrored documents only: records and journal
+     bytes upstream holds that this node has not applied.  The upstream's
+     version stamp also counts ADDDOC/DROPDOC and documents this node
+     does not mirror, so it is not compared. *)
+  let lag_versions, lag_bytes =
+    Array.fold_left
+      (fun (versions, bytes) m ->
+        match upstream m with
+        | None -> (versions, bytes)
+        | Some u ->
+          let unread =
+            if u.gen = m.gen then
+              max 0 (u.size - m.size - String.length m.tail)
+            else u.size
+          in
+          (versions + max 0 (u.seq - m.applied_seq), bytes + unread))
+      (0, 0) t.masters
+  in
+  Atomic.set t.lag_versions lag_versions;
+  Atomic.set t.lag_bytes lag_bytes;
+  Array.iteri
+    (fun idx m ->
+      match upstream m with
+      | None ->
+        (* Dropped upstream.  A follower mirrors the document set fixed at
+           bootstrap and does not follow membership changes: the last
+           mirrored copy stays served, and the rest of the array is still
+           polled. *)
+        ()
+      | Some _ when pull_stopped t || m.wedged <> None -> ()
+      | Some u -> (
+        (* dropped between STATE and this document's turn: same case *)
+        try pull_doc t conn idx m u with Dropped_upstream _ -> ()))
+    t.masters
+
+(* Bounded exponential backoff between reconnect attempts: 50 ms doubling
+   to a 2 s cap, parked on the wake pipe so that promotion and stop end it
+   at once. *)
+let backoff_delay t attempt =
+  let ms = min 2_000 (50 * (1 lsl min attempt 5)) in
+  match t.wake with
+  | Some (r, _) when not (pull_stopped t) -> (
+    try ignore (Unix.select [ r ] [] [] (float_of_int ms /. 1000.))
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+  | _ -> ()
+
+(* Called once the puller's stop condition holds.  The byte is never
+   read: every later back-off returns at once, and the puller exits. *)
+let wake_puller t =
+  match t.wake with
+  | Some (_, w) -> (
+    try ignore (Unix.single_write_substring w "w" 0 1)
+    with Unix.Unix_error _ -> ())
+  | None -> ()
+
+let close_wake t =
+  Option.iter
+    (fun (r, w) ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ r; w ])
+    t.wake
+
+let puller t upstream =
+  let attempt = ref 0 in
+  while not (pull_stopped t) do
+    match
+      Client.with_connection upstream @@ fun conn ->
+      while not (pull_stopped t) do
+        pull_round t conn;
+        attempt := 0
+      done
+    with
+    | () -> ()
+    | exception _ when pull_stopped t -> ()
+    | exception _ ->
+      (* torn stream, upstream restart, fencing, divergence: drop the
+         connection, back off, reconnect, resume from the durable local
+         offset (plus any buffered tail) — the stream is idempotent by
+         byte position. *)
+      Atomic.incr t.reconnects;
+      backoff_delay t !attempt;
+      incr attempt
+  done
+
+(* --- Promotion -----------------------------------------------------
+
+   Stop following, bump the fence, take writes.  Ordering matters: the
+   puller is joined {e before} the epoch rises, so no frame from the old
+   primary can interleave with locally accepted writes; the epoch is
+   persisted before the first write is accepted, so a crash right after
+   promotion still restarts above the old primary's fence.  The writers
+   open at the mirrored offsets, the version counter resumes the
+   contract's [1 + Σ seq], and the commit pipelines start: from here on
+   the node is a primary in every respect. *)
+
+let promote t =
+  with_mutex t.promote_mu @@ fun () ->
+  match Atomic.get t.role with
+  | `Primary ->
+    Protocol.Err
+      "PROMOTE: this node is a primary, not a replica (already accepting \
+       writes)"
+  | `Promoted ->
+    Protocol.Ok_
+      (Printf.sprintf "epoch=%d role=promoted already=1" (Atomic.get t.epoch))
+  | `Following ->
+    Atomic.set t.pull_stop true;
+    wake_puller t;
+    Option.iter Thread.join t.puller;
+    t.puller <- None;
+    let e = Atomic.get t.epoch + 1 in
+    Atomic.set t.epoch e;
+    Replication.store_epoch t.cfg.data_dir e;
+    Array.iter
+      (fun m ->
+        (* buffered torn bytes die with the old primary *)
+        m.tail <- "";
+        m.wal <- Some (Wal.open_append m.wal_path))
+      t.masters;
+    let v = local_version t in
+    Atomic.set t.last_version v;
+    start_pipelines t;
+    Atomic.set t.role `Promoted;
+    Protocol.Ok_ (Printf.sprintf "epoch=%d role=promoted v=%d" e v)
+
+(* The node's part of a graceful stop, run by the listener once every
+   session is joined; the puller sees the listener stopping and exits. *)
 let teardown t () =
+  wake_puller t;
+  Option.iter Thread.join t.puller;
+  close_wake t;
   (* drain the admitted queues, park the workers and the domains *)
   Pool.shutdown t.sched;
   Option.iter Pool.shutdown t.exec;
@@ -861,102 +1456,6 @@ let teardown t () =
 let stop t = Listener.stop t.listener
 let wait t = Listener.wait t.listener
 
-(* --- Replication endpoint ------------------------------------------
-
-   Followers pull: the primary serves nothing but its own on-disk
-   artifacts (base pair, checkpoint pairs, archived segments, the live
-   journal) plus a long-poll on journal growth.  All REPL verbs run inline
-   on the session thread — a replication connection is dedicated, so
-   blocking it in REPL WAIT costs no worker, and the verbs stay observable
-   when the admission queue is saturated. *)
-
-let repl_reply t chunk =
-  Atomic.incr t.repl_requests;
-  ignore
-    (Atomic.fetch_and_add t.repl_bytes
-       (String.length chunk.Replication.data));
-  Protocol.Ok_ (Replication.encode_chunk chunk)
-
-let run_repl_state t =
-  Atomic.incr t.repl_requests;
-  let s = Atomic.get t.current in
-  (* live documents only: a retired slot's artifacts are deleted, so a
-     follower asking for its files could only be refused *)
-  let s_docs =
-    Array.to_list t.masters
-    |> List.filter_map (fun m ->
-           if m.retired then None
-           else
-             Some
-               {
-                 Replication.name = m.name;
-                 gen = Wal.generation m.wal;
-                 seq = Wal.seq m.wal;
-                 size = Replication.file_size m.wal_path;
-               })
-  in
-  Protocol.Ok_
-    (Replication.encode_state
-       { Replication.s_epoch = t.cfg.epoch;
-         s_version = s.Snapshot.version; s_docs })
-
-(* A chunk must be bytes of the generation the reply names.  [rotate_mu]
-   excludes the rotation in the group's pipeline domain, making the
-   (generation, file bytes) pair atomic. *)
-let read_stable_chunk m path ~offset ~limit =
-  Mutex.lock m.rotate_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m.rotate_mu) @@ fun () ->
-  let data, size = Replication.read_chunk path ~offset ~limit in
-  (data, size, Wal.generation m.wal)
-
-let run_repl_file t doc file offset limit =
-  match find_master t doc with
-  | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
-  | Some m ->
-    let path =
-      Replication.resolve_path ~xml:m.xml_path ~sidecar:m.sidecar_path
-        ~wal:m.wal_path file
-    in
-    let data, size, gen = read_stable_chunk m path ~offset ~limit in
-    repl_reply t { Replication.epoch = t.cfg.epoch; gen; size; data }
-
-let run_repl_wait t doc want_gen offset timeout_ms =
-  match find_master t doc with
-  | None -> Protocol.Err (Printf.sprintf "unknown document %S" doc)
-  | Some m ->
-    let deadline =
-      Unix.gettimeofday ()
-      +. (float_of_int (min timeout_ms Replication.max_wait_ms) /. 1000.)
-    in
-    let rec loop () =
-      let gen = Wal.generation m.wal in
-      if gen <> want_gen then
-        (* rotated past the follower's generation: an empty chunk naming
-           the live generation sends it to the archived segment *)
-        repl_reply t
-          { Replication.epoch = t.cfg.epoch; gen;
-            size = Replication.file_size m.wal_path; data = "" }
-      else begin
-        let size = Replication.file_size m.wal_path in
-        if size > offset then begin
-          let data, size, gen =
-            read_stable_chunk m m.wal_path ~offset
-              ~limit:Replication.max_chunk
-          in
-          repl_reply t { Replication.epoch = t.cfg.epoch; gen; size; data }
-        end
-        else if (not (Listener.running t.listener))
-                || Unix.gettimeofday () > deadline then
-          repl_reply t
-            { Replication.epoch = t.cfg.epoch; gen; size; data = "" }
-        else begin
-          Thread.delay 0.005;
-          loop ()
-        end
-      end
-    in
-    loop ()
-
 (* --- Collection membership (ADDDOC / ADOPT / DROPDOC) --------------
 
    Documents arrive and leave at runtime: streamed ingest adds fresh
@@ -968,8 +1467,8 @@ let run_repl_wait t doc want_gen offset timeout_ms =
    the pipelines' feet, and no pipeline can be mid-publication (its CAS
    would clobber, or be clobbered by, the membership's [Atomic.set]).  The
    quiesce loop releases the write locks while any pipeline is draining —
-   the full-fallback publication path takes its group's write lock, so
-   holding them while waiting would deadlock. *)
+   a failed commit's quarantine takes its group's write lock, so holding
+   them while waiting would deadlock. *)
 
 let with_quiesced t f =
   let lock_all () =
@@ -1015,6 +1514,19 @@ let master_paths t name =
   let base = Filename.concat t.cfg.data_dir name in
   (base ^ ".xml", base ^ ".ruid", base ^ ".wal")
 
+(* A document's record, without a writer copy: with a journal writer,
+   sequenced and served from where the journal stands; without one (a
+   mirror), at zero until the mirror is recovered. *)
+let new_master t ~name ~wal ~version =
+  let xml_path, sidecar_path, wal_path = master_paths t name in
+  { name; group = Shard_map.hash ~shards:(Array.length t.groups) name;
+    retired = false; r2 = None; wal;
+    applied_seq = Option.fold ~none:0 ~some:Wal.seq wal;
+    applied_version = version; wedged = None;
+    xml_path; sidecar_path; wal_path; files_mu = Mutex.create ();
+    gen = Option.fold ~none:0 ~some:Wal.generation wal;
+    size = 0; tail = "" }
+
 (* Register a master + publish the document.  Caller holds the quiesced
    write locks (all groups).  The freshly built or recovered numbering is
    handed to the snapshot as is ({!Snapshot.host}, no copy); the master
@@ -1022,15 +1534,9 @@ let master_paths t name =
    revived in place — the commit queues are empty, so no pending record
    can reference the old master being replaced.  Publication is a plain
    [Atomic.set]: quiescence guarantees no pipeline is racing a CAS. *)
-let install_master t ~name ~r2 ~wal ~applied_seq =
-  let xml_path, sidecar_path, wal_path = master_paths t name in
+let install_master t ~name ~r2 ~wal =
   let version = 1 + Atomic.fetch_and_add t.last_version 1 in
-  let group = Shard_map.hash ~shards:(Array.length t.groups) name in
-  let m =
-    { name; group; retired = false; r2 = None; wal; applied_seq;
-      applied_version = version; durable_version = version; wedged = None;
-      xml_path; sidecar_path; wal_path; rotate_mu = Mutex.create () }
-  in
+  let m = new_master t ~name ~wal:(Some wal) ~version in
   let next, idx =
     match
       Snapshot.host (Atomic.get t.current) ~planner:t.planner_shared ~version
@@ -1073,7 +1579,7 @@ let install_built t ~verb name (b : Ruid.Stream_build.built) =
     let xml_path, sidecar_path, wal_path = master_paths t name in
     Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
     let wal = Wal.create wal_path in
-    let version = install_master t ~name ~r2 ~wal ~applied_seq:0 in
+    let version = install_master t ~name ~r2 ~wal in
     Protocol.Ok_
       (Printf.sprintf "doc=%s nodes=%d v=%d" name
          b.Ruid.Stream_build.stats.Ruid.Stream_build.nodes version)
@@ -1228,10 +1734,7 @@ let commit_adopt t doc =
              (Printexc.to_string e))
       | recovery ->
         let wal = Wal.open_append wal_path in
-        let version =
-          install_master t ~name:doc ~r2:recovery.Wal.r2 ~wal
-            ~applied_seq:(Wal.seq wal)
-        in
+        let version = install_master t ~name:doc ~r2:recovery.Wal.r2 ~wal in
         Protocol.Ok_
           (Printf.sprintf "doc=%s seq=%d gen=%d v=%d" doc (Wal.seq wal)
              (Wal.generation wal) version)
@@ -1288,7 +1791,11 @@ let run_drop_doc t doc =
       [ m.xml_path; m.sidecar_path ];
     Protocol.Ok_ (Printf.sprintf "doc=%s dropped v=%d" doc version)
 
-(* Verb dispatch; the listener answers PING, STATS and SHUTDOWN itself. *)
+(* Verb dispatch; the listener answers PING, STATS and SHUTDOWN itself.
+   A following node takes no writes: UPDATE and the membership verbs are
+   refused until PROMOTE — collection membership is the primary's to
+   change, and it replicates through the journal and file shipping like
+   any other write. *)
 let dispatch t (req : Protocol.request) =
   match req with
   (* Reads go to the parallel executor when one is configured: they only
@@ -1300,6 +1807,11 @@ let dispatch t (req : Protocol.request) =
     Listener.Queued
       ( Option.value t.exec ~default:t.sched,
         fun () -> eval_read ?cache:t.cache (Atomic.get t.current) req )
+  | Protocol.Update _ when following t ->
+    Listener.Inline
+      (fun () ->
+        Protocol.Err
+          "read-only replica: writes go to the primary (PROMOTE to fail over)")
   | Protocol.Update { doc; op } ->
     Listener.Queued (t.sched, fun () -> run_update t doc op)
   | Protocol.Sleep ms ->
@@ -1321,12 +1833,13 @@ let dispatch t (req : Protocol.request) =
     Listener.Inline (fun () -> run_repl_file t doc file offset limit)
   | Protocol.Repl_wait { doc; gen; offset; timeout_ms } ->
     Listener.Inline (fun () -> run_repl_wait t doc gen offset timeout_ms)
-  | Protocol.Promote ->
+  | Protocol.Promote -> Listener.Inline (fun () -> promote t)
+  | ( Protocol.Add_doc _ | Protocol.Add_chunk _ | Protocol.Adopt _
+    | Protocol.Adopt_abort _ | Protocol.Drop_doc _ )
+    when following t ->
     Listener.Inline
       (fun () ->
-        Protocol.Err
-          "PROMOTE: this node is a primary, not a replica (already \
-           accepting writes)")
+        Protocol.Err (Protocol.verb req ^ ": this node is a read-only replica"))
   (* Collection membership runs inline too: ingest and rebalance use
      dedicated connections (blocking one costs no worker), and the verbs
      must stay available while the admission queue is saturated — a
@@ -1343,7 +1856,9 @@ let dispatch t (req : Protocol.request) =
   | Protocol.Rebalance _ ->
     Listener.Inline
       (fun () ->
-        Protocol.Err "REBALANCE: this node is a shard; connect to the router")
+        Protocol.Err
+          (Printf.sprintf "REBALANCE: this node is a %s; connect to the router"
+             (if following t then "replica" else "shard")))
   | Protocol.Ping | Protocol.Stats | Protocol.Shutdown ->
     Listener.Inline
       (fun () -> Protocol.Err "internal: node verb reached the service")
@@ -1357,62 +1872,12 @@ let ensure_dir d =
   else if not (Sys.is_directory d) then
     invalid_arg (Printf.sprintf "%s exists and is not a directory" d)
 
-let start cfg docs =
-  (match validate_config cfg with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Service.start: " ^ msg));
-  (* An empty collection is a valid start: a shard in the collection
-     tier boots bare and is filled by ADDDOC / ADOPT at runtime. *)
-  ensure_dir cfg.data_dir;
-  (* Persist the fencing epoch before serving: a follower's refusal rule
-     depends on every node knowing which generation it speaks for. *)
-  Replication.store_epoch cfg.data_dir cfg.epoch;
-  let n_groups = resolved_commit_groups cfg in
-  let seen = Hashtbl.create 16 in
-  let masters, numbered =
-    List.split
-      (List.map
-         (fun (name, root) ->
-           if not (valid_doc_name name) then
-             invalid_arg
-               (Printf.sprintf "Service.start: bad document name %S" name);
-           if Hashtbl.mem seen name then
-             invalid_arg
-               (Printf.sprintf "Service.start: duplicate document name %S"
-                  name);
-           Hashtbl.replace seen name ();
-           let r2 = R2.number ~max_area_size:cfg.max_area_size root in
-           let base = Filename.concat cfg.data_dir name in
-           let xml_path = base ^ ".xml" in
-           let sidecar_path = base ^ ".ruid" in
-           let wal_path = base ^ ".wal" in
-           Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
-           let wal = Wal.create wal_path in
-           (* generation 0: an earlier run's pairs and archives of the
-              same name describe nothing this journal will replay *)
-           Wal.trim wal_path ~gen:0;
-           (* version 1 is the startup snapshot's stamp; every cursor
-              starts there, matching the hand-off at [~version:1] below *)
-           ( { name; group = Shard_map.hash ~shards:n_groups name;
-               retired = false; r2 = None; wal; applied_seq = 0;
-               applied_version = 1; durable_version = 1; wedged = None;
-               xml_path; sidecar_path; wal_path;
-               rotate_mu = Mutex.create () },
-             (name, r2) ))
-         docs)
-  in
-  let masters = Array.of_list masters in
-  let catalog = Hashtbl.create (2 * Array.length masters) in
-  Array.iteri (fun i m -> Hashtbl.replace catalog m.name i) masters;
-  let planner_shared =
-    Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ()
-  in
-  (* The numberings just built are published as is: the snapshot owns
-     them, and a master clones its own on the document's first UPDATE. *)
-  let snapshot0 =
-    fst
-      (Snapshot.host (Snapshot.capture ~version:1 []) ~planner:planner_shared
-         ~version:1 numbered)
+(* The node without its documents: front end, pools, commit groups. *)
+let create ?chaos cfg =
+  let epoch =
+    match cfg.upstream with
+    | None -> cfg.epoch
+    | Some _ -> Replication.load_epoch cfg.data_dir
   in
   let metrics = Metrics.create () in
   let listener =
@@ -1442,43 +1907,145 @@ let start cfg docs =
         (Query_cache.create ~max_entries:(cfg.cache_mb * 1024)
            ~max_bytes:(cfg.cache_mb * 1024 * 1024) ())
   in
-  let t =
-    {
-      cfg;
-      masters;
-      catalog;
-      catalog_mu = Mutex.create ();
-      adopt_mu = Mutex.create ();
-      planner_shared;
-      current = Atomic.make snapshot0;
-      groups =
-        Array.init n_groups (fun g_id ->
-            { g_id;
-              g_write_mu = Mutex.create ();
-              g_mu = Mutex.create ();
-              g_cond = Condition.create ();
-              g_queue = Queue.create ();
-              g_committing = false;
-              g_stop = false;
-              g_writes =
-                { w_batches = 0; w_records = 0; w_max_batch = 0;
-                  w_flush_ns = 0.; w_pub_inc = 0; w_pub_full = 0;
-                  w_areas = 0; w_rotations = 0; w_rotation_failures = 0 };
-              g_handoffs = 0;
-              g_lock_wait = Array.make Metrics.hist_buckets 0;
-              g_fsync_wait = Array.make Metrics.hist_buckets 0;
-            });
-      pipelines = [||];
-      last_version = Atomic.make snapshot0.Snapshot.version;
-      repl_requests = Atomic.make 0;
-      repl_bytes = Atomic.make 0;
-      sched;
-      exec;
-      cache;
-      metrics;
-      listener;
-    }
+  {
+    cfg;
+    masters = [||];
+    catalog = Hashtbl.create 16;
+    catalog_mu = Mutex.create ();
+    adopt_mu = Mutex.create ();
+    planner_shared = Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ();
+    current = Atomic.make (Snapshot.capture ~version:1 []);
+    groups =
+      Array.init (resolved_commit_groups cfg) (fun g_id ->
+          { g_id;
+            g_write_mu = Mutex.create ();
+            g_mu = Mutex.create ();
+            g_cond = Condition.create ();
+            g_queue = Queue.create ();
+            g_committing = false;
+            g_stop = false;
+            g_writes =
+              { w_batches = 0; w_records = 0; w_max_batch = 0;
+                w_flush_ns = 0.; w_pub_inc = 0; w_areas = 0;
+                w_rotations = 0; w_rotation_failures = 0 };
+            g_handoffs = 0;
+            g_lock_wait = Array.make Metrics.hist_buckets 0;
+            g_fsync_wait = Array.make Metrics.hist_buckets 0;
+          });
+    pipelines = [||];
+    last_version = Atomic.make 1;
+    epoch = Atomic.make epoch;
+    role =
+      Atomic.make
+        (match cfg.upstream with None -> `Primary | Some _ -> `Following);
+    promote_mu = Mutex.create ();
+    pull_stop = Atomic.make false;
+    puller = None;
+    wake = Option.map (fun _ -> Unix.pipe ~cloexec:true ()) cfg.upstream;
+    chaos;
+    reconnects = Atomic.make 0;
+    refused_epoch = Atomic.make 0;
+    lag_versions = Atomic.make 0;
+    lag_bytes = Atomic.make 0;
+    repl_requests = Atomic.make 0;
+    repl_bytes = Atomic.make 0;
+    sched;
+    exec;
+    cache;
+    metrics;
+    listener;
+  }
+
+(* Publish the first snapshot: each numbering handed to it as it is (the
+   snapshot owns them; a master clones its own on the document's first
+   write), every cursor at [version]. *)
+let host_all t named ~version =
+  t.masters <- Array.of_list (List.map fst named);
+  Array.iteri
+    (fun i m ->
+      m.applied_version <- version;
+      Hashtbl.replace t.catalog m.name i)
+    t.masters;
+  let snap, _ =
+    Snapshot.host (Snapshot.capture ~version []) ~planner:t.planner_shared
+      ~version
+      (List.map (fun (m, r2) -> (m.name, r2)) named)
   in
+  Atomic.set t.current snap;
+  Atomic.set t.last_version version
+
+(* A primary's documents: numbered, persisted, each with a fresh journal;
+   version 1 is the startup snapshot's stamp.  Generation 0: an earlier
+   run's pairs and archives of the same name describe nothing these
+   journals will replay. *)
+let host_input t docs =
+  Replication.store_epoch t.cfg.data_dir t.cfg.epoch;
+  let seen = Hashtbl.create 16 in
+  host_all t ~version:1
+    (List.map
+       (fun (name, root) ->
+         if not (valid_doc_name name) then
+           invalid_arg
+             (Printf.sprintf "Service.start: bad document name %S" name);
+         if Hashtbl.mem seen name then
+           invalid_arg
+             (Printf.sprintf "Service.start: duplicate document name %S" name);
+         Hashtbl.replace seen name ();
+         let r2 = R2.number ~max_area_size:t.cfg.max_area_size root in
+         let xml, sidecar, wal_path = master_paths t name in
+         Ruid.Persist.save r2 ~xml ~sidecar;
+         let wal = Wal.create wal_path in
+         Wal.trim wal_path ~gen:0;
+         (new_master t ~name ~wal:(Some wal) ~version:1, r2))
+       docs)
+
+(* A follower's documents: the set upstream lists, each mirrored — resumed
+   from intact local files when they exist (a restart), otherwise the base
+   pair fetched and the live generation installed, as a follower further
+   behind than one rotation does.  Either way the document finishes in the
+   invariant state: local files a primary-shaped, fsck-clean mirror, the
+   numbering the replay of exactly those bytes.  A [Fenced] raised here is
+   fatal by design: the configured upstream is provably behind the fence
+   this data directory has already seen, and following it would merge a
+   deposed primary's writes. *)
+let bootstrap t upstream =
+  Client.with_connection upstream @@ fun conn ->
+  let st = get_state t conn in
+  if st.Replication.s_docs = [] then failwith "upstream hosts no documents";
+  Atomic.set t.epoch (max 1 (Atomic.get t.epoch));
+  Replication.store_epoch t.cfg.data_dir (Atomic.get t.epoch);
+  let mirror (u : Replication.doc_state) =
+    let m = new_master t ~name:u.name ~wal:None ~version:1 in
+    if not (Sys.file_exists m.xml_path && Sys.file_exists m.sidecar_path)
+    then begin
+      store_atomic m.xml_path
+        (fetch_file t conn ~doc:u.name ~file:Protocol.Base_xml ());
+      store_atomic m.sidecar_path
+        (fetch_file t conn ~doc:u.name ~file:Protocol.Base_sidecar ());
+      install_generation t conn m ~gen:u.gen ~commit:ignore
+    end
+    else
+      (* restart: a kill between our append and fsync can leave a torn
+         tail; drop it, then replay resumes from the durable prefix *)
+      ignore (Wal.repair m.wal_path);
+    let r2, applied_seq, gen, size = recover m in
+    (* a kill inside an earlier install can leave older members behind *)
+    Wal.trim m.wal_path ~gen;
+    m.applied_seq <- applied_seq;
+    m.gen <- gen;
+    m.size <- size;
+    (m, r2)
+  in
+  let named =
+    List.map
+      (fun u -> try mirror u with Dropped_upstream msg -> failwith msg)
+      st.Replication.s_docs
+  in
+  host_all t named
+    ~version:(1 + List.fold_left (fun acc (m, _) -> acc + m.applied_seq) 0 named)
+
+let set_probes t =
+  let metrics = t.metrics in
   Metrics.set_queue_probe metrics (fun () ->
       Pool.queue_depth t.sched
       + match t.exec with Some ex -> Pool.queue_depth ex | None -> 0);
@@ -1501,7 +2068,7 @@ let start cfg docs =
   | Some ex -> Metrics.set_domain_probe metrics (fun () -> Pool.busy_seconds ex)
   | None -> ());
   Metrics.set_planner_probe metrics (fun () ->
-      let s = Rxpath.Planner.shared_stats planner_shared in
+      let s = Rxpath.Planner.shared_stats t.planner_shared in
       let hits, misses, evictions, entries =
         match s.Rxpath.Planner.cache_stats with
         | None -> (0, 0, 0, 0)
@@ -1522,7 +2089,7 @@ let start cfg docs =
   (* [wal_*]/[publish_*] keys stay aggregated across groups — every
      existing consumer (tests, benches, dashboards) keeps its totals —
      while the per-group contention detail goes out via the pipeline
-     probe. *)
+     probe.  Every publication is derived, so [publish_full] reads 0. *)
   Metrics.set_write_probe metrics (fun () ->
       let private_masters =
         Array.fold_left
@@ -1542,7 +2109,6 @@ let start cfg docs =
               flush_ns = acc.Metrics.flush_ns +. w.w_flush_ns;
               publish_incremental =
                 acc.Metrics.publish_incremental + w.w_pub_inc;
-              publish_full = acc.Metrics.publish_full + w.w_pub_full;
               areas_rebuilt = acc.Metrics.areas_rebuilt + w.w_areas;
               rotations = acc.Metrics.rotations + w.w_rotations;
               rotation_failures =
@@ -1576,17 +2142,48 @@ let start cfg docs =
         t.groups);
   Metrics.set_repl_probe metrics (fun () ->
       {
-        Metrics.role = "primary";
-        epoch = cfg.epoch;
+        Metrics.role =
+          (match Atomic.get t.role with
+          | `Primary -> "primary"
+          | `Following -> "replica"
+          | `Promoted -> "promoted");
+        epoch = Atomic.get t.epoch;
         served_requests = Atomic.get t.repl_requests;
         served_bytes = Atomic.get t.repl_bytes;
-        lag_versions = 0;
-        lag_bytes = 0;
-        last_applied_seq = -1;
-        reconnects = 0;
-        refused_epoch = 0;
-      });
-  t.pipelines <-
-    Array.map (fun g -> Domain.spawn (fun () -> pipeline_loop t g)) t.groups;
-  Listener.serve listener ~teardown:(teardown t) (dispatch t);
+        lag_versions = Atomic.get t.lag_versions;
+        lag_bytes = Atomic.get t.lag_bytes;
+        last_applied_seq =
+          Array.fold_left (fun acc m -> acc + m.applied_seq) 0 t.masters;
+        reconnects = Atomic.get t.reconnects;
+        refused_epoch = Atomic.get t.refused_epoch;
+      })
+
+let start ?chaos cfg docs =
+  (match validate_config cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Service.start: " ^ msg));
+  if cfg.upstream <> None && docs <> [] then
+    invalid_arg "Service.start: a node with an upstream hosts its documents";
+  (* An empty collection is a valid start: a shard in the collection
+     tier boots bare and is filled by ADDDOC / ADOPT at runtime. *)
+  ensure_dir cfg.data_dir;
+  let t = create ?chaos cfg in
+  (match
+     match cfg.upstream with
+     | None -> host_input t docs
+     | Some upstream -> bootstrap t upstream
+   with
+  | () -> ()
+  | exception e ->
+    (* a failed start leaves neither a socket nor a worker behind *)
+    Listener.stop t.listener;
+    Pool.shutdown t.sched;
+    Option.iter Pool.shutdown t.exec;
+    close_wake t;
+    raise e);
+  set_probes t;
+  (match cfg.upstream with
+  | None -> start_pipelines t
+  | Some upstream -> t.puller <- Some (Thread.create (puller t) upstream));
+  Listener.serve t.listener ~teardown:(teardown t) (dispatch t);
   t

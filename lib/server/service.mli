@@ -1,4 +1,4 @@
-(** The concurrent document service.
+(** The concurrent document service: the one node type.
 
     One long-running process composes the repo's three pillars: numbering
     (every hosted document's {!Ruid.Ruid2} numbering), durability (every
@@ -6,6 +6,13 @@
     visible), and query evaluation (the numbering-driven engine) — behind
     a Unix-socket protocol ({!Protocol}) served on a {!Listener} by a
     worker {!Pool}.
+
+    A node either numbers the documents it is given (a primary) or, with
+    an [upstream], follows another node (a follower, see {e Following}
+    below).  The paper's renumbering (§3.2) is deterministic and stays
+    inside one area, so a follower that replays the primary's journal
+    holds bit-identical identifiers: the two are the same node, fed from
+    a stream instead of by clients.
 
     Concurrency contract:
     - {e Reads are snapshot-isolated and never block.}  Workers grab the
@@ -64,7 +71,43 @@
     commit pipelines, and leaves [<doc>.xml] + [<doc>.ruid] + [<doc>.wal]
     in the data directory such that {!Rstorage.Wal.fsck} rates them
     recoverable (0 or 1) — the crash story and the shutdown story are the
-    same story. *)
+    same story.
+
+    {b Following.}  A node with an [upstream] mirrors that node's on-disk
+    artifacts over the [REPL *] verbs — base pair, the live generation's
+    checkpoint pair and archive, and an active journal holding only
+    complete checksum-valid frames — so [ruidtool fsck] passes on its data
+    directory at all times, and a restart recovers through the ordinary
+    {!Rstorage.Wal.replay} path and resumes the stream from the durable
+    byte offset.  Each drained stream batch is journaled, folded into the
+    document's writer copy (checking sequence continuity and every
+    renumber record; a disagreement quarantines the document), and
+    published through the same {!Snapshot.advance} step the commit
+    pipelines use, at version [1 + Σ applied seq] — the primary's
+    stamp at the same point, so a caught-up, quiesced follower's replies
+    are byte-identical to its upstream's.  A follower one generation
+    behind finishes its segment from the archive [seg<g>]; one further
+    behind reinstalls the document from the live generation and publishes
+    the recovered numbering without a copy.  It serves the [REPL *] verbs
+    from its mirror, so followers chain.  It mirrors the document set its
+    upstream listed at bootstrap: a document dropped upstream stays served
+    from its last mirrored copy, one added upstream is not mirrored.  It
+    refuses UPDATE and the membership verbs, and spawns no commit-pipeline
+    domain.  The highest epoch ever seen is persisted in
+    [<data-dir>/EPOCH]; bytes stamped with a lower epoch are refused and
+    counted, never merged.
+
+    {b Promotion.}  [PROMOTE] stops the puller, bumps and persists the
+    epoch, opens each journal's writer at its mirrored offset, resumes the
+    version counter at [1 + Σ applied seq] and starts the commit
+    pipelines: from then on the node is a primary in every respect (group
+    commit, rotation at [wal_segment_bytes], the membership verbs), and a
+    chain below it keeps streaming, since its journals continue at the
+    same byte offsets. *)
+
+exception Fenced of { seen : int; got : int }
+(** The upstream served epoch [got], below the highest epoch [seen] this
+    data directory has ever followed. *)
 
 type config = {
   socket_path : string;  (** Unix domain socket (paths are length-limited) *)
@@ -105,7 +148,12 @@ type config = {
   epoch : int;
       (** fencing generation this primary serves under ({!Replication}):
           persisted to [<data_dir>/EPOCH] at startup and stamped on every
-          [REPL *] reply, so followers can refuse a deposed primary *)
+          [REPL *] reply, so followers can refuse a deposed primary.  A
+          follower serves the highest epoch it has seen instead. *)
+  upstream : string option;
+      (** [Some socket]: follow the node there (a primary or another
+          follower) instead of numbering documents of one's own *)
+  poll_ms : int;  (** following: REPL WAIT long-poll timeout per round *)
 }
 
 val default_config : socket_path:string -> data_dir:string -> unit -> config
@@ -113,13 +161,13 @@ val default_config : socket_path:string -> data_dir:string -> unit -> config
     max_area_size 64, max_depth 10000, domains 0, cache_mb 0,
     commit_interval_us 0,
     commit_max_batch 64, commit_groups 0 (= one per read domain, min 1),
-    wal_segment_bytes 0, plan_cache 256, epoch 1. *)
+    wal_segment_bytes 0, plan_cache 256, epoch 1, upstream [None],
+    poll_ms 500. *)
 
 val resolved_max_queue : max_queue:int -> workers:int -> domains:int -> int
 (** The effective per-pool admission bound of a server with [workers]
     systhreads and [domains] read domains (0 for none): [max_queue] when
-    positive, else 4 × the larger pool.  {!Replica} and the CLI read it
-    too. *)
+    positive, else 4 × the larger pool.  The CLI reads it too. *)
 
 val ensure_dir : string -> unit
 (** Create a data directory unless it exists.
@@ -135,19 +183,29 @@ val validate_config : config -> (unit, string) result
     domains >= 0,
     cache_mb >= 0, commit_interval_us >= 0, commit_max_batch >= 1,
     commit_groups >= 0 (0 = auto),
-    wal_segment_bytes >= 0, plan_cache >= 0, epoch >= 1,
-    socket path non-empty and short enough for
+    wal_segment_bytes >= 0, plan_cache >= 0, epoch >= 1, poll_ms >= 1,
+    a non-empty upstream, socket path non-empty and short enough for
     [sockaddr_un]. *)
 
 type t
 
-val start : config -> (string * Rxml.Dom.t) list -> t
+val start :
+  ?chaos:Rstorage.Fault.plan -> config -> (string * Rxml.Dom.t) list -> t
 (** Number and host the named documents, persist their snapshots and open
     their WALs under [data_dir], publish snapshot version 1, and begin
     accepting connections.  The trees become the published snapshot's:
     the service never writes them (updates go to writer clones), and the
     caller must not either.  An empty document list is valid — a shard in
     the collection tier boots bare and is populated by [ADDDOC]/[ADOPT].
+
+    With an [upstream], the document list must be empty: the node
+    bootstraps its mirror (resuming from intact local files when present),
+    publishes the first local snapshot and begins pulling.  [?chaos] arms
+    the fault-injection hook: each received stream chunk may be torn at a
+    random byte per the plan's short-write probability, which the
+    follower must survive by reconnecting and resuming.
+    @raise Fenced when the upstream is behind this data directory's
+    persisted fence.
     @raise Invalid_argument on an invalid config or a duplicate document
     name. *)
 
@@ -164,6 +222,12 @@ val metrics : t -> Metrics.t
 val snapshot : t -> Snapshot.t
 val config : t -> config
 
+val epoch : t -> int
+(** The fencing epoch this node serves under (while following: the
+    highest seen). *)
+
+val role : t -> [ `Primary | `Following | `Promoted ]
+
 val cache_stats : t -> Query_cache.stats option
 (** Result-cache counters, when a cache is configured. *)
 
@@ -176,7 +240,6 @@ val eval_read :
 (** Evaluate one of the read verbs ([QUERY], [COUNT], [EXPLAIN], [CHECK],
     [QUERYD], [COUNTD], [DOCS]) over an explicit snapshot.  This is the
     service's own read
-    path with the snapshot made a parameter: {!Replica} serves reads
-    through it, so a caught-up follower's replies are byte-identical to
-    the primary's at the same version.  Any other request is answered
+    path with the snapshot made a parameter, so a caught-up follower's
+    replies are byte-identical to the primary's at the same version.  Any other request is answered
     with an internal [ERR]. *)

@@ -86,22 +86,14 @@ let capture ?planner ~version masters =
   fst
     (place empty ~version (capture_doc ?planner ~doc_version:version) masters)
 
-(* Slot [doc_index] made over by [make], keeping its name and its planner
+(* Slot [doc_index] handed [owned], keeping its name and its planner
    sharing (cache and counters). *)
-let swap_doc t ~version ~doc_index make =
+let rehost t ~version ~doc_version ~doc_index owned =
   let docs = Array.copy t.docs in
   let prev = docs.(doc_index) in
   let planner = Option.map Planner.shared_of prev.planner in
-  docs.(doc_index) <- make ?planner prev.name;
+  docs.(doc_index) <- doc_over ?planner ~doc_version prev.name owned;
   { version; published_at = Unix.gettimeofday (); docs; index = t.index }
-
-let replace_doc t ~version ~doc_version ~doc_index master =
-  swap_doc t ~version ~doc_index (fun ?planner name ->
-      capture_doc ?planner ~doc_version name master)
-
-let rehost t ~version ~doc_version ~doc_index owned =
-  swap_doc t ~version ~doc_index (fun ?planner name ->
-      doc_over ?planner ~doc_version name owned)
 
 let add_doc t ?planner ~version ~name master =
   match

@@ -9,7 +9,7 @@
     A numbering reaches a snapshot in one of three ways:
     - {e Hand-off} ({!host}, {!rehost}).  A numbering that was just built
       or recovered — the service's startup documents, ADDDOC/ADDCHUNK, a
-      committed ADOPT, a replica's bootstrap or checkpoint reinstall — is
+      committed ADOPT, a follower's bootstrap or checkpoint reinstall — is
       published as is, with
       no copy; the caller gives it up for good.  A writer takes an O(1)
       {!Ruid.Ruid2.clone} of the published numbering, which shares its
@@ -22,11 +22,12 @@
       touches: the renumbered areas (§3.2), the nodes on the path from
       each change up to the root, the edited order keys and the postings
       of the touched tags.  Everything else is shared with the previous
-      version.
-    - {e Copy} ({!capture}, {!add_doc}, {!replace_doc}).  DOM clone plus
-      the {!Ruid.Persist} sidecar round-trip, for callers that go on
-      editing the tree they pass directly: the service's
-      full-publication fallback, benchmark replays.
+      version.  Every version the service publishes after the first is
+      derived this way, commit batch and replicated stream batch alike.
+    - {e Copy} ({!capture}, {!add_doc}).  DOM clone plus the
+      {!Ruid.Persist} sidecar round-trip, for callers that go on editing
+      the tree they pass directly: benchmark replays.  The service copies
+      nothing (an empty [capture] is its first snapshot's base).
 
     Sharing has one rule for readers: a node's [parent] pointer may name
     an older version of its parent (same serial and tag, possibly other
@@ -63,17 +64,16 @@ type doc = private {
   engine : Rxpath.Eval.engine;
   planner : Rxpath.Planner.t option;
       (** cost-based query planner over this copy, present when the
-          publisher passed [?planner] (the service and replicas always
-          do).  Its fallback engine {e is} [engine]
+          publisher passed [?planner] (the service always does).  Its fallback engine {e is} [engine]
           (they share one document-order index); its DataGuide advances
           incrementally across {!advance} publications. *)
   doc_version : int;
       (** version of the last update folded into {e this} copy — the
-          per-document publication cursor.  The write path filters each
-          pending update against its own document's cursor, never the
-          global [version] stamp: a full-fallback capture of one document
-          can run ahead of the global counter without ever causing another
-          document's queued update to be skipped. *)
+          per-document publication cursor.  It is per document, never the
+          global [version] stamp, because concurrent commit groups publish
+          versions out of order: one group's publication can stamp the
+          snapshot past a version another group's queued update of a
+          different document still carries. *)
   live : bool;
       (** [false] once the document was retired ({!retire_doc}): the slot
           survives — indices never shift — but the document stops being
@@ -99,25 +99,19 @@ val capture :
     cursor at [version]; the masters stay the caller's to mutate, even
     through direct tree edits.  Callers that update only through
     {!Ruid.Ruid2} hand off with {!host} and keep a clone instead, at no
-    copy (a replica's bootstrap).  With [?planner], every
+    copy (the service).  With [?planner], every
     document gets a query planner built over the shared plan cache and
     strategy counters (one [shared] serves the whole collection across all
     publications).
     @raise Invalid_argument on a duplicate name. *)
 
-val replace_doc :
-  t -> version:int -> doc_version:int -> doc_index:int -> Ruid.Ruid2.t -> t
-(** Copy-on-write publication: new snapshot sharing every document except
-    [doc_index], which is re-captured from the (just-updated) master with
-    its cursor at [doc_version] — the version of the last operation the
-    master has applied, which may trail the global [version] stamp. *)
-
 val rehost :
   t -> version:int -> doc_version:int -> doc_index:int -> Ruid.Ruid2.t -> t
-(** {!replace_doc} by hand-off, as {!host} publishes: slot [doc_index]
-    becomes this numbering as is, with no copy — a replica's reinstall of
-    a document from a checkpoint it just recovered.  The caller must never
-    write the numbering again. *)
+(** A new snapshot sharing every document except [doc_index], which
+    becomes this numbering as is, by hand-off as {!host} publishes, with
+    its cursor at [doc_version] — a follower's reinstall of a document
+    from a checkpoint it just recovered.  The caller must never write the
+    numbering again. *)
 
 val next_stamp : t -> floor:int -> int
 (** The stamp a successor of this snapshot must carry: strictly above
@@ -131,7 +125,7 @@ val advance :
 (** Incremental publication: for each [(doc_index, ops, doc_version)],
     derive the new version from {e this} snapshot's — an O(1)
     {!Ruid.Ruid2.clone} plus a replay of the batch's operations — instead
-    of the sidecar serialize + reparse of {!replace_doc}, leaving the
+    of a sidecar serialize + reparse, leaving the
     document's cursor at [doc_version].  [Rstorage.Wal.apply] is
     deterministic, so the result is bit-identical to re-capturing the
     master that applied the same operations, at the cost of the touched
@@ -142,14 +136,16 @@ val advance :
     (O(their cardinality)); an engine over it is O(1).
     The order index compacts — one O(nodes) rebuild — once its edits
     outgrow an eighth of the document.  Untouched documents (cursors
-    included) are shared as in {!replace_doc}.  Planner documents advance
+    included) are shared.  Planner documents advance
     their DataGuide incrementally: each operation's label-path delta is
     computed against the pre-apply version and folded into a clone of the
     previous guide (readers of the previous snapshot keep theirs).
     Returns the snapshot and the total number of area renumberings
     performed (the rebuilt surface).
-    @raise Rstorage.Wal.Replay_error if an operation does not apply —
-    callers fall back to {!replace_doc}. *)
+    [Rstorage.Wal.apply] is deterministic on the clone, so no operation
+    the master applied makes it raise; a publisher that meets an exception
+    anyway quarantines the document.
+    @raise Rstorage.Wal.Replay_error if an operation does not apply. *)
 
 val add_doc :
   t -> ?planner:Rxpath.Planner.shared -> version:int -> name:string ->

@@ -112,9 +112,10 @@ let test_role_socket_paths () =
     | Ok () -> Alcotest.failf "%s accepted" what
   in
   let replica socket_path =
-    Rserver.Replica.validate_config
-      (Rserver.Replica.default_config ~socket_path ~data_dir:"/tmp/r"
-         ~primary:"/tmp/p.sock" ())
+    Rserver.Service.validate_config
+      { (Rserver.Service.default_config ~socket_path ~data_dir:"/tmp/r" ())
+        with
+        upstream = Some "/tmp/p.sock" }
   and router socket_path =
     Rserver.Router.validate_config
       (Rserver.Router.default_config ~socket_path

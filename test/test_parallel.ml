@@ -44,6 +44,8 @@ let with_server ?(workers = 2) ?(max_queue = 0) ?(domains = 0) ?(cache_mb = 0)
       wal_segment_bytes = 0;
       plan_cache = 256;
       epoch = 1;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let t = Service.start cfg docs in

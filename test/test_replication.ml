@@ -8,7 +8,6 @@ module Dom = Rxml.Dom
 module P = Rserver.Protocol
 module C = Rserver.Client
 module Service = Rserver.Service
-module Replica = Rserver.Replica
 module Wal = Rstorage.Wal
 module Fault = Rstorage.Fault
 
@@ -60,25 +59,26 @@ let with_primary ?(wal_segment_bytes = 0) ?(epoch = 1) ?(commit_groups = 0)
       wal_segment_bytes;
       plan_cache = 64;
       epoch;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let t = Service.start cfg docs in
   Fun.protect ~finally:(fun () -> Service.stop t) (fun () -> f cfg t)
 
 let replica_config ?(poll_ms = 25) ~primary () =
-  {
-    Replica.socket_path = sock_path ();
-    data_dir = temp_dir ();
-    primary;
+  { (Service.default_config ~socket_path:(sock_path ())
+       ~data_dir:(temp_dir ()) ())
+    with
     workers = 2;
     max_queue = 32;
-    poll_ms;
     plan_cache = 64;
-  }
+    upstream = Some primary;
+    poll_ms }
 
 let with_replica ?chaos cfg f =
-  let t = Replica.start ?chaos cfg in
-  Fun.protect ~finally:(fun () -> Replica.stop t) (fun () -> f t)
+  let t = Service.start ?chaos cfg [] in
+  Fun.protect ~finally:(fun () -> Service.stop t) (fun () -> f t)
 
 let wait_until ?(timeout_s = 20.) ?(what = "condition") pred =
   let deadline = Unix.gettimeofday () +. timeout_s in
@@ -95,7 +95,7 @@ let wait_until ?(timeout_s = 20.) ?(what = "condition") pred =
 
 let wait_version r v =
   wait_until ~what:(Printf.sprintf "replica to reach v=%d" v) (fun () ->
-      (Replica.snapshot r).Rserver.Snapshot.version >= v)
+      (Service.snapshot r).Rserver.Snapshot.version >= v)
 
 (* The read probes whose replies must be byte-identical between a
    caught-up replica and its upstream.  EXPLAIN is excluded on purpose:
@@ -191,23 +191,23 @@ let test_bootstrap_and_live () =
   (* bootstrap alone must already reach the primary's version *)
   wait_version r v1;
   check_identical ~ctx:"after bootstrap" pcfg.Service.socket_path
-    rcfg.Replica.socket_path;
+    rcfg.Service.socket_path;
   (* live writes stream over WAIT; replica converges without reconnect *)
   let v2 = write_mix ~seed:12 ~ops:8 pcfg.Service.socket_path in
   wait_version r v2;
   check_identical ~ctx:"after live writes" pcfg.Service.socket_path
-    rcfg.Replica.socket_path;
+    rcfg.Service.socket_path;
   Alcotest.(check int)
     "no reconnects on a healthy stream" 0
-    (stats_kv rcfg.Replica.socket_path "repl_reconnects");
+    (stats_kv rcfg.Service.socket_path "repl_reconnects");
   Alcotest.(check int)
     "caught up: zero version lag" 0
-    (stats_kv rcfg.Replica.socket_path "repl_lag_versions");
+    (stats_kv rcfg.Service.socket_path "repl_lag_versions");
   Alcotest.(check int)
     "last applied sequence gauge" (v2 - 1)
-    (stats_kv rcfg.Replica.socket_path "repl_last_seq");
+    (stats_kv rcfg.Service.socket_path "repl_last_seq");
   (* writes are refused while following *)
-  (C.with_connection rcfg.Replica.socket_path @@ fun c ->
+  (C.with_connection rcfg.Service.socket_path @@ fun c ->
    match
      C.request c
        (P.Update
@@ -218,7 +218,7 @@ let test_bootstrap_and_live () =
      Alcotest.(check bool) "read-only error names the contract" true
        (String.length m > 0)
    | r -> Alcotest.failf "replica accepted a write: %s" (P.response_to_string r));
-  assert_fsck_clean ~ctx:"replica mirror" rcfg.Replica.data_dir
+  assert_fsck_clean ~ctx:"replica mirror" rcfg.Service.data_dir
 
 (* ------------------------------------------------------------------ *)
 (* Torn-stream property: resume + converge over 10 seeds               *)
@@ -238,10 +238,10 @@ let test_torn_stream_seeds () =
     wait_version r v;
     check_identical
       ~ctx:(Printf.sprintf "seed %d" seed)
-      pcfg.Service.socket_path rcfg.Replica.socket_path;
+      pcfg.Service.socket_path rcfg.Service.socket_path;
     assert_fsck_clean
       ~ctx:(Printf.sprintf "seed %d" seed)
-      rcfg.Replica.data_dir;
+      rcfg.Service.data_dir;
     tears :=
       !tears
       + List.length
@@ -271,8 +271,8 @@ let test_restart_resume () =
   with_replica rcfg @@ fun r ->
   wait_version r v2;
   check_identical ~ctx:"after restart" pcfg.Service.socket_path
-    rcfg.Replica.socket_path;
-  assert_fsck_clean ~ctx:"restarted mirror" rcfg.Replica.data_dir
+    rcfg.Service.socket_path;
+  assert_fsck_clean ~ctx:"restarted mirror" rcfg.Service.data_dir
 
 (* ------------------------------------------------------------------ *)
 (* Rotation: catch up through archived segments                        *)
@@ -293,13 +293,13 @@ let test_rotation_catch_up () =
   with_replica rcfg @@ fun r ->
   wait_version r v1;
   check_identical ~ctx:"bootstrap past rotations" pcfg.Service.socket_path
-    rcfg.Replica.socket_path;
+    rcfg.Service.socket_path;
   (* now rotate several more times underneath a live follower *)
   let v2 = write_mix ~seed:32 ~ops:40 pcfg.Service.socket_path in
   wait_version r v2;
   check_identical ~ctx:"rotation under a live follower"
-    pcfg.Service.socket_path rcfg.Replica.socket_path;
-  assert_fsck_clean ~ctx:"rotated mirror" rcfg.Replica.data_dir
+    pcfg.Service.socket_path rcfg.Service.socket_path;
+  assert_fsck_clean ~ctx:"rotated mirror" rcfg.Service.data_dir
 
 (* A primary that rotates after every commit while a writer runs: the
    follower's STATE poll routinely names a generation the primary has
@@ -316,10 +316,10 @@ let test_rotation_race_no_reconnect () =
   let v = write_mix ~seed:47 ~ops:150 psock in
   wait_version r v;
   check_identical ~ctx:"rotation on every commit" psock
-    rcfg.Replica.socket_path;
+    rcfg.Service.socket_path;
   Alcotest.(check int) "no reconnects" 0
-    (stats_kv rcfg.Replica.socket_path "repl_reconnects");
-  assert_fsck_clean ~ctx:"rotation race mirror" rcfg.Replica.data_dir
+    (stats_kv rcfg.Service.socket_path "repl_reconnects");
+  assert_fsck_clean ~ctx:"rotation race mirror" rcfg.Service.data_dir
 
 (* After rotations under a live follower, the primary's journal family
    and the follower's mirror of it are both the bound of the live
@@ -330,7 +330,7 @@ let test_family_bound_follower () =
   let psock = pcfg.Service.socket_path in
   let rcfg = replica_config ~primary:psock () in
   with_replica rcfg @@ fun r ->
-  let rsock = rcfg.Replica.socket_path in
+  let rsock = rcfg.Service.socket_path in
   let v = write_mix ~seed:51 ~ops:60 psock in
   wait_version r v;
   (* a rotation runs after its batch's acks: wait for both to settle *)
@@ -339,16 +339,16 @@ let test_family_bound_follower () =
       let g = gen_of psock "lib" in
       g = gen_of rsock "lib"
       && members pcfg.Service.data_dir = bound g
-      && members rcfg.Replica.data_dir = bound g);
+      && members rcfg.Service.data_dir = bound g);
   let g = gen_of psock "lib" in
   Alcotest.(check bool) (Printf.sprintf "rotated (gen %d)" g) true (g >= 2);
   Alcotest.(check bool) "primary family is the bound" true
     (members pcfg.Service.data_dir = bound g);
   Alcotest.(check bool) "follower family is the bound" true
-    (members rcfg.Replica.data_dir = bound g);
+    (members rcfg.Service.data_dir = bound g);
   check_identical ~ctx:"bounded families" psock rsock;
   assert_fsck_clean ~ctx:"primary" pcfg.Service.data_dir;
-  assert_fsck_clean ~ctx:"follower" rcfg.Replica.data_dir
+  assert_fsck_clean ~ctx:"follower" rcfg.Service.data_dir
 
 (* A library of [n] books: large enough that a checkpoint pair outweighs
    a journal segment many times over. *)
@@ -375,7 +375,7 @@ let test_stopped_follower_one_install () =
   let v1 = write_mix ~seed:61 ~ops:10 psock in
   (with_replica rcfg @@ fun r -> wait_version r v1);
   let stopped_at =
-    let wal = Filename.concat rcfg.Replica.data_dir "lib.wal" in
+    let wal = Filename.concat rcfg.Service.data_dir "lib.wal" in
     match (Wal.scan wal).Wal.checkpoint with
     | Some c -> c.Wal.gen
     | None -> 0
@@ -396,10 +396,10 @@ let test_stopped_follower_one_install () =
   in
   let served0 = stats_kv psock "repl_served_bytes" in
   with_replica rcfg @@ fun r ->
-  let rsock = rcfg.Replica.socket_path in
+  let rsock = rcfg.Service.socket_path in
   wait_version r v2;
   wait_until ~what:"the follower's family to settle" (fun () ->
-      gen_of rsock "lib" = g && members rcfg.Replica.data_dir = bound g);
+      gen_of rsock "lib" = g && members rcfg.Service.data_dir = bound g);
   check_identical ~ctx:"after the checkpoint install" psock rsock;
   let fetched = stats_kv psock "repl_served_bytes" - served0 in
   Alcotest.(check bool)
@@ -409,8 +409,8 @@ let test_stopped_follower_one_install () =
     (fetched < 2 * pair);
   Alcotest.(check int) "no reconnects" 0 (stats_kv rsock "repl_reconnects");
   Alcotest.(check bool) "follower family is the bound" true
-    (members rcfg.Replica.data_dir = bound g);
-  assert_fsck_clean ~ctx:"reinstalled mirror" rcfg.Replica.data_dir
+    (members rcfg.Service.data_dir = bound g);
+  assert_fsck_clean ~ctx:"reinstalled mirror" rcfg.Service.data_dir
 
 (* ------------------------------------------------------------------ *)
 (* Commit pipelines: multi-group primary, byte-faithful mirror         *)
@@ -466,12 +466,12 @@ let test_multi_group_catch_up () =
   with_replica rcfg @@ fun r ->
   wait_version r v1;
   check_identical ~ctx:"multi-group bootstrap" pcfg.Service.socket_path
-    rcfg.Replica.socket_path;
+    rcfg.Service.socket_path;
   (* a second concurrent burst streams live over WAIT *)
   let v2 = burst "b" in
   wait_version r v2;
   check_identical ~ctx:"multi-group live stream" pcfg.Service.socket_path
-    rcfg.Replica.socket_path;
+    rcfg.Service.socket_path;
   (* mirror fidelity, document by document: journal and snapshot pair
      byte-identical once the stream drains *)
   List.iter
@@ -480,7 +480,7 @@ let test_multi_group_catch_up () =
         (fun ext ->
           let file = name ^ ext in
           let pa = Filename.concat pcfg.Service.data_dir file
-          and ra = Filename.concat rcfg.Replica.data_dir file in
+          and ra = Filename.concat rcfg.Service.data_dir file in
           wait_until
             ~what:(Printf.sprintf "%s to drain to the mirror" file)
             (fun () -> read_file pa = read_file ra);
@@ -489,9 +489,9 @@ let test_multi_group_catch_up () =
             true
             (read_file pa = read_file ra))
         [ ".xml"; ".ruid"; ".wal" ];
-      let xml = Filename.concat rcfg.Replica.data_dir (name ^ ".xml")
-      and sidecar = Filename.concat rcfg.Replica.data_dir (name ^ ".ruid")
-      and wal = Filename.concat rcfg.Replica.data_dir (name ^ ".wal") in
+      let xml = Filename.concat rcfg.Service.data_dir (name ^ ".xml")
+      and sidecar = Filename.concat rcfg.Service.data_dir (name ^ ".ruid")
+      and wal = Filename.concat rcfg.Service.data_dir (name ^ ".wal") in
       match Wal.fsck ~xml ~sidecar ~wal () with
       | Wal.Clean -> ()
       | st ->
@@ -527,7 +527,7 @@ let test_follow_after_dropdoc () =
       for _ = 1 to 5 do
         ignore (ok_body (C.request c (insert_x "b")))
       done);
-  let rsock = before.Replica.socket_path in
+  let rsock = before.Service.socket_path in
   wait_until ~timeout_s:10. ~what:"the running replica to follow b"
     (fun () -> xs rsock = 5);
   Alcotest.(check int) "no reconnects" 0 (stats_kv rsock "repl_reconnects");
@@ -535,7 +535,7 @@ let test_follow_after_dropdoc () =
     (total_of rsock (P.Count_doc { doc = "a"; xpath = "//book" }));
   let after = replica_config ~primary:psock () in
   with_replica after @@ fun _ ->
-  let rsock = after.Replica.socket_path in
+  let rsock = after.Service.socket_path in
   Alcotest.(check int) "a new replica mirrors the live set" 5 (xs rsock);
   match
     C.with_connection rsock (fun c ->
@@ -555,7 +555,7 @@ let test_lag_zero_after_adddoc () =
   let psock = pcfg.Service.socket_path in
   let rcfg = replica_config ~primary:psock () in
   with_replica rcfg @@ fun r ->
-  let rsock = rcfg.Replica.socket_path in
+  let rsock = rcfg.Service.socket_path in
   C.with_connection psock (fun c ->
       ignore
         (ok_body
@@ -589,13 +589,13 @@ let test_failed_bootstrap_cleans_up () =
     | _ -> L.Inline (fun () -> P.Err "unknown document \"ghost\""));
   Fun.protect ~finally:(fun () -> L.stop l) @@ fun () ->
   let rcfg = replica_config ~primary:upstream () in
-  (match Replica.start rcfg with
+  (match Service.start rcfg [] with
   | r ->
-    Replica.stop r;
+    Service.stop r;
     Alcotest.fail "bootstrap off a refusing upstream succeeded"
   | exception Failure _ -> ());
   Alcotest.(check bool) "no socket left behind" false
-    (Sys.file_exists rcfg.Replica.socket_path)
+    (Sys.file_exists rcfg.Service.socket_path)
 
 (* ------------------------------------------------------------------ *)
 (* A promoted replica's update that fails part-way                     *)
@@ -624,7 +624,7 @@ let test_promoted_overflow () =
   let rcfg = replica_config ~primary:pcfg.Service.socket_path () in
   let xs =
     with_replica rcfg @@ fun _ ->
-    C.with_connection rcfg.Replica.socket_path @@ fun c ->
+    C.with_connection rcfg.Service.socket_path @@ fun c ->
     ignore (ok_body (C.request c P.Promote));
     let rec drive acked =
       if acked > 200 then Alcotest.fail "no overflow after 200 inserts"
@@ -664,7 +664,7 @@ let test_promoted_overflow () =
     last
   in
   (* the journal rebuilds exactly what was served *)
-  let file ext = Filename.concat rcfg.Replica.data_dir ("deep" ^ ext) in
+  let file ext = Filename.concat rcfg.Service.data_dir ("deep" ^ ext) in
   let recovery =
     Wal.replay ~xml:(file ".xml") ~sidecar:(file ".ruid") ~wal:(file ".wal") ()
   in
@@ -675,6 +675,105 @@ let test_promoted_overflow () =
       (Ruid.Ruid2.root recovery.Wal.r2)
   in
   Alcotest.(check int) "replay of the replica's journal" xs replayed
+
+(* ------------------------------------------------------------------ *)
+(* A promoted node is a full primary                                   *)
+(* ------------------------------------------------------------------ *)
+
+let request sock req = C.with_connection sock (fun c -> C.request c req)
+
+(* primary <- f1 <- f2; the primary stops and f1 is promoted.  Eight
+   concurrent writers on f1 share fsyncs (group commit), f1 rotates at its
+   segment threshold and keeps the family bound, f2 converges byte for
+   byte across the rotation, and f1 then takes ADDDOC and DROPDOC.  The
+   membership change comes last: f2 mirrors the document set fixed at its
+   bootstrap, so its [v=] stops matching f1's after it. *)
+let test_promoted_full_primary () =
+  let pdir = temp_dir () in
+  let pcfg =
+    { (Service.default_config ~socket_path:(sock_path ()) ~data_dir:pdir ())
+      with
+      workers = 2; max_area_size = 8 }
+  in
+  let service = Service.start pcfg [ ("lib", lib_doc ()) ] in
+  let stopped = ref false in
+  Fun.protect ~finally:(fun () -> if not !stopped then Service.stop service)
+  @@ fun () ->
+  let psock = pcfg.Service.socket_path in
+  let f1cfg =
+    { (replica_config ~primary:psock ()) with
+      workers = 9; wal_segment_bytes = 256; commit_interval_us = 2_000 }
+  in
+  let f1sock = f1cfg.Service.socket_path in
+  with_replica f1cfg @@ fun f1 ->
+  let f2cfg = replica_config ~primary:f1sock () in
+  let f2sock = f2cfg.Service.socket_path in
+  with_replica f2cfg @@ fun f2 ->
+  let v1 = write_mix ~seed:71 ~ops:10 psock in
+  wait_version f1 v1;
+  wait_version f2 v1;
+  Service.stop service;
+  stopped := true;
+  ignore (ok_body (request f1sock P.Promote));
+  Alcotest.(check bool) "promoted" true (Service.role f1 = `Promoted);
+  let batches = ref [] and mu = Mutex.create () in
+  let writer k () =
+    C.with_connection f1sock @@ fun c ->
+    for i = 1 to 6 do
+      let body =
+        ok_body
+          (C.request c
+             (P.Update
+                { doc = "lib";
+                  op =
+                    Wal.Insert
+                      { parent_rank = 0; pos = 0;
+                        tag = Printf.sprintf "promoted%d" ((k * 10) + i) } }))
+      in
+      Mutex.lock mu;
+      batches := C.kv_int body "batch" :: !batches;
+      Mutex.unlock mu
+    done
+  in
+  List.iter Thread.join (List.init 8 (fun k -> Thread.create (writer k) ()));
+  Alcotest.(check bool) "a reply names a batch of more than one" true
+    (List.exists (fun b -> Option.value ~default:0 b > 1) !batches);
+  Alcotest.(check bool) "fewer batches than records" true
+    (stats_kv f1sock "wal_records" > stats_kv f1sock "wal_batches");
+  Alcotest.(check bool) "the promoted node rotated" true
+    (stats_kv f1sock "wal_rotations" >= 1);
+  (* a rotation runs after its batch's acks: wait for it to settle *)
+  wait_until ~what:"the promoted node's family at the bound" (fun () ->
+      members f1cfg.Service.data_dir = bound (gen_of f1sock "lib"));
+  let v2 =
+    match C.kv_int (ok_body (request f1sock P.Docs)) "v" with
+    | Some v -> v
+    | None -> Alcotest.fail "DOCS reply lacks v="
+  in
+  Alcotest.(check int) "every write counted" (v1 + 48) v2;
+  wait_version f2 v2;
+  check_identical ~ctx:"chained across the promoted node's rotation" f1sock
+    f2sock;
+  assert_fsck_clean ~ctx:"promoted" f1cfg.Service.data_dir;
+  assert_fsck_clean ~ctx:"chained" f2cfg.Service.data_dir;
+  ignore
+    (ok_body
+       (request f1sock (P.Add_doc { doc = "extra"; xml = "<a><b/><b/></a>" })));
+  ignore (ok_body (request f1sock (P.Drop_doc "extra")))
+
+(* A following node refuses writes, with the texts clients match on. *)
+let test_following_refuses_writes () =
+  with_primary [ ("lib", lib_doc ()) ] @@ fun pcfg _ ->
+  let rcfg = replica_config ~primary:pcfg.Service.socket_path () in
+  with_replica rcfg @@ fun r ->
+  let rsock = rcfg.Service.socket_path in
+  Alcotest.(check bool) "following" true (Service.role r = `Following);
+  Alcotest.(check string) "UPDATE"
+    "ERR read-only replica: writes go to the primary (PROMOTE to fail over)"
+    (P.response_to_string (request rsock (insert_x "lib")));
+  Alcotest.(check string) "ADDDOC" "ERR ADDDOC: this node is a read-only replica"
+    (P.response_to_string
+       (request rsock (P.Add_doc { doc = "extra"; xml = "<a/>" })))
 
 (* ------------------------------------------------------------------ *)
 (* Fenced failover: 10-seed split-brain suite                          *)
@@ -704,6 +803,8 @@ let failover_story seed =
       wal_segment_bytes = (if seed mod 2 = 0 then 400 else 0);
       plan_cache = 64;
       epoch = 1;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let service = Service.start pcfg [ ("lib", lib_doc ()) ] in
@@ -714,7 +815,7 @@ let failover_story seed =
   let f1cfg = replica_config ~poll_ms:20 ~primary:pcfg.Service.socket_path () in
   with_replica f1cfg @@ fun f1 ->
   let f2cfg =
-    replica_config ~poll_ms:20 ~primary:f1cfg.Replica.socket_path ()
+    replica_config ~poll_ms:20 ~primary:f1cfg.Service.socket_path ()
   in
   with_replica f2cfg @@ fun f2 ->
   let v1 = write_mix ~seed ~ops:10 pcfg.Service.socket_path in
@@ -725,7 +826,7 @@ let failover_story seed =
   stopped := true;
   (* promote the first follower; idempotent on a second call *)
   let promote_body =
-    C.with_connection f1cfg.Replica.socket_path @@ fun c ->
+    C.with_connection f1cfg.Service.socket_path @@ fun c ->
     let b = ok_body (C.request c P.Promote) in
     let b2 = ok_body (C.request c P.Promote) in
     Alcotest.(check (option int))
@@ -735,27 +836,27 @@ let failover_story seed =
   in
   Alcotest.(check (option int)) "promotion bumped the epoch" (Some 2)
     (C.kv_int promote_body "epoch");
-  Alcotest.(check bool) "role flipped" true (Replica.role f1 = `Promoted);
+  Alcotest.(check bool) "role flipped" true (Service.role f1 = `Promoted);
   (* the new primary accepts writes; f2 keeps following through it *)
-  let v2 = write_mix ~seed:(seed * 7) ~ops:8 f1cfg.Replica.socket_path in
+  let v2 = write_mix ~seed:(seed * 7) ~ops:8 f1cfg.Service.socket_path in
   Alcotest.(check bool)
     (Printf.sprintf "failover writes advanced the version (%d > %d)" v2 v1)
     true (v2 > v1);
   wait_version f2 v2;
   check_identical
     ~ctx:(Printf.sprintf "seed %d survivors" seed)
-    f1cfg.Replica.socket_path f2cfg.Replica.socket_path;
+    f1cfg.Service.socket_path f2cfg.Service.socket_path;
   Alcotest.(check int)
     "follower adopted the bumped epoch" 2
-    (stats_kv f2cfg.Replica.socket_path "repl_epoch");
+    (stats_kv f2cfg.Service.socket_path "repl_epoch");
   (* every data directory — including the dead primary's — fscks clean *)
   assert_fsck_clean ~ctx:(Printf.sprintf "seed %d primary" seed) pdir;
   assert_fsck_clean
     ~ctx:(Printf.sprintf "seed %d f1" seed)
-    f1cfg.Replica.data_dir;
+    f1cfg.Service.data_dir;
   assert_fsck_clean
     ~ctx:(Printf.sprintf "seed %d f2" seed)
-    f2cfg.Replica.data_dir;
+    f2cfg.Service.data_dir;
   (* fencing proof: a data directory that has followed epoch 2 refuses a
      node still serving epoch 1 — the deposed primary's bytes can never
      merge.  (A fresh service plays the deposed primary.) *)
@@ -770,14 +871,14 @@ let failover_story seed =
     {
       (replica_config ~primary:(Service.config deposed).Service.socket_path ())
       with
-      Replica.data_dir = f2cfg.Replica.data_dir;
+      Service.data_dir = f2cfg.Service.data_dir;
     }
   in
-  match Replica.start fenced_cfg with
+  match Service.start fenced_cfg [] with
   | t ->
-    Replica.stop t;
+    Service.stop t;
     Alcotest.failf "seed %d: epoch-1 primary was not fenced out" seed
-  | exception Replica.Fenced { seen; got } ->
+  | exception Service.Fenced { seen; got } ->
     Alcotest.(check int) "fence height" 2 seen;
     Alcotest.(check int) "deposed epoch" 1 got
 
@@ -814,4 +915,8 @@ let suite =
       test_family_bound_follower;
     Alcotest.test_case "stopped follower: one checkpoint install" `Quick
       test_stopped_follower_one_install;
+    Alcotest.test_case "a promoted node is a full primary" `Quick
+      test_promoted_full_primary;
+    Alcotest.test_case "a following node refuses writes" `Quick
+      test_following_refuses_writes;
   ]

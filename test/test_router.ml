@@ -46,6 +46,8 @@ let shard_cfg ?(wal_segment_bytes = 0) () =
     wal_segment_bytes;
     plan_cache = 64;
     epoch = 1;
+    upstream = None;
+    poll_ms = 500;
   }
 
 (* Three shards, one router.  [docs.(i)] is hosted by shard [i] from

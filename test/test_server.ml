@@ -53,6 +53,8 @@ let with_server ?(workers = 2) ?(max_queue = 8) ?(deadline_ms = 0)
       wal_segment_bytes;
       plan_cache;
       epoch;
+      upstream = None;
+      poll_ms = 500;
     }
   in
   let t = Service.start cfg docs in
@@ -499,7 +501,7 @@ let encoded_ids r2 =
 
 (* Incremental publication (Snapshot.advance) must yield identifiers
    bit-identical to both the master that applied the same operations and
-   a full sidecar round-trip (replace_doc) — across random documents,
+   a full sidecar round-trip of it (Snapshot.capture) — across random documents,
    random scripts, and random batch partitions.  max_area_size 4 forces
    area overflows so the clone-and-replay path exercises splits, not just
    in-place renumbering. *)
@@ -541,23 +543,19 @@ let test_incremental_publication_equivalence () =
     R2.check inc;
     if encoded_ids inc <> encoded_ids master then
       Alcotest.failf "seed %d: incremental snapshot diverged from master" seed;
-    let full =
-      Snapshot.replace_doc !snap ~version:(!version + 1)
-        ~doc_version:(!version + 1) ~doc_index:0 master
-    in
+    let full = Snapshot.capture ~version:(!version + 1) [ ("d", master) ] in
     let _, fdoc = Option.get (Snapshot.find full "d") in
     if encoded_ids fdoc.Snapshot.r2 <> encoded_ids inc then
       Alcotest.failf "seed %d: incremental differs from full round-trip" seed
   done
 
-(* The failure mode behind per-document cursors: a full-fallback
-   publication of document A captures its master mid-queue and stamps the
-   snapshot ahead of the global counter, while document B still has a
-   queued update carrying a smaller version.  Filtered against the global
-   stamp, B's update would be dropped forever (acked durable+visible, never
-   published); filtered against B's own cursor it lands.  This pins the
-   cursor plumbing: cursors are per document, shared documents keep theirs,
-   and folding is independent of the global stamp. *)
+(* The failure mode behind per-document cursors: concurrent commit groups
+   publish versions out of order.  Document A's group publishes version 10
+   and stamps the snapshot there, while document B's group still has a
+   queued update carrying version 6.  Measured against the global stamp,
+   B's update would look stale; against B's own cursor it lands.  This
+   pins the cursor plumbing: cursors are per document, shared documents
+   keep theirs, and folding is independent of the global stamp. *)
 let test_per_document_version_cursor () =
   let make seed =
     R2.number ~max_area_size:8
@@ -570,11 +568,10 @@ let test_per_document_version_cursor () =
     "cursors start at the capture version" [ 1; 1 ]
     (Array.to_list
        (Array.map (fun d -> d.Snapshot.doc_version) snap.Snapshot.docs));
-  (* document A leaps ahead, as a full-fallback capture would *)
-  ignore (Wal.apply a (Wal.Insert { parent_rank = 0; pos = 0; tag = "x" }));
-  let snap =
-    Snapshot.replace_doc snap ~version:10 ~doc_version:10 ~doc_index:0 a
-  in
+  (* document A's group publishes version 10 first *)
+  let op_a = Wal.Insert { parent_rank = 0; pos = 0; tag = "x" } in
+  ignore (Wal.apply a op_a);
+  let snap, _ = Snapshot.advance snap ~version:10 [ (0, [ op_a ], 10) ] in
   Alcotest.(check int) "untouched document keeps its own cursor" 1
     snap.Snapshot.docs.(1).Snapshot.doc_version;
   (* document B folds an update whose version (6) trails the global stamp
@@ -898,15 +895,17 @@ let with_node role f =
         slow = P.Sleep 60 }
   | `Replica ->
     with_server lib @@ fun cfg _t ->
-    let module R = Rserver.Replica in
     let rcfg =
-      R.default_config ~socket_path:(sock_path ()) ~data_dir:(temp_dir ())
-        ~primary:cfg.Service.socket_path ()
+      { (Service.default_config ~socket_path:(sock_path ())
+           ~data_dir:(temp_dir ()) ())
+        with
+        workers = 2;
+        upstream = Some cfg.Service.socket_path }
     in
-    let r = R.start rcfg in
-    Fun.protect ~finally:(fun () -> R.stop r) @@ fun () ->
-    f { role = "replica"; socket = rcfg.R.socket_path;
-        stop = (fun () -> R.stop r); wait = (fun () -> R.wait r);
+    let r = Service.start rcfg [] in
+    Fun.protect ~finally:(fun () -> Service.stop r) @@ fun () ->
+    f { role = "replica"; socket = rcfg.Service.socket_path;
+        stop = (fun () -> Service.stop r); wait = (fun () -> Service.wait r);
         slow = P.Sleep 60 }
   | `Router ->
     let module Rt = Rserver.Router in
@@ -1588,6 +1587,51 @@ let test_overflow_with_records_pending () =
        (ok_body (C.request c (P.Count_doc { doc = "deep"; xpath = "//x" })))
        "total")
 
+(* A commit that fails after its records were applied: the next append of
+   "lib" meets a directory where its journal was (EISDIR — tests run as
+   root, so a permission bit would not stop the write).  The batch's
+   writer hears that durability is unknown, later updates of "lib" are
+   refused as quarantined, another document keeps committing, and readers
+   keep the last published copy of "lib". *)
+let test_commit_failure_quarantines () =
+  with_server ~commit_groups:1
+    [ ("lib", doc_of_string library); ("other", doc_of_string library) ]
+  @@ fun cfg _t ->
+  let insert doc =
+    P.Update { doc; op = Wal.Insert { parent_rank = 0; pos = 0; tag = "x" } }
+  in
+  C.with_connection cfg.Service.socket_path @@ fun c ->
+  ignore (ok_body (C.request c (insert "lib")));
+  let wal = Filename.concat cfg.Service.data_dir "lib.wal" in
+  Sys.rename wal (wal ^ ".aside");
+  Unix.mkdir wal 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.rmdir wal;
+      Sys.rename (wal ^ ".aside") wal)
+  @@ fun () ->
+  (match C.request c (insert "lib") with
+  | P.Err msg
+    when String.starts_with ~prefix:"commit failed (durability unknown): " msg
+         && contains msg "EISDIR" -> ()
+  | r -> Alcotest.failf "failed commit: %s" (P.response_to_string r));
+  (match C.request c (insert "lib") with
+  | P.Err msg
+    when String.starts_with
+           ~prefix:"update rejected: document \"lib\" is quarantined (" msg
+    -> ()
+  | r -> Alcotest.failf "update after the failure: %s" (P.response_to_string r));
+  let other = ok_body (C.request c (insert "other")) in
+  Alcotest.(check int) "another document commits alone" 1
+    (get_kv other "batch");
+  let check = ok_body (C.request c (P.Check "lib")) in
+  Alcotest.(check bool) (Printf.sprintf "lib consistent (%s)" check) true
+    (contains check "consistent");
+  Alcotest.(check int) "lib served at its last published version" 1
+    (get_kv
+       (ok_body (C.request c (P.Count_doc { doc = "lib"; xpath = "//x" })))
+       "total")
+
 let test_metrics_registry () =
   let m = Rserver.Metrics.create () in
   for i = 1 to 100 do
@@ -1662,4 +1706,6 @@ let suite =
     Alcotest.test_case "overflow with records pending quarantines" `Quick
       test_overflow_with_records_pending;
     Alcotest.test_case "STATS reports memory" `Quick test_stats_memory;
+    Alcotest.test_case "a failed commit quarantines its document" `Quick
+      test_commit_failure_quarantines;
   ]
